@@ -12,7 +12,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -21,7 +20,6 @@ from .bitops import cap
 from .concentration import verify_theorem
 from .coupling import build_monotone_coupling
 from .dependence import (
-    Notion,
     check_cna,
     check_cylinder,
     check_neg_association,
@@ -30,7 +28,7 @@ from .dependence import (
     check_stochastic_covering,
     rayleigh_falsify,
 )
-from .errors import DominanceFails, IntervalViolation, NegdepError
+from .errors import DominanceFails, IntervalViolation, NegdepError, TooLarge
 from .martingale import (
     build_adaptive_tree,
     fixed_order_tree,
@@ -54,16 +52,7 @@ from .measure import (
     xor_function,
 )
 
-NOTION_FLAGS = {
-    "nc": Notion.PAIRWISE_NC,
-    "cyl": Notion.CYLINDER,
-    "na": Notion.NEG_ASSOCIATION,
-    "nr": Notion.NEG_REGRESSION,
-    "cna": Notion.CNA,
-    "sc": Notion.STOCHASTIC_COVERING,
-    "rayleigh": Notion.RAYLEIGH,
-}
-NOTION_ORDER = ["nc", "cyl", "na", "nr", "cna", "sc", "rayleigh"]
+# The one checker registry: --notions keys, in the order "all" runs them.
 NOTION_RUNNERS = {
     "nc": check_pairwise_nc,
     "cyl": check_cylinder,
@@ -84,15 +73,8 @@ F_HELP = (
 )
 
 
-@dataclass
-class RunConfig:
-    """Resolved invocation: one command, one measure source, its options."""
-
-    command: str
-    source: Optional[str] = None  # "file:..." or "family:..."
-    options: dict = field(default_factory=dict)
-    output: Optional[str] = None
-    fmt: str = "text"
+# A tail table row costs one exact tail per point; refuse longer grids.
+MAX_GRID_POINTS = 10_000
 
 
 def parse_family(spec: str) -> ExplicitMeasure:
@@ -165,43 +147,23 @@ def _emit(text: str, output: Optional[str]) -> None:
         print(text)
 
 
-def _config(args, command: str) -> RunConfig:
-    source = None
-    if getattr(args, "file", None):
-        source = f"file:{args.file}"
-    elif getattr(args, "family", None):
-        source = f"family:{args.family}"
-    return RunConfig(
-        command=command,
-        source=source,
-        options={
-            k: v
-            for k, v in vars(args).items()
-            if k not in ("command", "file", "family", "output", "format", "func")
-        },
-        output=getattr(args, "output", None),
-        fmt=getattr(args, "format", "text"),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 
 def cmd_check(args) -> int:
-    config = _config(args, "check")
     m = _load_measure(args)
-    keys = NOTION_ORDER if args.notions == "all" else args.notions.split(",")
+    keys = list(NOTION_RUNNERS) if args.notions == "all" else args.notions.split(",")
     for key in keys:
         if key not in NOTION_RUNNERS:
             raise ValueError(
-                f"unknown notion {key!r}; choose from {','.join(NOTION_ORDER)} or all"
+                f"unknown notion {key!r}; choose from {','.join(NOTION_RUNNERS)} or all"
             )
     reports = [NOTION_RUNNERS[key](m) for key in keys]
-    if config.fmt == "json":
+    if args.format == "json":
         doc = {"n": m.n, "reports": [r.to_json() for r in reports]}
-        _emit(json.dumps(doc, indent=2), config.output)
+        _emit(json.dumps(doc, indent=2), args.output)
     else:
         lines = []
         for r in reports:
@@ -209,19 +171,17 @@ def cmd_check(args) -> int:
             if not r.ok and r.certificate is not None:
                 line += f"  certificate: {json.dumps(r.certificate)}"
             lines.append(line)
-        _emit("\n".join(lines), config.output)
+        _emit("\n".join(lines), args.output)
     return 0 if all(r.ok for r in reports) else 1
 
 
 def cmd_family(args) -> int:
-    config = _config(args, "family")
     m = parse_family(args.spec)
-    _emit(json.dumps(m.to_json(), indent=2), config.output)
+    _emit(json.dumps(m.to_json(), indent=2), args.output)
     return 0
 
 
 def cmd_coupling(args) -> int:
-    config = _config(args, "coupling")
     lower = ExplicitMeasure.load(args.lower)
     upper = ExplicitMeasure.load(args.upper)
     try:
@@ -230,21 +190,20 @@ def cmd_coupling(args) -> int:
         doc = {"dominates": False, "error": str(exc)}
         if exc.certificate is not None:
             doc["certificate"] = exc.certificate.to_json()
-        _emit(json.dumps(doc, indent=2), config.output)
+        _emit(json.dumps(doc, indent=2), args.output)
         return 1
-    if config.fmt == "text":
+    if args.format == "text":
         text = (
             f"coupling on {c.lower.n} variables: {len(c.mass)} pairs, "
             f"displacement {c.displacement()}"
         )
-        _emit(text, config.output)
+        _emit(text, args.output)
     else:
-        _emit(json.dumps(c.to_json(), indent=2), config.output)
+        _emit(json.dumps(c.to_json(), indent=2), args.output)
     return 0
 
 
 def cmd_martingale(args) -> int:
-    config = _config(args, "martingale")
     m = _load_measure(args)
     f = parse_function(args.f, m.n)
     order_spec = args.order
@@ -268,12 +227,12 @@ def cmd_martingale(args) -> int:
                 "alpha": str(exc.node.alpha),
                 "beta": str(exc.node.beta),
             }
-        _emit(json.dumps(doc, indent=2), config.output)
+        _emit(json.dumps(doc, indent=2), args.output)
         return 1
-    if config.fmt == "csv":
-        _emit(tree.to_csv(), config.output)
-    elif config.fmt == "json":
-        _emit(json.dumps(tree.to_json(), indent=2), config.output)
+    if args.format == "csv":
+        _emit(tree.to_csv(), args.output)
+    elif args.format == "json":
+        _emit(json.dumps(tree.to_json(), indent=2), args.output)
     else:
         lines = [
             f"{tree.kind} martingale tree on {tree.n} variables, f = {tree.f.name}",
@@ -284,7 +243,7 @@ def cmd_martingale(args) -> int:
             f"{max_step(tree)}",
             f"first-step max deviation: {root_step(tree)}",
         ]
-        _emit("\n".join(lines), config.output)
+        _emit("\n".join(lines), args.output)
     return 0
 
 
@@ -292,16 +251,15 @@ def _parse_grid(spec: str) -> list[Fraction]:
     lo, step, hi = (parse_rational(tok) for tok in spec.split(":"))
     if step <= 0:
         raise ValueError("grid step must be positive")
-    grid = []
-    t = lo
-    while t <= hi:
-        grid.append(t)
-        t += step
-    return grid
+    count = max(0, (hi - lo) // step + 1)
+    if count > MAX_GRID_POINTS:
+        raise TooLarge(
+            f"grid {spec} has {count} points; the limit is {MAX_GRID_POINTS}"
+        )
+    return [lo + k * step for k in range(count)]
 
 
 def cmd_tail(args) -> int:
-    config = _config(args, "tail")
     m = _load_measure(args)
     f = parse_function(args.f, m.n)
     grid = _parse_grid(args.grid) if args.grid else None
@@ -313,13 +271,13 @@ def cmd_tail(args) -> int:
     else:
         advisory = "negative regression unchecked (n above cap); bounds are advisory"
     report = verify_theorem(m, f, grid)
-    if config.fmt == "csv":
-        _emit(report.to_csv(), config.output)
-    elif config.fmt == "json":
+    if args.format == "csv":
+        _emit(report.to_csv(), args.output)
+    elif args.format == "json":
         doc = report.to_json()
         if advisory:
             doc["advisory"] = advisory
-        _emit(json.dumps(doc, indent=2), config.output)
+        _emit(json.dumps(doc, indent=2), args.output)
     else:
         lines = []
         if advisory:
@@ -336,12 +294,11 @@ def cmd_tail(args) -> int:
                 f"bound={row.bound:.6g}{mono}  pass={row.passed}"
             )
         lines.append(f"verdict: {'pass' if report.verdict else 'FAIL'}")
-        _emit("\n".join(lines), config.output)
+        _emit("\n".join(lines), args.output)
     return 0 if report.verdict else 1
 
 
 def cmd_counterexample(args) -> int:
-    config = _config(args, "counterexample")
     n = args.n
     if not 3 <= n <= 12:
         raise ValueError(f"n must be between 3 and 12, got {n}")
@@ -363,7 +320,7 @@ def cmd_counterexample(args) -> int:
     separated = fixed_first > 1 >= adaptive_max
     formula = Fraction(n - 3, 2) + Fraction(1, 2 ** (n - 1))
     ok = nr_ok and (separated or n < 5)
-    if config.fmt == "json":
+    if args.format == "json":
         doc = {
             "n": n,
             "nr": nr_line.split(": ", 1)[1],
@@ -374,7 +331,7 @@ def cmd_counterexample(args) -> int:
             "separated": separated,
             "ok": ok,
         }
-        _emit(json.dumps(doc, indent=2), config.output)
+        _emit(json.dumps(doc, indent=2), args.output)
     else:
         lines = [
             f"NAND measure, n={n}, f = sum",
@@ -392,7 +349,7 @@ def cmd_counterexample(args) -> int:
             )
         else:
             lines.append("separation: not expected below n=5")
-        _emit("\n".join(lines), config.output)
+        _emit("\n".join(lines), args.output)
     return 0 if ok else 1
 
 
@@ -430,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--notions",
         default="all",
-        help=f"comma list from {','.join(NOTION_ORDER)}, or all",
+        help=f"comma list from {','.join(NOTION_RUNNERS)}, or all",
     )
     add_output(p, ["text", "json"])
     p.set_defaults(func=cmd_check)

@@ -115,7 +115,6 @@ class TransportResult:
     target: int
     pair_flows: list[tuple[int, int, int]] = field(default_factory=list)
     left_cut: tuple[int, ...] = ()
-    right_cut: tuple[int, ...] = ()
     edges: int = 0
 
 
@@ -132,8 +131,8 @@ def transport(
 
     On success (and ``want_flows``) returns per-pair integer flows at the
     combined scale lower_total * upper_total.  On failure returns the
-    source side of a minimum cut, split into left keys (a lower-support
-    block whose mass cannot be routed) and right keys.
+    lower-support keys on the source side of a minimum cut: a block whose
+    mass cannot be routed.
     """
     nl, nr = len(lower_items), len(upper_items)
     source, sink = 0, nl + nr + 1
@@ -163,9 +162,6 @@ def transport(
         side = net.residual_reachable(source)
         result.left_cut = tuple(
             key for i, (key, _) in enumerate(lower_items) if 1 + i in side
-        )
-        result.right_cut = tuple(
-            key for j, (key, _) in enumerate(upper_items) if 1 + nl + j in side
         )
     return result
 
@@ -212,9 +208,7 @@ class DominanceCertificate:
     def to_json(self) -> dict:
         return {
             "kind": "down_set",
-            "down_set": [bits_from_mask(m, self.n) for m in sorted(
-                self.down_set, key=lambda m: bits_from_mask(m, self.n)
-            )],
+            "down_set": sorted(bits_from_mask(m, self.n) for m in self.down_set),
             "lower_mass": format_rational(self.lower_mass),
             "upper_mass": format_rational(self.upper_mass),
         }
@@ -240,13 +234,12 @@ class InfeasibilityCut:
     upper_mass: Fraction
 
     def to_json(self) -> dict:
-        order = lambda m: bits_from_mask(m, self.n)
         return {
             "kind": "covering_cut",
-            "block": [bits_from_mask(m, self.n) for m in sorted(self.block, key=order)],
-            "neighborhood": [
-                bits_from_mask(m, self.n) for m in sorted(self.neighborhood, key=order)
-            ],
+            "block": sorted(bits_from_mask(m, self.n) for m in self.block),
+            "neighborhood": sorted(
+                bits_from_mask(m, self.n) for m in self.neighborhood
+            ),
             "lower_mass": format_rational(self.lower_mass),
             "upper_mass": format_rational(self.upper_mass),
         }
@@ -278,22 +271,60 @@ def _sorted_scaled(m: ExplicitMeasure) -> tuple[list[tuple[int, int]], int]:
     return items, total
 
 
-def _down_set_certificate(
-    lower: ExplicitMeasure, upper: ExplicitMeasure, block: tuple[int, ...]
-) -> DominanceCertificate:
-    """Turn the left side of an infeasible cut into a down-set witness.
+def _mass_on(items: list[tuple[int, int]], total: int, points) -> Fraction:
+    return Fraction(sum(w for k, w in items if k in points), total)
 
-    The routable region for the block is its up-closure; the complement
-    M is down-closed, misses the block's lower mass, and retains all the
-    upper mass the block could not reach, so lower(M) < upper(M).
+
+def down_set_certificate(
+    lower: list[tuple[int, int]],
+    lt: int,
+    upper: list[tuple[int, int]],
+    ut: int,
+    block: tuple[int, ...],
+    n: int,
+) -> DominanceCertificate:
+    """Turn the left side of an infeasible plain cut into a down-set witness.
+
+    ``lower`` and ``upper`` are the (atom, integer weight) pairs that were
+    transported, with totals ``lt`` and ``ut``.  The routable region for
+    the block is its up-closure; the complement M is down-closed, misses
+    the block's lower mass, and retains all the upper mass the block
+    could not reach, so lower(M) < upper(M).
     """
-    n = lower.n
     closed = up_closure(block, n)
     down = tuple(x for x in range(1 << n) if x not in closed)
     points = set(down)
-    lm = sum((p for k, p in lower.items() if k in points), ZERO)
-    um = sum((p for k, p in upper.items() if k in points), ZERO)
-    return DominanceCertificate(n=n, down_set=down, lower_mass=lm, upper_mass=um)
+    return DominanceCertificate(
+        n=n,
+        down_set=down,
+        lower_mass=_mass_on(lower, lt, points),
+        upper_mass=_mass_on(upper, ut, points),
+    )
+
+
+def covering_cut(
+    lower: list[tuple[int, int]],
+    lt: int,
+    upper: list[tuple[int, int]],
+    ut: int,
+    block: tuple[int, ...],
+    n: int,
+) -> InfeasibilityCut:
+    """Turn the left side of an infeasible covering cut into a Hall cut:
+    the block outweighs the upper atoms within one raised coordinate."""
+    order = lambda m: bits_from_mask(m, n)
+    blocked = set(block)
+    hood = tuple(sorted(
+        (y for y, _ in upper if any(_admissible(x, y, True) for x in blocked)),
+        key=order,
+    ))
+    return InfeasibilityCut(
+        n=n,
+        block=tuple(sorted(blocked, key=order)),
+        neighborhood=hood,
+        lower_mass=_mass_on(lower, lt, blocked),
+        upper_mass=_mass_on(upper, ut, set(hood)),
+    )
 
 
 def check_dominance(lower: ExplicitMeasure, upper: ExplicitMeasure) -> DominanceResult:
@@ -318,7 +349,7 @@ def check_dominance(lower: ExplicitMeasure, upper: ExplicitMeasure) -> Dominance
     }
     if res.feasible:
         return DominanceResult(True, None, work)
-    cert = _down_set_certificate(lower, upper, res.left_cut)
+    cert = down_set_certificate(left, lt, right, ut, res.left_cut, lower.n)
     return DominanceResult(False, cert, work)
 
 
@@ -444,28 +475,13 @@ def build_monotone_coupling(
         coupling.validate()
         return coupling
     if covering_mode:
-        block = set(res.left_cut)
-        hood = tuple(
-            y for y, _ in upper.atoms()
-            if any(_admissible(x, y, covering=True) for x in block)
-        )
-        lm = sum((p for k, p in lower.items() if k in block), ZERO)
-        um = sum((p for k, p in upper.items() if k in set(hood)), ZERO)
-        cut = InfeasibilityCut(
-            n=lower.n,
-            block=tuple(sorted(block, key=lambda m: bits_from_mask(m, lower.n))),
-            neighborhood=hood,
-            lower_mass=lm,
-            upper_mass=um,
-        )
         raise DominanceFails(
             "no covering coupling: a lower block outweighs its neighborhood",
-            certificate=cut,
+            certificate=covering_cut(left, lt, right, ut, res.left_cut, lower.n),
         )
-    cert = _down_set_certificate(lower, upper, res.left_cut)
     raise DominanceFails(
         "upper measure does not stochastically dominate the lower measure",
-        certificate=cert,
+        certificate=down_set_certificate(left, lt, right, ut, res.left_cut, lower.n),
     )
 
 
@@ -483,6 +499,8 @@ __all__ = [
     "is_down_closed",
     "DominanceCertificate",
     "InfeasibilityCut",
+    "down_set_certificate",
+    "covering_cut",
     "DominanceResult",
     "check_dominance",
     "Coupling",

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .bitops import SubsetExtractor, bits_from_mask, cap, indices_of, subsets_lex
-from .coupling import transport, up_closure
+from .coupling import covering_cut, down_set_certificate, transport
 from .errors import DimensionMismatch, TooLarge
 from .measure import ExplicitMeasure, format_rational
 from .upsets import (
@@ -213,10 +213,6 @@ def check_cylinder(m: ExplicitMeasure) -> NotionReport:
 # ---------------------------------------------------------------------------
 
 
-def _packed_bits(mask: int, width: int) -> str:
-    return bits_from_mask(mask, width)
-
-
 def upset_indicator_cov(
     m: ExplicitMeasure, I, A_masks, J, B_masks
 ) -> Fraction:
@@ -248,13 +244,16 @@ def _na_violation(m: ExplicitMeasure):
     enumerates its nontrivial up-sets A in a deterministic order, and for
     each A maximizes the covariance over up-sets B of the other side,
     either by an exact int64 matrix product (dimension <= 5) or by a
-    max-weight-closure min-cut (always exact, any dimension).
+    max-weight-closure min-cut (always exact, any dimension).  The arrays
+    hold int64 while the common denominator is at most
+    _NUMPY_DENOM_LIMIT and Python integers above it; the matrix product
+    over B runs only in the int64 case.
     """
     n = m.n
     d, w = m.scaled_weights()
     full = (1 << n) - 1
     work = {"bipartitions": 0, "upsets_tested": 0, "closures": 0}
-    use_numpy = d <= _NUMPY_DENOM_LIMIT
+    use_int64 = d <= _NUMPY_DENOM_LIMIT
     for imask in range(1, full):
         if not imask & 1:
             continue  # covariance is symmetric; anchor variable 1 on the I side
@@ -271,59 +270,37 @@ def _na_violation(m: ExplicitMeasure):
         work["bipartitions"] += 1
         exs = SubsetExtractor(small_mask, n)
         exl = SubsetExtractor(large_mask, n)
-        if use_numpy:
-            joint = np.zeros((1 << ds, 1 << dl), dtype=np.int64)
-            for key, weight in w.items():
-                joint[exs.extract(key), exl.extract(key)] += weight
-            ws = joint.sum(axis=1)
-            wl = joint.sum(axis=0)
-            u_small = upset_matrix(ds)
-            joint_a = u_small @ joint          # weight of {X_s in A, X_l = b}
-            wa = u_small @ ws
-            weights = d * joint_a - wa[:, None] * wl[None, :]
-            work["upsets_tested"] += len(u_small)
-            if (
-                dl <= ENUMERABLE_DIM
-                and len(u_small) * len(nontrivial_upsets(dl)) <= 1 << 22
-            ):
-                covs = weights @ upset_matrix(dl).T
-                hits = np.argwhere(covs > 0)
-                if hits.size:
-                    row = int(hits[0, 0])
-                    col = int(np.argmax(covs[row]))
-                    a_mask = nontrivial_upsets(ds)[row]
-                    b_mask = nontrivial_upsets(dl)[col]
-                    value = Fraction(int(covs[row, col]), d * d)
-                    return (
-                        _na_certificate(
-                            n, small_mask, large_mask, a_mask, b_mask, value
-                        ),
-                        work,
-                    )
-                continue
-            rows = [list(map(int, row)) for row in weights]
-        else:
-            joint_d: dict[tuple[int, int], int] = {}
-            ws_d = [0] * (1 << ds)
-            wl_d = [0] * (1 << dl)
-            for key, weight in w.items():
-                a, b = exs.extract(key), exl.extract(key)
-                joint_d[(a, b)] = joint_d.get((a, b), 0) + weight
-                ws_d[a] += weight
-                wl_d[b] += weight
-            rows = []
-            for a_mask in nontrivial_upsets(ds):
-                members = upset_members(a_mask, ds)
-                wa = sum(ws_d[a] for a in members)
-                vec = [-wa * wl_d[b] for b in range(1 << dl)]
-                for (a, b), weight in joint_d.items():
-                    if a_mask >> a & 1:
-                        vec[b] += d * weight
-                rows.append(vec)
-            work["upsets_tested"] += len(rows)
-        for row_idx, vec in enumerate(rows):
+        joint = np.zeros((1 << ds, 1 << dl), dtype=np.int64 if use_int64 else object)
+        for key, weight in w.items():
+            joint[exs.extract(key), exl.extract(key)] += weight
+        ws = joint.sum(axis=1)
+        wl = joint.sum(axis=0)
+        u_small = upset_matrix(ds)
+        joint_a = u_small @ joint          # weight of {X_s in A, X_l = b}
+        wa = u_small @ ws
+        weights = d * joint_a - wa[:, None] * wl[None, :]
+        work["upsets_tested"] += len(u_small)
+        if (
+            use_int64
+            and dl <= ENUMERABLE_DIM
+            and len(u_small) * len(nontrivial_upsets(dl)) <= 1 << 22
+        ):
+            covs = weights @ upset_matrix(dl).T
+            hits = np.argwhere(covs > 0)
+            if hits.size:
+                row = int(hits[0, 0])
+                col = int(np.argmax(covs[row]))
+                a_mask = nontrivial_upsets(ds)[row]
+                b_mask = nontrivial_upsets(dl)[col]
+                value = Fraction(int(covs[row, col]), d * d)
+                return (
+                    _na_certificate(n, small_mask, large_mask, a_mask, b_mask, value),
+                    work,
+                )
+            continue
+        for row_idx, row in enumerate(weights):
             work["closures"] += 1
-            best, chosen = max_weight_upset(vec, dl)
+            best, chosen = max_weight_upset(list(map(int, row)), dl)
             if best > 0:
                 a_mask = nontrivial_upsets(ds)[row_idx]
                 b_mask = 0
@@ -342,8 +319,8 @@ def _na_certificate(n, small_mask, large_mask, a_upset, b_upset, value) -> dict:
     return {
         "I": list(indices_of(small_mask)),
         "J": list(indices_of(large_mask)),
-        "A": [_packed_bits(p, ds) for p in upset_members(a_upset, ds)],
-        "B": [_packed_bits(p, dl) for p in upset_members(b_upset, dl)],
+        "A": [bits_from_mask(p, ds) for p in upset_members(a_upset, ds)],
+        "B": [bits_from_mask(p, dl) for p in upset_members(b_upset, dl)],
         "covariance": format_rational(value),
     }
 
@@ -451,20 +428,11 @@ def _proportional(wa: dict[int, int], ta: int, wb: dict[int, int], tb: int) -> b
     return True
 
 
-def _dominance_witness(
-    lower: dict[int, int], lt: int, upper: dict[int, int], ut: int, dim: int
-):
-    """None if upper dominates lower; else (down_set, lower_mass, upper_mass)."""
-    res = transport(
-        sorted(lower.items()), lt, sorted(upper.items()), ut, covering=False
-    )
-    if res.feasible:
-        return None
-    closed = up_closure(res.left_cut, dim)
-    down = tuple(x for x in range(1 << dim) if x not in closed)
-    lm = sum((Fraction(v, lt) for k, v in lower.items() if k in closed), ZERO)
-    um = sum((Fraction(v, ut) for k, v in upper.items() if k in closed), ZERO)
-    return down, 1 - lm, 1 - um
+def _certificate_fields(cert) -> dict:
+    """A coupling certificate's JSON fields, without its ``kind`` tag."""
+    doc = cert.to_json()
+    del doc["kind"]
+    return doc
 
 
 def check_neg_regression(m: ExplicitMeasure) -> NotionReport:
@@ -499,20 +467,18 @@ def check_neg_regression(m: ExplicitMeasure) -> NotionReport:
             work["equal_laws_skipped"] += 1
             return None
         work["flows_run"] += 1
-        witness = _dominance_witness(lower, lt, upper, ut, dim)
-        if witness is None:
+        lower_items, upper_items = sorted(lower.items()), sorted(upper.items())
+        res = transport(lower_items, lt, upper_items, ut, covering=False)
+        if res.feasible:
             return None
-        down, lm, um = witness
+        cert = down_set_certificate(lower_items, lt, upper_items, ut, res.left_cut, dim)
         jl = len(j_indices)
-        free = [i for i in range(1, n + 1) if i not in j_indices]
         return {
             "J": list(j_indices),
-            "a": _packed_bits(a, jl),
-            "b": _packed_bits(b, jl),
-            "free_indices": free,
-            "down_set": sorted(_packed_bits(x, dim) for x in down),
-            "lower_mass": format_rational(lm),
-            "upper_mass": format_rational(um),
+            "a": bits_from_mask(a, jl),
+            "b": bits_from_mask(b, jl),
+            "free_indices": [i for i in range(1, n + 1) if i not in j_indices],
+            **_certificate_fields(cert),
         }
 
     for cond_mask in subsets_lex(n):
@@ -600,31 +566,18 @@ def check_stochastic_covering(m: ExplicitMeasure) -> NotionReport:
                 if _proportional(lower, lt, upper, ut):
                     continue  # identity coupling
                 work["flows_run"] += 1
-                res = transport(
-                    sorted(lower.items()), lt, sorted(upper.items()), ut,
-                    covering=True,
-                )
+                lower_items = sorted(lower.items())
+                upper_items = sorted(upper.items())
+                res = transport(lower_items, lt, upper_items, ut, covering=True)
                 if res.feasible:
                     continue
-                block = set(res.left_cut)
-                hood = sorted(
-                    y for y in upper
-                    if any(not x & ~y and (x ^ y).bit_count() <= 1 for x in block)
-                )
-                lm = sum((Fraction(v, lt) for k, v in lower.items() if k in block), ZERO)
-                um = sum((Fraction(v, ut) for k, v in upper.items() if k in hood), ZERO)
-                free = [i for i in range(1, n + 1) if i not in i_indices]
+                cut = covering_cut(lower_items, lt, upper_items, ut, res.left_cut, dim)
                 cert = {
                     "I": list(i_indices),
-                    "a": _packed_bits(a_high, il),
-                    "a_prime": _packed_bits(a_low, il),
-                    "free_indices": free,
-                    "block": sorted(_packed_bits(x, dim) for x in block),
-                    "neighborhood": sorted(
-                        _packed_bits(y, dim) for y in hood
-                    ),
-                    "lower_mass": format_rational(lm),
-                    "upper_mass": format_rational(um),
+                    "a": bits_from_mask(a_high, il),
+                    "a_prime": bits_from_mask(a_low, il),
+                    "free_indices": [i for i in range(1, n + 1) if i not in i_indices],
+                    **_certificate_fields(cut),
                 }
                 return NotionReport(
                     Notion.STOCHASTIC_COVERING, Verdict.FAILS, cert, work
@@ -741,19 +694,9 @@ def rayleigh_falsify(m: ExplicitMeasure, grid=None) -> NotionReport:
 
 
 # ---------------------------------------------------------------------------
-# Registry
+# Hierarchy
 # ---------------------------------------------------------------------------
 
-
-CHECKERS = {
-    Notion.PAIRWISE_NC: check_pairwise_nc,
-    Notion.CYLINDER: check_cylinder,
-    Notion.NEG_ASSOCIATION: check_neg_association,
-    Notion.NEG_REGRESSION: check_neg_regression,
-    Notion.CNA: check_cna,
-    Notion.STOCHASTIC_COVERING: check_stochastic_covering,
-    Notion.RAYLEIGH: rayleigh_falsify,
-}
 
 # (antecedent, consequent): whenever the first Holds, the second must
 NOTION_IMPLICATIONS = [
@@ -781,6 +724,5 @@ __all__ = [
     "check_stochastic_covering",
     "default_rayleigh_grid",
     "rayleigh_falsify",
-    "CHECKERS",
     "NOTION_IMPLICATIONS",
 ]

@@ -22,6 +22,10 @@ class MassNotOne(NegdepError):
     """Atom probabilities do not sum to exactly 1."""
 
 
+class MalformedMeasure(NegdepError):
+    """A measure document does not follow the JSON schema."""
+
+
 class ZeroProbabilityEvent(NegdepError):
     """Conditioning on an event of probability zero."""
 

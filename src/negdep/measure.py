@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Callable, Iterable, Iterator
 
@@ -26,6 +27,7 @@ from .errors import (
     EmptyConditioningEvent,
     EmptySubset,
     InvalidTestFunction,
+    MalformedMeasure,
     MassNotOne,
     NegativeMass,
     TooLarge,
@@ -79,11 +81,12 @@ class Assignment:
     def extended(self, index: int, value: int) -> "Assignment":
         return Assignment(self.indices + (index,), self.values + (value,))
 
-    @property
+    # cached: the masks are read once per atom by matches()
+    @cached_property
     def index_mask(self) -> int:
         return mask_of_indices(self.indices)
 
-    @property
+    @cached_property
     def value_mask(self) -> int:
         mask = 0
         for i, v in zip(self.indices, self.values):
@@ -280,8 +283,18 @@ class ExplicitMeasure:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExplicitMeasure":
-        n = int(doc["n"])
-        return cls.from_atoms(n, [(a["x"], a["p"]) for a in doc["atoms"]])
+        """Inverse of to_json: {"n": N, "atoms": [{"x": bits, "p": rational}]}."""
+        if not isinstance(doc, dict) or not isinstance(doc.get("n"), (int, str)):
+            raise MalformedMeasure('a measure is a JSON object with an integer "n"')
+        atoms = doc.get("atoms")
+        if not isinstance(atoms, list) or not all(
+            isinstance(a, dict) and isinstance(a.get("x"), str) and "p" in a
+            for a in atoms
+        ):
+            raise MalformedMeasure(
+                '"atoms" must be a list of {"x": bitstring, "p": rational} objects'
+            )
+        return cls.from_atoms(int(doc["n"]), [(a["x"], a["p"]) for a in atoms])
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

@@ -1,11 +1,15 @@
 import csv
 import io
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from negdep.cli import main, parse_family, parse_function
+from negdep import __version__
+from negdep.cli import MAX_GRID_POINTS, _parse_grid, main, parse_family, parse_function
+from negdep.errors import TooLarge
 from negdep.measure import ExplicitMeasure, family_anti_pair, family_nand
 
 
@@ -67,6 +71,22 @@ def test_check_pos_pair_exit_one_with_certificate(capsys):
     assert code == 1
     assert "PairwiseNC: Fails" in out
     assert '"covariance": "1/4"' in out
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 3, "atoms": {"110": "1/4", "000": "3/4"}},  # atoms keyed by bitstring
+        {"n": 2},                                          # no atoms
+    ],
+)
+def test_check_malformed_measure_exit_two(capsys, tmp_path, doc):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", "--file", str(path), "--notions", "nc")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and '"atoms" must be a list' in err
 
 
 def test_check_sc_witness(capsys):
@@ -278,6 +298,24 @@ def test_tail_bad_grid(capsys):
     assert code == 2
 
 
+def test_tail_grid_point_count_is_exact():
+    assert _parse_grid("0:1/4:1") == [Fraction(k, 4) for k in range(5)]
+    assert _parse_grid("1:1/3:1/2") == []
+    assert len(_parse_grid(f"0:1:{MAX_GRID_POINTS - 1}")) == MAX_GRID_POINTS
+    with pytest.raises(TooLarge):
+        _parse_grid(f"0:1:{MAX_GRID_POINTS}")
+
+
+def test_tail_tiny_grid_step_refused(capsys):
+    code, out, err = run(
+        capsys, "tail", "--family", "nand:3", "--f", "sum",
+        "--grid", "0:1/1000000000000:1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "1000000000001 points" in err
+
+
 # -- counterexample ----------------------------------------------------------
 
 
@@ -331,3 +369,7 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["--version"])
     assert exc_info.value.code == 0
+    assert capsys.readouterr().out.strip() == __version__
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    declared = re.search(r'^version = "([^"]+)"', pyproject, re.MULTILINE)
+    assert declared.group(1) == __version__

@@ -11,7 +11,10 @@ from negdep.coupling import (
     build_monotone_coupling,
     check_dominance,
     coupling_displacement,
+    covering_cut,
+    down_set_certificate,
     is_down_closed,
+    transport,
     up_closure,
 )
 from negdep.errors import DimensionMismatch, DominanceFails
@@ -103,6 +106,26 @@ def test_dominance_matches_upset_oracle_small():
             assert is_down_closed(cert.down_set, d)
         agree += 1
     assert agree == 120
+
+
+def test_certificate_builders_recheck_from_the_measures(rng):
+    # both builders read (atom, integer weight) pairs in any order; their
+    # certificates must verify against the rational measures alone
+    built = {False: 0, True: 0}
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        lower, upper = random_measure(n, rng), random_measure(n, rng)
+        lt, lw = lower.scaled_weights()
+        ut, uw = upper.scaled_weights()
+        left, right = sorted(lw.items()), sorted(uw.items(), reverse=True)
+        for covering, build in ((False, down_set_certificate), (True, covering_cut)):
+            res = transport(left, lt, right, ut, covering=covering)
+            if res.feasible:
+                continue
+            cert = build(left, lt, right, ut, res.left_cut, n)
+            assert cert.check(lower, upper)
+            built[covering] += 1
+    assert built[False] and built[True]
 
 
 # -- couplings ---------------------------------------------------------------

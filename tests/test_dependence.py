@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import negdep.dependence as dependence
 from negdep.bitops import mask_from_bits
 from negdep.coupling import is_down_closed
 from negdep.dependence import (
@@ -32,7 +33,7 @@ from negdep.measure import (
     family_pos_pair,
     parse_rational,
 )
-from negdep.zoo import random_measure
+from negdep.zoo import random_measure, zoo
 
 HALF = Fraction(1, 2)
 
@@ -167,6 +168,28 @@ def test_na_single_variable_vacuous():
 def test_na_cap_enforced():
     with pytest.raises(TooLarge):
         check_neg_association(family_nand(9))
+
+
+def _small_measures():
+    small = [m for m in zoo().values() if m.n <= 6]
+    rng = random.Random(31)
+    return small + [random_measure(n, rng) for n in range(1, 7) for _ in range(3)]
+
+
+@pytest.mark.parametrize("checker", [check_neg_association, check_cna])
+def test_na_python_int_path_matches_int64_path(checker, monkeypatch):
+    # a limit of 0 forces the object-dtype arrays (and closures for every
+    # up-set row) that measures with denominators above 2^20 take
+    measures = _small_measures()
+    fast = [checker(m) for m in measures]
+    monkeypatch.setattr(dependence, "_NUMPY_DENOM_LIMIT", 0)
+    slow = [checker(m) for m in measures]
+    for a, b in zip(fast, slow):
+        assert (a.verdict, a.certificate) == (b.verdict, b.certificate)
+        # "closures" counts how B was maximized, which is what differs
+        assert {k: v for k, v in a.work_stats.items() if k != "closures"} == {
+            k: v for k, v in b.work_stats.items() if k != "closures"
+        }
 
 
 # -- conditional negative association ---------------------------------------

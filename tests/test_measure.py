@@ -9,6 +9,7 @@ from negdep.errors import (
     DimensionMismatch,
     EmptyConditioningEvent,
     InvalidTestFunction,
+    MalformedMeasure,
     MassNotOne,
     NegativeMass,
     ZeroProbabilityEvent,
@@ -65,6 +66,14 @@ def test_assignment_basics():
     assert a.matches(0b110)
     assert not a.matches(0b001)
     assert Assignment.empty().matches(0)
+
+
+def test_assignment_masks_cached_outside_equality():
+    a = Assignment.of({3: 1, 1: 0})
+    b = Assignment.of({3: 1, 1: 0})
+    assert (a.index_mask, a.value_mask) == (0b101, 0b100)
+    assert a.__dict__["index_mask"] == 0b101  # computed once, then stored
+    assert a == b and hash(a) == hash(b)
 
 
 def test_assignment_extended():
@@ -204,6 +213,23 @@ def test_from_json_rejects_bad_mass():
         ExplicitMeasure.from_json(
             {"n": 1, "atoms": [{"x": "1", "p": "1/3"}]}
         )
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 2, "atoms": {"10": "1/2", "01": "1/2"}},  # atoms keyed by bitstring
+        {"n": 2},                                        # no atoms
+        {"atoms": [{"x": "1", "p": "1"}]},               # no n
+        {"n": None, "atoms": []},
+        {"n": 1, "atoms": [{"x": "1"}]},                 # atom without p
+        {"n": 1, "atoms": [{"x": ["1"], "p": "1"}]},
+        [{"x": "1", "p": "1"}],
+    ],
+)
+def test_from_json_rejects_malformed_documents(doc):
+    with pytest.raises(MalformedMeasure):
+        ExplicitMeasure.from_json(doc)
 
 
 # -- test functions ----------------------------------------------------------
