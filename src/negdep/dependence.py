@@ -18,6 +18,7 @@ point with negative Rayleigh difference.  It can refute, never certify.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -42,6 +43,15 @@ ZERO = Fraction(0)
 
 # product DP and int64 covariance accumulation both stay exact below this
 _NUMPY_DENOM_LIMIT = 1 << 20
+# the largest int64; the Rayleigh scan's proven bound must not exceed it
+_INT64_MAX = (1 << 63) - 1
+
+
+def _exact_dtype(bound: int, limit: int):
+    """The array dtype for exact integer work: int64 while `bound` (a
+    proven bound on the work's values) is at most `limit`, otherwise
+    `object` arrays of Python ints, which cannot overflow."""
+    return np.int64 if bound <= limit else object
 
 
 class Notion(str, Enum):
@@ -103,9 +113,10 @@ def covariance(m: ExplicitMeasure, i: int, j: int) -> Fraction:
 
 
 def check_pairwise_nc(m: ExplicitMeasure) -> NotionReport:
-    """Holds iff Cov[Xi, Xj] <= 0 for every pair i < j."""
+    """Holds iff Cov[Xi, Xj] <= 0 for every pair i < j (vacuously for n < 2)."""
     if m.n < 2:
-        raise DimensionMismatch("pairwise correlation needs at least two variables")
+        work = {"pairs_checked": 0, "worst_pair": None, "worst_covariance": None}
+        return NotionReport(Notion.PAIRWISE_NC, Verdict.HOLDS, None, work)
     d, w = m.scaled_weights()
     singles = [0] * (m.n + 1)
     for key, weight in w.items():
@@ -253,7 +264,7 @@ def _na_violation(m: ExplicitMeasure):
     d, w = m.scaled_weights()
     full = (1 << n) - 1
     work = {"bipartitions": 0, "upsets_tested": 0, "closures": 0}
-    use_int64 = d <= _NUMPY_DENOM_LIMIT
+    dtype = _exact_dtype(d, _NUMPY_DENOM_LIMIT)
     for imask in range(1, full):
         if not imask & 1:
             continue  # covariance is symmetric; anchor variable 1 on the I side
@@ -270,7 +281,7 @@ def _na_violation(m: ExplicitMeasure):
         work["bipartitions"] += 1
         exs = SubsetExtractor(small_mask, n)
         exl = SubsetExtractor(large_mask, n)
-        joint = np.zeros((1 << ds, 1 << dl), dtype=np.int64 if use_int64 else object)
+        joint = np.zeros((1 << ds, 1 << dl), dtype=dtype)
         for key, weight in w.items():
             joint[exs.extract(key), exl.extract(key)] += weight
         ws = joint.sum(axis=1)
@@ -281,7 +292,7 @@ def _na_violation(m: ExplicitMeasure):
         weights = d * joint_a - wa[:, None] * wl[None, :]
         work["upsets_tested"] += len(u_small)
         if (
-            use_int64
+            dtype is np.int64
             and dl <= ENUMERABLE_DIM
             and len(u_small) * len(nontrivial_upsets(dl)) <= 1 << 22
         ):
@@ -642,16 +653,82 @@ class GeneratingPolynomial:
         return g[1] * g[2] - g[0] * g[3]
 
 
+# the default grid: the lattice {-2..2}^n up to n = 5, seeded rationals above
+_LATTICE = (-2, -1, 0, 1, 2)
+_LATTICE_MAX_N = 5
+_SAMPLE_POINTS = 1000
+# elements in one temporary array of the Rayleigh scan
+_SCAN_ELEMENTS = 1 << 12
+# row c selects column c: sums atom terms by their (x_i, x_j) class
+_CLASS_COLUMNS = np.eye(4, dtype=np.int64)
+
+
+def _sampled_points(n: int, seed: int):
+    """The seeded default grid for n > 5, as (numerators, denominators)."""
+    rng = random.Random(seed)
+    for _ in range(_SAMPLE_POINTS):
+        point = [(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(n)]
+        yield tuple(p for p, _ in point), tuple(q for _, q in point)
+
+
 def default_rayleigh_grid(n: int, seed: int = 0) -> list[tuple]:
     """The documented default: the integer grid {-2..2}^n for n <= 5,
     otherwise 1000 seeded pseudo-random rational points."""
-    if n <= 5:
-        return list(itertools.product((-2, -1, 0, 1, 2), repeat=n))
-    rng = random.Random(seed)
-    return [
-        tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(n))
-        for _ in range(1000)
-    ]
+    if n <= _LATTICE_MAX_N:
+        return list(itertools.product(_LATTICE, repeat=n))
+    return [tuple(map(Fraction, p, q)) for p, q in _sampled_points(n, seed)]
+
+
+def _integer_points(grid, n: int):
+    """A user grid's points as (numerators, denominators), in order."""
+    for z in grid:
+        if len(z) != n:
+            raise DimensionMismatch("grid point has wrong length")
+        zf = [Fraction(c) for c in z]
+        yield tuple(int(c.numerator) for c in zf), tuple(int(c.denominator) for c in zf)
+
+
+def _take(points, size: int):
+    """The next `size` points (fewer at the end) as numerator and
+    denominator lists, and the error the point after them raised, if any;
+    the caller raises it only once the points before it are scanned."""
+    nums, dens = [], []
+    try:
+        for p, q in itertools.islice(points, size):
+            nums.append(p)
+            dens.append(q)
+    except (DimensionMismatch, TypeError, ValueError, ArithmeticError) as exc:
+        # a malformed point: wrong length, or a coordinate Fraction rejects
+        return nums, dens, exc
+    return nums, dens, None
+
+
+def _rayleigh_deltas(bits, weights, d: int, nums, dens, pairs):
+    """Delta' = G'10 G'01 - G'00 G'11 for each point (rows) and pair
+    (columns) of one chunk.
+
+    Every G' is at most D * M^(n-2) in absolute value, M the largest
+    |p_l| or q_l in the chunk, so |Delta'| <= 2 (D M^(n-2))^2 and int64
+    is exact when that is at most _INT64_MAX.
+    """
+    n = bits.shape[1]
+    big = max(
+        max(map(abs, itertools.chain.from_iterable(nums))),
+        max(itertools.chain.from_iterable(dens)),
+    )
+    dtype = _exact_dtype(2 * (d * big ** (n - 2)) ** 2, _INT64_MAX)
+    num = np.array(nums, dtype=dtype)[:, None, :]
+    den = np.array(dens, dtype=dtype)[:, None, :]
+    w = np.array(weights, dtype=dtype)
+    g = np.zeros((len(nums), len(pairs), 4), dtype=dtype)
+    block = max(1, _SCAN_ELEMENTS // (len(nums) * n))
+    for lo in range(0, len(w), block):
+        atoms = bits[lo : lo + block]
+        factors = np.where(atoms, num, den)  # p_l where x_l = 1, else q_l
+        for k, (i, j, keep) in enumerate(pairs):
+            terms = factors[:, :, keep].prod(axis=2) * w[lo : lo + block]
+            g[:, k] += terms @ _CLASS_COLUMNS[atoms[:, i] + 2 * atoms[:, j]]
+    return g[..., 1] * g[..., 2] - g[..., 0] * g[..., 3]
 
 
 def rayleigh_falsify(m: ExplicitMeasure, grid=None) -> NotionReport:
@@ -659,37 +736,72 @@ def rayleigh_falsify(m: ExplicitMeasure, grid=None) -> NotionReport:
 
     ViolationFound carries (i, j, z, delta); NoViolationFound only means
     the grid was clean, never that the measure is strong Rayleigh.
+
+    The scan is exact and integer.  With z_l = p_l / q_l and the integer
+    weights w over the common denominator D, let G'_ab sum
+    w * prod_{l != i, j} (p_l if x_l = 1 else q_l) over the atoms with
+    (x_i, x_j) = (a, b).  Then Delta' = G'10 G'01 - G'00 G'11 is the
+    Rayleigh difference times (D prod_{l != i, j} q_l)^2.  Points are
+    scanned in grid order, pairs in lexicographic order, in chunks of
+    1, 2, 4, ... points, so an early violation costs little; a point of
+    the wrong length raises DimensionMismatch when the scan reaches it.
     """
-    poly = GeneratingPolynomial.of(m)
+    n = m.n
     if grid is None:
-        grid = default_rayleigh_grid(m.n)
+        if n <= _LATTICE_MAX_N:
+            ones = (1,) * n
+            points = len(_LATTICE) ** n
+            source = ((p, ones) for p in itertools.product(_LATTICE, repeat=n))
+        else:
+            points = _SAMPLE_POINTS
+            source = _sampled_points(n, seed=0)
+    else:
+        points = len(grid)
+        source = _integer_points(grid, n)
+    d, w = m.scaled_weights()
+    bits = np.array([[key >> l & 1 for l in range(n)] for key in w], dtype=bool)
+    weights = list(w.values())
+    pairs = [
+        (i, j, [l for l in range(n) if l != i and l != j])
+        for i, j in itertools.combinations(range(n), 2)
+    ]
+    cap = max(1, _SCAN_ELEMENTS // (len(w) * n))
     evaluations = 0
-    for z in grid:
-        if len(z) != m.n:
-            raise DimensionMismatch("grid point has wrong length")
-        zf = [Fraction(c) for c in z]
-        for i in range(1, m.n):
-            for j in range(i + 1, m.n + 1):
-                evaluations += 1
-                delta = poly.rayleigh_difference(i, j, zf)
-                if delta < 0:
-                    cert = {
-                        "i": i,
-                        "j": j,
-                        "z": [format_rational(c) for c in zf],
-                        "delta": format_rational(delta),
-                    }
-                    return NotionReport(
-                        Notion.RAYLEIGH,
-                        Verdict.VIOLATION_FOUND,
-                        cert,
-                        {"points": len(grid), "evaluations": evaluations},
-                    )
+    size = 1
+    while True:
+        nums, dens, error = _take(source, size)
+        if nums and pairs:
+            deltas = _rayleigh_deltas(bits, weights, d, nums, dens, pairs)
+            hits = np.flatnonzero(deltas < 0)
+            if hits.size:
+                first = int(hits[0])
+                row, col = divmod(first, len(pairs))
+                i, j, keep = pairs[col]
+                z = zip(nums[row], dens[row])
+                scale = d * math.prod(dens[row][l] for l in keep)
+                cert = {
+                    "i": i + 1,
+                    "j": j + 1,
+                    "z": [format_rational(Fraction(p, q)) for p, q in z],
+                    "delta": format_rational(Fraction(int(deltas[row, col]), scale**2)),
+                }
+                return NotionReport(
+                    Notion.RAYLEIGH,
+                    Verdict.VIOLATION_FOUND,
+                    cert,
+                    {"points": points, "evaluations": evaluations + first + 1},
+                )
+            evaluations += deltas.size
+        if error is not None:
+            raise error
+        if len(nums) < size:
+            break
+        size = min(2 * size, cap)
     return NotionReport(
         Notion.RAYLEIGH,
         Verdict.NO_VIOLATION_FOUND,
         None,
-        {"points": len(grid), "evaluations": evaluations},
+        {"points": points, "evaluations": evaluations},
     )
 
 

@@ -110,6 +110,15 @@ def test_check_all_notions_json(capsys):
     assert all("work" in r for r in doc["reports"])
 
 
+def test_check_all_notions_one_variable(capsys, tmp_path):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"n": 1, "atoms": [{"x": "1", "p": "1"}]}))
+    code, out, _ = run(capsys, "check", "--file", str(path), "--notions", "all")
+    assert code == 0
+    assert "PairwiseNC: Holds" in out
+    assert "RayleighFalsifier: NoViolationFound" in out
+
+
 def test_check_unknown_notion_exit_two(capsys):
     code, _, err = run(capsys, "check", "--family", "nand:3", "--notions", "bogus")
     assert code == 2

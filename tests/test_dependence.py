@@ -1,6 +1,8 @@
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import negdep.dependence as dependence
@@ -25,6 +27,7 @@ from negdep.dependence import (
 from negdep.errors import DimensionMismatch, TooLarge
 from negdep.measure import (
     Assignment,
+    ExplicitMeasure,
     family_anti_pair,
     family_balls_bins,
     family_hadamard,
@@ -62,10 +65,11 @@ def test_nc_hadamard_holds_at_zero():
     assert parse_rational(rep.work_stats["worst_covariance"]) == 0
 
 
-def test_nc_requires_two_variables():
-    one = family_independent([HALF])
-    with pytest.raises(DimensionMismatch):
-        check_pairwise_nc(one)
+def test_nc_holds_vacuously_on_one_variable():
+    rep = check_pairwise_nc(family_independent([HALF]))
+    assert rep.verdict is Verdict.HOLDS
+    assert rep.certificate is None
+    assert rep.work_stats["pairs_checked"] == 0
 
 
 def test_covariance_matches_definition():
@@ -396,6 +400,48 @@ def test_default_grid_large_n_is_seeded_sample():
     assert len(g1) == 1000
 
 
+def test_default_grid_large_n_keeps_its_points():
+    # the Fraction(numerator draw, denominator draw) points of the seeded rng
+    for n in (6, 7):
+        rng = random.Random(0)
+        expect = [
+            tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(n))
+            for _ in range(1000)
+        ]
+        assert default_rayleigh_grid(n) == expect
+
+
+def test_rayleigh_empty_grid():
+    rep = rayleigh_falsify(family_pos_pair(), grid=[])
+    assert rep.verdict is Verdict.NO_VIOLATION_FOUND
+    assert rep.work_stats == {"points": 0, "evaluations": 0}
+
+
+def test_rayleigh_one_variable_has_no_pairs():
+    one = family_independent([HALF])
+    rep = rayleigh_falsify(one)
+    assert rep.verdict is Verdict.NO_VIOLATION_FOUND
+    assert rep.work_stats == {"points": 5, "evaluations": 0}
+    with pytest.raises(DimensionMismatch):
+        rayleigh_falsify(one, grid=[(0,), (1, 1)])
+
+
+@pytest.mark.parametrize("before", [1, 40])
+def test_rayleigh_bad_point_raises_when_reached(before):
+    # hadamard_4 is clean at (-1, -1, -1) and not at (-2, -2, -2); after
+    # `before` clean points, the violation and the bad point share a chunk
+    m = family_hadamard(4)
+    clean = [(-1, -1, -1)] * before
+    for bad, error in [((1, 1), DimensionMismatch), (("x", 1, 1), ValueError)]:
+        with pytest.raises(error):
+            rayleigh_falsify(m, grid=clean + [bad, (-2, -2, -2)])
+        # a violation found before the bad point is still returned
+        grid = clean + [(-2, -2, -2), bad]
+        rep = rayleigh_falsify(m, grid=grid)
+        assert rep.verdict is Verdict.VIOLATION_FOUND
+        assert rep.to_json() == _oracle_rayleigh(m, grid)
+
+
 def test_rayleigh_difference_formula():
     # delta_ij = G10 G01 - G00 G11 where Gab fixes z_i = a, z_j = b
     m = family_nand(3)
@@ -409,6 +455,110 @@ def test_rayleigh_difference_formula():
         Fraction(0), Fraction(0)
     ) * G(Fraction(1), Fraction(1))
     assert poly.rayleigh_difference(1, 2, z) == expect
+
+
+
+def _oracle_rayleigh(m, grid=None) -> dict:
+    """The Rayleigh report, one Fraction evaluation at a time."""
+    poly = GeneratingPolynomial.of(m)
+    grid = default_rayleigh_grid(m.n) if grid is None else grid
+    evaluations = 0
+    for z in grid:
+        if len(z) != m.n:
+            raise DimensionMismatch("grid point has wrong length")
+        zf = [Fraction(c) for c in z]
+        for i, j in itertools.combinations(range(1, m.n + 1), 2):
+            evaluations += 1
+            delta = poly.rayleigh_difference(i, j, zf)
+            if delta < 0:
+                cert = {"i": i, "j": j, "z": [str(c) for c in zf], "delta": str(delta)}
+                return _rayleigh_json("ViolationFound", cert, len(grid), evaluations)
+    return _rayleigh_json("NoViolationFound", None, len(grid), evaluations)
+
+
+def _rayleigh_json(verdict, cert, points, evaluations) -> dict:
+    return {
+        "notion": "RayleighFalsifier",
+        "verdict": verdict,
+        "certificate": cert,
+        "work": {"points": points, "evaluations": evaluations},
+    }
+
+
+def _user_grid(rng, n, size):
+    """Fraction and int coordinates mixed, the origin and ones included."""
+    grid = [(0,) * n, (1,) * n]
+    for _ in range(size):
+        grid.append(
+            tuple(
+                rng.randint(-4, 4)
+                if rng.random() < 0.5
+                else Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                for _ in range(n)
+            )
+        )
+    return grid
+
+
+@pytest.fixture(scope="module")
+def rayleigh_cases():
+    """(measure, grid or None, oracle report) over the catalog, seeded
+    random measures with n = 1..6, and user grids."""
+    rng = random.Random(41)
+    cases = [(m, None) for m in zoo().values()]
+    cases += [(random_measure(n, rng), None) for n in range(1, 7) for _ in range(4)]
+    for m in [family_anti_pair(), family_nand(3), family_nand(4), family_hadamard(4)]:
+        cases.append((m, _user_grid(rng, m.n, 30)))
+    for n in range(2, 6):
+        m = random_measure(n, rng)
+        cases.append((m, _user_grid(rng, n, 30)))
+    return [(m, grid, _oracle_rayleigh(m, grid)) for m, grid in cases]
+
+
+@pytest.mark.parametrize("force_object", [False, True])
+def test_rayleigh_scan_matches_fraction_oracle(
+    rayleigh_cases, force_object, monkeypatch
+):
+    if force_object:
+        # no bound fits under 0, so every chunk takes the object path
+        monkeypatch.setattr(dependence, "_INT64_MAX", 0)
+    for m, grid, expect in rayleigh_cases:
+        assert rayleigh_falsify(m, grid).to_json() == expect
+
+
+def test_rayleigh_cases_cover_both_verdicts(rayleigh_cases):
+    verdicts = [expect["verdict"] for _, _, expect in rayleigh_cases]
+    assert verdicts.count("ViolationFound") >= 10
+    assert verdicts.count("NoViolationFound") >= 10
+
+
+@pytest.mark.parametrize(
+    "denominator, dtype", [((1 << 30) - 1, "int64"), ((1 << 30) + 1, "object")]
+)
+def test_rayleigh_int64_only_below_the_bound(denominator, dtype, monkeypatch):
+    # at n = 3 on the lattice (M = 2) the bound is 2 (D * 2)^2, so D = 2^30 - 1
+    # is the largest denominator on int64; G'10 = G'01 = D - 1 at z = (2, 2, 2)
+    # makes |Delta'| about 2^60, close to the bound
+    tiny = Fraction(1, denominator)
+    m = ExplicitMeasure.from_atoms(
+        3,
+        [
+            ("101", (1 - tiny) / 2),
+            ("011", (1 - tiny) / 2),
+            ("111", tiny),
+        ],
+    )
+    assert m.scaled_weights()[0] == denominator
+    original = dependence._exact_dtype
+    chosen = []
+
+    def recording(bound, limit):
+        chosen.append(original(bound, limit))
+        return chosen[-1]
+
+    monkeypatch.setattr(dependence, "_exact_dtype", recording)
+    assert rayleigh_falsify(m).to_json() == _oracle_rayleigh(m)
+    assert chosen and {np.dtype(t).name for t in chosen} == {dtype}
 
 
 # -- hierarchy ---------------------------------------------------------------
