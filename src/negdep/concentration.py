@@ -16,6 +16,7 @@ import enum
 import io
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -164,37 +165,23 @@ def verify_theorem(
     t_grid = sorted(Fraction(t) for t in t_grid)
     mu = m.expectation(f)
 
-    # Sorted values with prefix masses make each tail a binary search
+    # Sorted values with prefix weights make each tail a binary search
     # instead of a fresh support scan; results equal exact_tail's.
-    by_value: dict[Fraction, Fraction] = {}
-    for x, p in m.items():
+    total, weights = m.scaled_weights()
+    by_value: dict[Fraction, int] = {}
+    for x, w in weights.items():
         v = f.values[x]
-        by_value[v] = by_value.get(v, Fraction(0)) + p
+        by_value[v] = by_value.get(v, 0) + w
     values = sorted(by_value)
-    prefix = [Fraction(0)]
+    prefix = [0]
     for v in values:
         prefix.append(prefix[-1] + by_value[v])
-    total = prefix[-1]
 
     def upper_tail(threshold: Fraction) -> Fraction:
-        lo, hi = 0, len(values)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if values[mid] >= threshold:
-                hi = mid
-            else:
-                lo = mid + 1
-        return total - prefix[lo]
+        return Fraction(total - prefix[bisect_left(values, threshold)], total)
 
     def lower_tail(threshold: Fraction) -> Fraction:
-        lo, hi = 0, len(values)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if values[mid] <= threshold:
-                lo = mid + 1
-            else:
-                hi = mid
-        return prefix[lo]
+        return Fraction(prefix[bisect_right(values, threshold)], total)
 
     rows = []
     verdict = True

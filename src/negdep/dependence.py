@@ -659,8 +659,6 @@ _LATTICE_MAX_N = 5
 _SAMPLE_POINTS = 1000
 # elements in one temporary array of the Rayleigh scan
 _SCAN_ELEMENTS = 1 << 12
-# row c selects column c: sums atom terms by their (x_i, x_j) class
-_CLASS_COLUMNS = np.eye(4, dtype=np.int64)
 
 
 def _sampled_points(n: int, seed: int):
@@ -721,13 +719,18 @@ def _rayleigh_deltas(bits, weights, d: int, nums, dens, pairs):
     den = np.array(dens, dtype=dtype)[:, None, :]
     w = np.array(weights, dtype=dtype)
     g = np.zeros((len(nums), len(pairs), 4), dtype=dtype)
+    rows = np.arange(len(nums))[:, None]
+    first = [i for i, _, _ in pairs]
+    second = [j for _, j, _ in pairs]
     block = max(1, _SCAN_ELEMENTS // (len(nums) * n))
     for lo in range(0, len(w), block):
         atoms = bits[lo : lo + block]
         factors = np.where(atoms, num, den)  # p_l where x_l = 1, else q_l
-        for k, (i, j, keep) in enumerate(pairs):
+        # row k: the (x_i, x_j) class of each atom for pair k
+        classes = (atoms[:, first] + 2 * atoms[:, second]).T
+        for k, (_, _, keep) in enumerate(pairs):
             terms = factors[:, :, keep].prod(axis=2) * w[lo : lo + block]
-            g[:, k] += terms @ _CLASS_COLUMNS[atoms[:, i] + 2 * atoms[:, j]]
+            np.add.at(g[:, k], (rows, classes[k]), terms)  # one add per term
     return g[..., 1] * g[..., 2] - g[..., 0] * g[..., 3]
 
 

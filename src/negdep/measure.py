@@ -1,8 +1,10 @@
 """Exact probability measures on {0,1}^n.
 
-All masses are `fractions.Fraction`; nothing in this module touches
-floating point.  Atoms are keyed internally by integer masks (variable i
-is bit i-1, so the leftmost character of the serialized bitstring is x1).
+A measure is stored as integer weights over one common denominator;
+masses enter and leave as `fractions.Fraction`, and nothing in this
+module touches floating point.  Atoms are keyed internally by integer
+masks (variable i is bit i-1, so the leftmost character of the
+serialized bitstring is x1).
 """
 
 from __future__ import annotations
@@ -11,13 +13,13 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator
 
 from .bitops import (
+    SubsetExtractor,
     bits_from_mask,
     cap,
-    is_submask,
     mask_from_bits,
     mask_of_indices,
 )
@@ -34,22 +36,32 @@ from .errors import (
     ZeroProbabilityEvent,
 )
 
-ONE = Fraction(1)
 ZERO = Fraction(0)
 
 
 def parse_rational(text) -> Fraction:
-    """Parse "num/den" or a decimal string exactly."""
+    """Parse "num/den" or a decimal string exactly; a zero denominator
+    is a ValueError, like any other malformed rational."""
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
         return Fraction(text)
-    return Fraction(str(text))
+    try:
+        return Fraction(str(text))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(q: Fraction) -> str:
     """Lowest-terms "num/den" (or plain integer) representation."""
     return str(Fraction(q))
+
+
+def _check_width(n: int) -> None:
+    if n < 1:
+        raise BadWidth("n must be a positive integer")
+    if n > cap("measure"):
+        raise TooLarge(f"n={n} exceeds the measure cap {cap('measure')}")
 
 
 @dataclass(frozen=True)
@@ -107,37 +119,51 @@ class Assignment:
 class ExplicitMeasure:
     """An exact rational probability mass function on {0,1}^n.
 
-    Invariants (checked on construction): all masses are positive
-    rationals, zero-mass atoms are not stored, the total mass is exactly
-    1, and every key fits in n bits.  Instances are immutable; share them
-    freely.
+    Stored as one exact integer core: the least common denominator D and
+    positive integer weights with sum exactly D and no common factor with
+    D, so P[x] = weight(x) / D.  Zero-mass atoms are not stored and every
+    key fits in n bits.  Fractions are made only on the way out (items,
+    prob, atoms, to_json).  Instances are immutable; share them freely.
     """
 
-    __slots__ = ("n", "_mass", "_scaled")
+    __slots__ = ("n", "_denom", "_weights")
 
-    def __init__(self, n: int, mass: dict[int, Fraction], _checked: bool = False):
-        if n < 1:
-            raise BadWidth("n must be a positive integer")
-        if n > cap("measure"):
-            raise TooLarge(f"n={n} exceeds the measure cap {cap('measure')}")
-        if not _checked:
-            full = (1 << n) - 1
-            clean: dict[int, Fraction] = {}
-            for key, p in mass.items():
-                if key < 0 or key > full:
-                    raise BadWidth(f"atom {key} does not fit in {n} bits")
-                p = Fraction(p)
-                if p < 0:
-                    raise NegativeMass(f"atom {bits_from_mask(key, n)} has mass {p}")
-                if p > 0:
-                    clean[key] = clean.get(key, ZERO) + p
-            total = sum(clean.values(), ZERO)
-            if total != 1:
-                raise MassNotOne(f"masses sum to {total}, expected 1")
-            mass = clean
+    def __init__(self, n: int, mass: dict[int, Fraction]):
+        _check_width(n)
+        full = (1 << n) - 1
+        clean: dict[int, Fraction] = {}
+        for key, p in mass.items():
+            if key < 0 or key > full:
+                raise BadWidth(f"atom {key} does not fit in {n} bits")
+            p = Fraction(p)
+            if p < 0:
+                raise NegativeMass(f"atom {bits_from_mask(key, n)} has mass {p}")
+            if p > 0:
+                clean[key] = p
+        # the lcm of lowest-terms denominators leaves weights coprime to it
+        denom = lcm(*(p.denominator for p in clean.values()))
+        weights = {k: p.numerator * (denom // p.denominator) for k, p in clean.items()}
+        total = sum(weights.values())
+        if total != denom:
+            raise MassNotOne(f"masses sum to {Fraction(total, denom)}, expected 1")
         self.n = n
-        self._mass = mass
-        self._scaled = None
+        self._denom = denom
+        self._weights = weights
+
+    @classmethod
+    def _from_weights(cls, n: int, weights: dict[int, int]) -> "ExplicitMeasure":
+        """The measure weight(x) / sum(weights) from positive integer
+        weights; their gcd is divided out.  Every internal construction
+        goes through here."""
+        _check_width(n)
+        g = gcd(*weights.values())
+        if g != 1:
+            weights = {k: w // g for k, w in weights.items()}
+        m = object.__new__(cls)
+        m.n = n
+        m._denom = sum(weights.values())
+        m._weights = weights
+        return m
 
     # -- construction -----------------------------------------------------
 
@@ -147,6 +173,7 @@ class ExplicitMeasure:
 
         Duplicate atoms are merged by summing their masses.
         """
+        _check_width(n)
         mass: dict[int, Fraction] = {}
         for key, p in atoms:
             if isinstance(key, str):
@@ -162,45 +189,56 @@ class ExplicitMeasure:
     def prob(self, key) -> Fraction:
         if isinstance(key, str):
             key = mask_from_bits(key)
-        return self._mass.get(key, ZERO)
+        return Fraction(self._weights.get(key, 0), self._denom)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._mass))
+        return tuple(sorted(self._weights))
 
     def atoms(self) -> Iterator[tuple[int, Fraction]]:
         """Atoms as (mask, mass), sorted by bitstring."""
-        for key in sorted(self._mass, key=lambda m: bits_from_mask(m, self.n)):
-            yield key, self._mass[key]
+        for key in sorted(self._weights, key=lambda m: bits_from_mask(m, self.n)):
+            yield key, Fraction(self._weights[key], self._denom)
 
-    def items(self):
-        return self._mass.items()
+    def items(self) -> Iterator[tuple[int, Fraction]]:
+        """Atoms as (mask, mass), in storage order; a one-pass iterator."""
+        d = self._denom
+        return ((k, Fraction(w, d)) for k, w in self._weights.items())
 
     def scaled_weights(self) -> tuple[int, dict[int, int]]:
-        """(common denominator D, atom -> integer weight) with sum of
-        weights exactly D.  Cached; integer weights feed the flow and
-        martingale engines."""
-        if self._scaled is None:
-            denom = lcm(*(p.denominator for p in self._mass.values()))
-            self._scaled = (
-                denom,
-                {k: int(p * denom) for k, p in self._mass.items()},
-            )
-        return self._scaled
+        """The stored core: (common denominator D, atom -> integer weight)
+        with sum of weights exactly D.  The dict is shared; do not
+        mutate it."""
+        return self._denom, self._weights
 
     def __eq__(self, other):
         return (
             isinstance(other, ExplicitMeasure)
             and self.n == other.n
-            and self._mass == other._mass
+            and self._denom == other._denom
+            and self._weights == other._weights
         )
 
     def __hash__(self):
-        return hash((self.n, tuple(sorted(self._mass.items()))))
+        return hash((self.n, self._denom, tuple(sorted(self._weights.items()))))
 
     def __repr__(self):
-        return f"ExplicitMeasure(n={self.n}, atoms={len(self._mass)})"
+        return f"ExplicitMeasure(n={self.n}, atoms={len(self._weights)})"
 
     # -- operations --------------------------------------------------------
+
+    def _repacked(self, keep: int, on: Assignment) -> dict[int, int]:
+        """Integer weights of the atoms matching ``on``, keyed by their
+        bits on the mask ``keep`` packed in ascending position order."""
+        if on.index_mask >> self.n:
+            raise DimensionMismatch("assignment index out of range")
+        extract = SubsetExtractor(keep, self.n).extract
+        index_mask, value_mask = on.index_mask, on.value_mask
+        out: dict[int, int] = {}
+        for key, w in self._weights.items():
+            if key & index_mask == value_mask:
+                reduced = extract(key)
+                out[reduced] = out.get(reduced, 0) + w
+        return out
 
     def condition(self, on: Assignment) -> "ExplicitMeasure":
         """Conditional law of the unassigned variables given ``on``.
@@ -209,31 +247,20 @@ class ExplicitMeasure:
         re-labeled 1..n-|on| ascending.  Raises ZeroProbabilityEvent when
         the conditioning event has mass 0.
         """
-        if any(i > self.n for i in on.indices):
-            raise DimensionMismatch("assignment index out of range")
-        keep = [pos for pos in range(self.n) if not on.index_mask >> pos & 1]
-        total = ZERO
-        filtered: dict[int, Fraction] = {}
-        for key, p in self._mass.items():
-            if on.matches(key):
-                reduced = 0
-                for j, pos in enumerate(keep):
-                    if key >> pos & 1:
-                        reduced |= 1 << j
-                filtered[reduced] = filtered.get(reduced, ZERO) + p
-                total += p
-        if total == 0:
+        keep = ((1 << self.n) - 1) & ~on.index_mask
+        weights = self._repacked(keep, on)
+        if not weights:
             raise ZeroProbabilityEvent(f"event {on.to_json()} has probability 0")
         if not keep:
             raise ValueError("conditioning on every variable leaves nothing")
-        return ExplicitMeasure(
-            len(keep), {k: p / total for k, p in filtered.items()}, _checked=True
-        )
+        return self._from_weights(keep.bit_count(), weights)
 
     def prob_of_assignment(self, on: Assignment) -> Fraction:
-        return sum(
-            (p for key, p in self._mass.items() if on.matches(key)), ZERO
-        )
+        if on.index_mask >> self.n:
+            raise DimensionMismatch("assignment index out of range")
+        index_mask, value_mask = on.index_mask, on.value_mask
+        hit = sum(w for key, w in self._weights.items() if key & index_mask == value_mask)
+        return Fraction(hit, self._denom)
 
     def marginal(self, subset) -> "ExplicitMeasure":
         """Exact pushforward onto the given coordinates (ascending order)."""
@@ -242,33 +269,25 @@ class ExplicitMeasure:
             raise EmptySubset("marginal over the empty index set")
         if subset[0] < 1 or subset[-1] > self.n:
             raise DimensionMismatch("marginal index out of range")
-        positions = [i - 1 for i in subset]
-        mass: dict[int, Fraction] = {}
-        for key, p in self._mass.items():
-            reduced = 0
-            for j, pos in enumerate(positions):
-                if key >> pos & 1:
-                    reduced |= 1 << j
-            mass[reduced] = mass.get(reduced, ZERO) + p
-        return ExplicitMeasure(len(subset), mass, _checked=True)
+        weights = self._repacked(mask_of_indices(subset), Assignment.empty())
+        return self._from_weights(len(subset), weights)
 
     def expectation(self, f: "TestFunction") -> Fraction:
         if f.n != self.n:
             raise DimensionMismatch(f"function on {f.n} vars, measure on {self.n}")
-        return sum((p * f.values[key] for key, p in self._mass.items()), ZERO)
+        values = f.values
+        total = sum((w * values[key] for key, w in self._weights.items()), ZERO)
+        return total / self._denom
 
     def mean_vector(self) -> list[Fraction]:
         """E[X_i] for i = 1..n."""
-        out = [ZERO] * self.n
-        for key, p in self._mass.items():
-            pos = 0
-            m = key
-            while m:
-                if m & 1:
-                    out[pos] += p
-                m >>= 1
-                pos += 1
-        return out
+        ones = [0] * self.n
+        for key, w in self._weights.items():
+            while key:
+                low = key & -key
+                ones[low.bit_length() - 1] += w
+                key ^= low
+        return [Fraction(s, self._denom) for s in ones]
 
     # -- serialization -----------------------------------------------------
 
@@ -318,21 +337,20 @@ def new_explicit(n: int, atoms: Iterable[tuple]) -> ExplicitMeasure:
 
 
 class TestFunction:
-    """A rational-valued function on {0,1}^n with declared regularity.
+    """A rational-valued 1-Lipschitz function on {0,1}^n.
 
-    ``declared_lipschitz = 1`` is verified on construction by checking
-    every single-bit-flip edge; ``declared_monotone`` likewise via the
-    coordinatewise order.  The toolkit only ever uses c = 1.
+    The Lipschitz bound is verified on construction by checking every
+    single-bit-flip edge; ``declared_monotone`` likewise via the
+    coordinatewise order.
     """
 
-    __slots__ = ("n", "values", "declared_lipschitz", "declared_monotone", "name")
+    __slots__ = ("n", "values", "declared_monotone", "name")
     __test__ = False  # keep pytest from collecting this as a test class
 
     def __init__(
         self,
         n: int,
         values,
-        declared_lipschitz: Fraction = ONE,
         declared_monotone: bool = False,
         name: str = "f",
     ):
@@ -340,13 +358,11 @@ class TestFunction:
             raise BadWidth(f"need {1 << n} values for n={n}")
         self.n = n
         self.values = [Fraction(v) for v in values]
-        self.declared_lipschitz = Fraction(declared_lipschitz)
         self.declared_monotone = bool(declared_monotone)
         self.name = name
         self._verify()
 
     def _verify(self):
-        c = self.declared_lipschitz
         vals = self.values
         for x in range(1 << self.n):
             for pos in range(self.n):
@@ -354,7 +370,7 @@ class TestFunction:
                 if y == x:
                     continue
                 step = vals[y] - vals[x & ~(1 << pos)]
-                if abs(step) > c:
+                if abs(step) > 1:
                     raise InvalidTestFunction(
                         f"{self.name}: flip of x{pos + 1} changes value by {step}"
                     )
@@ -445,12 +461,9 @@ def family_nand(n: int) -> ExplicitMeasure:
         raise BadWidth("nand family needs n >= 2")
     if n > cap("measure"):
         raise TooLarge(f"n={n} exceeds the measure cap")
-    p = Fraction(1, 1 << (n - 1))
-    mass: dict[int, Fraction] = {}
-    for rest in range(1 << (n - 1)):
-        x1 = 0 if rest == (1 << (n - 1)) - 1 else 1
-        mass[x1 | (rest << 1)] = p
-    return ExplicitMeasure(n, mass, _checked=True)
+    last = (1 << (n - 1)) - 1
+    weights = {(rest != last) | (rest << 1): 1 for rest in range(last + 1)}
+    return ExplicitMeasure._from_weights(n, weights)
 
 
 def family_independent(probs) -> ExplicitMeasure:
@@ -463,33 +476,28 @@ def family_independent(probs) -> ExplicitMeasure:
         raise TooLarge(f"n={n} exceeds the measure cap")
     if any(p < 0 or p > 1 for p in probs):
         raise NegativeMass("probabilities must lie in [0, 1]")
-    mass: dict[int, Fraction] = {0: ONE}
+    # weights over the product of the denominators
+    weights: dict[int, int] = {0: 1}
     for pos, p in enumerate(probs):
-        nxt: dict[int, Fraction] = {}
-        for key, q in mass.items():
-            if p < 1:
-                nxt[key] = nxt.get(key, ZERO) + q * (1 - p)
-            if p > 0:
-                k1 = key | (1 << pos)
-                nxt[k1] = nxt.get(k1, ZERO) + q * p
-        mass = nxt
-    return ExplicitMeasure(n, mass, _checked=True)
+        one, zero = p.numerator, p.denominator - p.numerator
+        nxt: dict[int, int] = {}
+        for key, w in weights.items():
+            if zero:
+                nxt[key] = w * zero
+            if one:
+                nxt[key | (1 << pos)] = w * one
+        weights = nxt
+    return ExplicitMeasure._from_weights(n, weights)
 
 
 def family_conditioned_sum(probs, lo: int, hi: int) -> ExplicitMeasure:
     """Independent bits conditioned on lo <= sum x_i <= hi."""
     base = family_independent(probs)
-    total = ZERO
-    mass: dict[int, Fraction] = {}
-    for key, p in base.items():
-        if lo <= key.bit_count() <= hi:
-            mass[key] = p
-            total += p
-    if total == 0:
+    _, w = base.scaled_weights()
+    weights = {k: v for k, v in w.items() if lo <= k.bit_count() <= hi}
+    if not weights:
         raise EmptyConditioningEvent(f"no outcomes with sum in [{lo}, {hi}]")
-    return ExplicitMeasure(
-        base.n, {k: p / total for k, p in mass.items()}, _checked=True
-    )
+    return ExplicitMeasure._from_weights(base.n, weights)
 
 
 def family_balls_bins(balls: int, bins: int) -> ExplicitMeasure:
@@ -503,8 +511,7 @@ def family_balls_bins(balls: int, bins: int) -> ExplicitMeasure:
     n = balls * bins
     if n > cap("measure"):
         raise TooLarge(f"n={n} exceeds the measure cap")
-    p = Fraction(1, bins**balls)
-    mass: dict[int, Fraction] = {}
+    weights: dict[int, int] = {}
     for outcome in range(bins**balls):
         key = 0
         rem = outcome
@@ -512,8 +519,8 @@ def family_balls_bins(balls: int, bins: int) -> ExplicitMeasure:
             bin_ = rem % bins
             rem //= bins
             key |= 1 << (ball * bins + bin_)
-        mass[key] = mass.get(key, ZERO) + p
-    return ExplicitMeasure(n, mass, _checked=True)
+        weights[key] = weights.get(key, 0) + 1
+    return ExplicitMeasure._from_weights(n, weights)
 
 
 def family_hadamard(order: int) -> ExplicitMeasure:
@@ -528,27 +535,26 @@ def family_hadamard(order: int) -> ExplicitMeasure:
     n = order - 1
     if n > cap("measure"):
         raise TooLarge(f"n={n} exceeds the measure cap")
-    p = Fraction(1, order)
-    mass: dict[int, Fraction] = {}
+    weights: dict[int, int] = {}
     for col in range(order):
         key = 0
         for row in range(1, order):
             # Sylvester entry H[row][col] = (-1)^{popcount(row & col)}
             if (row & col).bit_count() % 2 == 0:
                 key |= 1 << (row - 1)
-        mass[key] = mass.get(key, ZERO) + p
-    return ExplicitMeasure(n, mass, _checked=True)
+        weights[key] = weights.get(key, 0) + 1
+    return ExplicitMeasure._from_weights(n, weights)
 
 
 def family_anti_pair() -> ExplicitMeasure:
     """Perfectly anti-correlated pair: uniform on {01, 10}."""
-    return ExplicitMeasure(2, {0b01: Fraction(1, 2), 0b10: Fraction(1, 2)}, _checked=True)
+    return ExplicitMeasure._from_weights(2, {0b01: 1, 0b10: 1})
 
 
 def family_pos_pair() -> ExplicitMeasure:
     """Perfectly correlated pair: uniform on {00, 11}.  Violates every
     negative-dependence notion; lives in the zoo as the universal foil."""
-    return ExplicitMeasure(2, {0b00: Fraction(1, 2), 0b11: Fraction(1, 2)}, _checked=True)
+    return ExplicitMeasure._from_weights(2, {0b00: 1, 0b11: 1})
 
 
 __all__ = [

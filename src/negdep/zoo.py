@@ -21,7 +21,6 @@ from .measure import (
     family_independent,
     family_nand,
     family_pos_pair,
-    new_explicit,
 )
 
 _HALF = Fraction(1, 2)
@@ -61,10 +60,8 @@ def random_measure(
     weights = [rng.randint(0, max_weight) for _ in range(1 << n)]
     if not any(weights):
         weights[rng.randrange(1 << n)] = 1
-    total = sum(weights)
-    return new_explicit(
-        n,
-        [(mask, Fraction(w, total)) for mask, w in enumerate(weights) if w],
+    return ExplicitMeasure._from_weights(
+        n, {mask: w for mask, w in enumerate(weights) if w}
     )
 
 

@@ -315,6 +315,30 @@ def test_tail_grid_point_count_is_exact():
         _parse_grid(f"0:1:{MAX_GRID_POINTS}")
 
 
+def test_tail_grid_zero_denominator_is_value_error():
+    with pytest.raises(ValueError, match="zero denominator"):
+        _parse_grid("0:1/0:2")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--file", "{file}", "--notions", "nc"),
+        ("check", "--family", "independent:1/0", "--notions", "nc"),
+        ("tail", "--family", "nand:3", "--f", "sum", "--grid", "0:1/0:2"),
+        ("tail", "--family", "nand:3", "--f", "constant:1/0"),
+    ],
+    ids=["measure-file", "family", "grid", "function"],
+)
+def test_zero_denominator_exit_two(capsys, tmp_path, argv):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 1, "atoms": [{"x": "1", "p": "1/0"}]}))
+    code, out, err = run(capsys, *(a.format(file=path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "zero denominator" in err
+
+
 def test_tail_tiny_grid_step_refused(capsys):
     code, out, err = run(
         capsys, "tail", "--family", "nand:3", "--f", "sum",

@@ -47,6 +47,27 @@ def test_parse_rational_forms():
     assert parse_rational(Fraction(1, 3)) == Fraction(1, 3)
 
 
+def test_parse_rational_zero_denominator_is_value_error():
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational("1/0")
+
+
+def test_zero_denominator_in_measure_file_is_value_error():
+    doc = {"n": 1, "atoms": [{"x": "1", "p": "1/0"}]}
+    with pytest.raises(ValueError, match="zero denominator"):
+        ExplicitMeasure.from_json(doc)
+
+
+def test_zero_denominator_in_family_probability_is_value_error():
+    with pytest.raises(ValueError, match="zero denominator"):
+        family_independent(["1/0"])
+
+
+def test_zero_denominator_in_constant_value_is_value_error():
+    with pytest.raises(ValueError, match="zero denominator"):
+        constant_function(2, "1/0")
+
+
 def test_format_rational():
     assert format_rational(Fraction(3, 4)) == "3/4"
     assert format_rational(Fraction(2)) == "2"
@@ -180,6 +201,16 @@ def test_prob_of_assignment():
     m = family_nand(3)
     assert m.prob_of_assignment(Assignment.of({1: 1})) == Fraction(3, 4)
     assert m.prob_of_assignment(Assignment.of({2: 1, 3: 1})) == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("value", [0, 1])
+def test_assignment_index_out_of_range(value):
+    m = family_nand(3)
+    on = Assignment.of({4: value})
+    with pytest.raises(DimensionMismatch):
+        m.prob_of_assignment(on)
+    with pytest.raises(DimensionMismatch):
+        m.condition(on)
 
 
 def test_measure_equality_and_hash():
