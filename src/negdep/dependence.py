@@ -406,37 +406,98 @@ def check_cna(m: ExplicitMeasure) -> NotionReport:
 # ---------------------------------------------------------------------------
 
 
-def _buckets_for(m: ExplicitMeasure, cond_mask: int):
+def _buckets_for(m: ExplicitMeasure, cond_mask: int) -> dict[int, tuple]:
     """Split the integer-weighted atoms by their assignment on cond_mask.
 
-    Returns (buckets, totals): buckets[a] maps packed free-coordinate
-    patterns to weights, totals[a] is the event weight of assignment a.
+    Returns {a: (law, total)} over the positive assignments a: law is the
+    sorted tuple of (packed free-coordinate pattern, weight // g), g the
+    gcd of the bucket's weights, and total its weight sum.  Two
+    assignments have the same conditional law iff their entries are equal.
     """
     n = m.n
-    _, w = m.scaled_weights()
-    free_mask = ((1 << n) - 1) ^ cond_mask
     exc = SubsetExtractor(cond_mask, n)
-    exf = SubsetExtractor(free_mask, n)
-    buckets: dict[int, dict[int, int]] = {}
-    totals: dict[int, int] = {}
-    for key, weight in w.items():
-        a = exc.extract(key)
-        rest = exf.extract(key)
-        bucket = buckets.setdefault(a, {})
-        bucket[rest] = bucket.get(rest, 0) + weight
-        totals[a] = totals.get(a, 0) + weight
-    return buckets, totals
+    exf = SubsetExtractor(((1 << n) - 1) ^ cond_mask, n)
+    buckets: dict[int, list[tuple[int, int]]] = {}
+    # in key order, the free patterns of each bucket come out sorted
+    for key, weight in sorted(m.scaled_weights()[1].items()):
+        buckets.setdefault(exc.extract(key), []).append((exf.extract(key), weight))
+    laws = {}
+    for a, bucket in buckets.items():
+        g = math.gcd(*(weight for _, weight in bucket))
+        if g > 1:
+            bucket = [(rest, weight // g) for rest, weight in bucket]
+        laws[a] = (tuple(bucket), sum(weight for _, weight in bucket))
+    return laws
 
 
-def _proportional(wa: dict[int, int], ta: int, wb: dict[int, int], tb: int) -> bool:
-    """True when the two weighted supports describe the same law."""
-    if len(wa) != len(wb):
-        return False
-    for key, weight in wa.items():
-        other = wb.get(key)
-        if other is None or weight * tb != other * ta:
-            return False
-    return True
+def _transport_memo(work: dict, covering: bool):
+    """solve(lower, upper) for two _buckets_for entries: None when lower
+    can be moved onto upper, else the failed TransportResult.  Feasible
+    pairs are remembered for the call, each law interned so it is stored
+    once; a failure is not, since the checker returns on it."""
+    interned: dict[tuple, tuple] = {}
+    feasible: set[tuple[tuple, tuple]] = set()
+
+    def solve(lower, upper):
+        if (lower, upper) in feasible:
+            work["repeated_laws_skipped"] += 1
+            return None
+        work["flows_run"] += 1
+        res = transport(*lower, *upper, covering=covering)
+        if not res.feasible:
+            return res
+        feasible.add(tuple(interned.setdefault(law, law) for law in (lower, upper)))
+        return None
+
+    return solve
+
+
+def _covering_pairs(laws: dict, width: int):
+    """Pairs (a, b) of positive assignments, b = a with one coordinate
+    raised, in (a, then b) order."""
+    for a in sorted(laws):
+        for pos in range(width):
+            b = a | (1 << pos)
+            if b != a and b in laws:
+                yield a, b
+
+
+def _regression_pairs(laws: dict, width: int, work: dict):
+    """The pairs negative regression checks: the covering pairs, then the
+    pairs a < b of positive assignments that no chain of positive
+    covering steps joins, in (a, then b) order.  Before each of the
+    latter it counts the chained pairs (a, b') with b' < b in
+    work["chained_pairs_skipped"].
+
+    Bitsets over the assignments: reach[a] holds the positive ones
+    reached from a by positive covering steps, above the supersets of a.
+    """
+    yield from _covering_pairs(laws, width)
+    present = sorted(laws)
+    if len(present) == 1 << width:
+        return  # all assignments positive: chains cover every pair
+    reach: dict[int, int] = {}
+    for a in reversed(present):  # supersets sort later
+        reach[a] = 1 << a
+        for pos in range(width):
+            up = a | (1 << pos)
+            if up != a and up in laws:
+                reach[a] |= reach[up]
+    positive = sum(1 << a for a in present)
+    for a in present:
+        above = near = 1 << a  # near: a and its covers
+        for pos in range(width):
+            if not a >> pos & 1:
+                above |= above << (1 << pos)
+                near |= 1 << (a | 1 << pos)
+        chained, unchained = reach[a] & ~near, above & positive & ~reach[a]
+        while unchained:
+            low = unchained & -unchained
+            work["chained_pairs_skipped"] += (chained & (low - 1)).bit_count()
+            chained &= ~(low - 1)
+            yield a, low.bit_length() - 1
+            unchained ^= low
+        work["chained_pairs_skipped"] += chained.bit_count()
 
 
 def _certificate_fields(cert) -> dict:
@@ -454,92 +515,43 @@ def check_neg_regression(m: ExplicitMeasure) -> NotionReport:
     Only covering pairs (one raised coordinate) are flow-checked;
     dominance composes along chains of positive assignments.  Pairs whose
     chain is broken by a zero-probability intermediate are checked
-    directly.
+    directly.  Each distinct pair of laws gets one flow per call.
     """
     n = m.n
     if n > cap("neg_regression"):
         raise TooLarge(f"n={n} exceeds the regression cap")
-    work = {
-        "conditioning_sets": 0,
-        "pairs_checked": 0,
-        "flows_run": 0,
-        "equal_laws_skipped": 0,
-        "chained_pairs_skipped": 0,
-    }
+    work = dict.fromkeys((
+        "conditioning_sets", "pairs_checked", "flows_run", "equal_laws_skipped",
+        "repeated_laws_skipped", "chained_pairs_skipped",
+    ), 0)
     if n < 2:
         return NotionReport(Notion.NEG_REGRESSION, Verdict.HOLDS, None, work)
-
-    def examine(j_indices, a, b, buckets, totals, dim):
-        """Flow-check one pair; returns a certificate dict or None."""
-        work["pairs_checked"] += 1
-        lower, lt = buckets[b], totals[b]
-        upper, ut = buckets[a], totals[a]
-        if _proportional(lower, lt, upper, ut):
-            work["equal_laws_skipped"] += 1
-            return None
-        work["flows_run"] += 1
-        lower_items, upper_items = sorted(lower.items()), sorted(upper.items())
-        res = transport(lower_items, lt, upper_items, ut, covering=False)
-        if res.feasible:
-            return None
-        cert = down_set_certificate(lower_items, lt, upper_items, ut, res.left_cut, dim)
-        jl = len(j_indices)
-        return {
-            "J": list(j_indices),
-            "a": bits_from_mask(a, jl),
-            "b": bits_from_mask(b, jl),
-            "free_indices": [i for i in range(1, n + 1) if i not in j_indices],
-            **_certificate_fields(cert),
-        }
-
+    solve = _transport_memo(work, covering=False)
     for cond_mask in subsets_lex(n):
         jl = cond_mask.bit_count()
         if jl == n:
             continue
         j_indices = indices_of(cond_mask)
         work["conditioning_sets"] += 1
-        buckets, totals = _buckets_for(m, cond_mask)
-        dim = n - jl
-        present = sorted(buckets)
-        present_set = set(present)
-        # covering pairs first, in (a, then b) order
-        for a in present:
-            for pos in range(jl):
-                b = a | (1 << pos)
-                if b != a and b in present_set:
-                    cert = examine(j_indices, a, b, buckets, totals, dim)
-                    if cert is not None:
-                        return NotionReport(
-                            Notion.NEG_REGRESSION, Verdict.FAILS, cert, work
-                        )
-        if len(present) == 1 << jl:
-            continue  # all assignments positive: chains cover every pair
-        # distant pairs whose chain of positive intermediates is broken
-        reach_memo: dict[int, set[int]] = {}
-        for a in present:
-            for b in present:
-                if b <= a or a & ~b or (a ^ b).bit_count() < 2:
-                    continue
-                reached = reach_memo.get(a)
-                if reached is None:
-                    reached = {a}
-                    frontier = [a]
-                    while frontier:
-                        cur = frontier.pop()
-                        for pos in range(jl):
-                            nxt = cur | (1 << pos)
-                            if nxt != cur and nxt in present_set and nxt not in reached:
-                                reached.add(nxt)
-                                frontier.append(nxt)
-                    reach_memo[a] = reached
-                if b in reached:
-                    work["chained_pairs_skipped"] += 1
-                    continue
-                cert = examine(j_indices, a, b, buckets, totals, dim)
-                if cert is not None:
-                    return NotionReport(
-                        Notion.NEG_REGRESSION, Verdict.FAILS, cert, work
-                    )
+        laws = _buckets_for(m, cond_mask)
+        for a, b in _regression_pairs(laws, jl, work):
+            work["pairs_checked"] += 1
+            lower, upper = laws[b], laws[a]
+            if lower == upper:
+                work["equal_laws_skipped"] += 1
+                continue
+            res = solve(lower, upper)
+            if res is None:
+                continue
+            witness = down_set_certificate(*lower, *upper, res.left_cut, n - jl)
+            cert = {
+                "J": list(j_indices),
+                "a": bits_from_mask(a, jl),
+                "b": bits_from_mask(b, jl),
+                "free_indices": [i for i in range(1, n + 1) if i not in j_indices],
+                **_certificate_fields(witness),
+            }
+            return NotionReport(Notion.NEG_REGRESSION, Verdict.FAILS, cert, work)
     return NotionReport(Notion.NEG_REGRESSION, Verdict.HOLDS, None, work)
 
 
@@ -547,52 +559,42 @@ def check_stochastic_covering(m: ExplicitMeasure) -> NotionReport:
     """Holds iff for every I and covering pair a >= a' of positive
     assignments on I, the conditionals admit a coupling moving at most
     one coordinate: x ~ law given a, y ~ law given a', x <= y,
-    |y - x| <= 1."""
+    |y - x| <= 1.  Each distinct pair of laws gets one flow per call."""
     n = m.n
     if n > cap("stochastic_covering"):
         raise TooLarge(f"n={n} exceeds the covering cap")
-    work = {"conditioning_sets": 0, "pairs_checked": 0, "flows_run": 0}
+    work = dict.fromkeys(
+        ("conditioning_sets", "pairs_checked", "flows_run", "repeated_laws_skipped"), 0
+    )
     if n < 2:
-        return NotionReport(
-            Notion.STOCHASTIC_COVERING, Verdict.HOLDS, None, work
-        )
+        return NotionReport(Notion.STOCHASTIC_COVERING, Verdict.HOLDS, None, work)
+    solve = _transport_memo(work, covering=True)
     for cond_mask in subsets_lex(n):
         il = cond_mask.bit_count()
         if il == n:
             continue
         i_indices = indices_of(cond_mask)
         work["conditioning_sets"] += 1
-        buckets, totals = _buckets_for(m, cond_mask)
-        dim = n - il
-        present = sorted(buckets)
-        present_set = set(present)
-        for a_low in present:
-            for pos in range(il):
-                a_high = a_low | (1 << pos)
-                if a_high == a_low or a_high not in present_set:
-                    continue
-                work["pairs_checked"] += 1
-                lower, lt = buckets[a_high], totals[a_high]
-                upper, ut = buckets[a_low], totals[a_low]
-                if _proportional(lower, lt, upper, ut):
-                    continue  # identity coupling
-                work["flows_run"] += 1
-                lower_items = sorted(lower.items())
-                upper_items = sorted(upper.items())
-                res = transport(lower_items, lt, upper_items, ut, covering=True)
-                if res.feasible:
-                    continue
-                cut = covering_cut(lower_items, lt, upper_items, ut, res.left_cut, dim)
-                cert = {
-                    "I": list(i_indices),
-                    "a": bits_from_mask(a_high, il),
-                    "a_prime": bits_from_mask(a_low, il),
-                    "free_indices": [i for i in range(1, n + 1) if i not in i_indices],
-                    **_certificate_fields(cut),
-                }
-                return NotionReport(
-                    Notion.STOCHASTIC_COVERING, Verdict.FAILS, cert, work
-                )
+        laws = _buckets_for(m, cond_mask)
+        for a_low, a_high in _covering_pairs(laws, il):
+            work["pairs_checked"] += 1
+            lower, upper = laws[a_high], laws[a_low]
+            if lower == upper:
+                continue  # identity coupling
+            res = solve(lower, upper)
+            if res is None:
+                continue
+            cut = covering_cut(*lower, *upper, res.left_cut, n - il)
+            cert = {
+                "I": list(i_indices),
+                "a": bits_from_mask(a_high, il),
+                "a_prime": bits_from_mask(a_low, il),
+                "free_indices": [i for i in range(1, n + 1) if i not in i_indices],
+                **_certificate_fields(cut),
+            }
+            return NotionReport(
+                Notion.STOCHASTIC_COVERING, Verdict.FAILS, cert, work
+            )
     return NotionReport(Notion.STOCHASTIC_COVERING, Verdict.HOLDS, None, work)
 
 

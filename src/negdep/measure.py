@@ -135,7 +135,7 @@ class ExplicitMeasure:
         for key, p in mass.items():
             if key < 0 or key > full:
                 raise BadWidth(f"atom {key} does not fit in {n} bits")
-            p = Fraction(p)
+            p = parse_rational(p)
             if p < 0:
                 raise NegativeMass(f"atom {bits_from_mask(key, n)} has mass {p}")
             if p > 0:

@@ -58,6 +58,16 @@ def test_zero_denominator_in_measure_file_is_value_error():
         ExplicitMeasure.from_json(doc)
 
 
+def test_zero_denominator_in_constructor_mass_is_value_error():
+    with pytest.raises(ValueError, match="zero denominator"):
+        ExplicitMeasure(1, {0: "1/0"})
+
+
+def test_constructor_parses_string_masses():
+    m = ExplicitMeasure(2, {0: "1/4", 3: "0.75"})
+    assert m == ExplicitMeasure(2, {0: Fraction(1, 4), 3: Fraction(3, 4)})
+
+
 def test_zero_denominator_in_family_probability_is_value_error():
     with pytest.raises(ValueError, match="zero denominator"):
         family_independent(["1/0"])

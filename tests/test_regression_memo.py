@@ -1,0 +1,319 @@
+"""Negative regression and stochastic covering against a pair-by-pair oracle.
+
+The checkers solve each distinct pair of conditional laws once per call
+and find the distant pairs of negative regression with bitsets.  The
+oracle below runs one transport per examined pair, decides equal laws by
+cross-multiplying the raw bucket weights, and finds the distant pairs by
+scanning every pair of positive assignments; verdicts, certificates and
+all other work counters must agree.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import negdep.dependence as dependence
+from negdep.bitops import SubsetExtractor, bits_from_mask, indices_of, subsets_lex
+from negdep.coupling import covering_cut, down_set_certificate, transport
+from negdep.dependence import Verdict, check_neg_regression, check_stochastic_covering
+from negdep.measure import (
+    ExplicitMeasure,
+    family_conditioned_sum,
+    family_independent,
+    family_nand,
+)
+from negdep.zoo import random_measure, zoo
+
+from test_dependence import recheck_nr_certificate
+
+# counters that the per-call memo changes on purpose
+MEMO_COUNTERS = ("flows_run", "repeated_laws_skipped")
+
+
+def _raw_buckets(m, cond_mask):
+    """{a: {free pattern: weight}} and {a: total}, weights as stored."""
+    n = m.n
+    _, w = m.scaled_weights()
+    exc = SubsetExtractor(cond_mask, n)
+    exf = SubsetExtractor(((1 << n) - 1) ^ cond_mask, n)
+    buckets, totals = {}, {}
+    for key, weight in w.items():
+        a = exc.extract(key)
+        buckets.setdefault(a, {})[exf.extract(key)] = weight
+        totals[a] = totals.get(a, 0) + weight
+    return buckets, totals
+
+
+def _proportional(wa, ta, wb, tb):
+    return wa.keys() == wb.keys() and all(wa[k] * tb == wb[k] * ta for k in wa)
+
+
+def _fields(cert):
+    doc = cert.to_json()
+    del doc["kind"]
+    return doc
+
+
+def oracle_nr(m, order=None):
+    """Negative regression with one transport per examined pair."""
+    n = m.n
+    work = dict.fromkeys(
+        ("conditioning_sets", "pairs_checked", "flows_run", "equal_laws_skipped",
+         "chained_pairs_skipped"), 0,
+    )
+    if n < 2:
+        return Verdict.HOLDS, None, work
+
+    def examine(j_indices, a, b, buckets, totals):
+        work["pairs_checked"] += 1
+        lower, lt, upper, ut = buckets[b], totals[b], buckets[a], totals[a]
+        if _proportional(lower, lt, upper, ut):
+            work["equal_laws_skipped"] += 1
+            return None
+        work["flows_run"] += 1
+        li, ui = sorted(lower.items()), sorted(upper.items())
+        res = transport(li, lt, ui, ut)
+        if res.feasible:
+            return None
+        jl = len(j_indices)
+        return {
+            "J": list(j_indices),
+            "a": bits_from_mask(a, jl),
+            "b": bits_from_mask(b, jl),
+            "free_indices": [i for i in range(1, n + 1) if i not in j_indices],
+            **_fields(down_set_certificate(li, lt, ui, ut, res.left_cut, n - jl)),
+        }
+
+    for cond_mask in order or subsets_lex(n):
+        jl = cond_mask.bit_count()
+        if jl == n:
+            continue
+        j_indices = indices_of(cond_mask)
+        work["conditioning_sets"] += 1
+        buckets, totals = _raw_buckets(m, cond_mask)
+        present = sorted(buckets)
+        for a in present:
+            for pos in range(jl):
+                b = a | (1 << pos)
+                if b != a and b in buckets:
+                    cert = examine(j_indices, a, b, buckets, totals)
+                    if cert is not None:
+                        return Verdict.FAILS, cert, work
+        if len(present) == 1 << jl:
+            continue
+        for a in present:
+            reached, frontier = {a}, [a]
+            while frontier:
+                cur = frontier.pop()
+                for pos in range(jl):
+                    nxt = cur | (1 << pos)
+                    if nxt in buckets and nxt not in reached:
+                        reached.add(nxt)
+                        frontier.append(nxt)
+            for b in present:
+                if b <= a or a & ~b or (a ^ b).bit_count() < 2:
+                    continue
+                if b in reached:
+                    work["chained_pairs_skipped"] += 1
+                    continue
+                cert = examine(j_indices, a, b, buckets, totals)
+                if cert is not None:
+                    return Verdict.FAILS, cert, work
+    return Verdict.HOLDS, None, work
+
+
+def oracle_sc(m):
+    """Stochastic covering with one covering transport per examined pair."""
+    n = m.n
+    work = dict.fromkeys(("conditioning_sets", "pairs_checked", "flows_run"), 0)
+    if n < 2:
+        return Verdict.HOLDS, None, work
+    for cond_mask in subsets_lex(n):
+        il = cond_mask.bit_count()
+        if il == n:
+            continue
+        i_indices = indices_of(cond_mask)
+        work["conditioning_sets"] += 1
+        buckets, totals = _raw_buckets(m, cond_mask)
+        for a_low in sorted(buckets):
+            for pos in range(il):
+                a_high = a_low | (1 << pos)
+                if a_high == a_low or a_high not in buckets:
+                    continue
+                work["pairs_checked"] += 1
+                lower, lt = buckets[a_high], totals[a_high]
+                upper, ut = buckets[a_low], totals[a_low]
+                if _proportional(lower, lt, upper, ut):
+                    continue
+                work["flows_run"] += 1
+                li, ui = sorted(lower.items()), sorted(upper.items())
+                res = transport(li, lt, ui, ut, covering=True)
+                if res.feasible:
+                    continue
+                cut = covering_cut(li, lt, ui, ut, res.left_cut, n - il)
+                return Verdict.FAILS, {
+                    "I": list(i_indices),
+                    "a": bits_from_mask(a_high, il),
+                    "a_prime": bits_from_mask(a_low, il),
+                    "free_indices": [i for i in range(1, n + 1) if i not in i_indices],
+                    **_fields(cut),
+                }, work
+    return Verdict.HOLDS, None, work
+
+
+def _inputs():
+    cases = dict(zoo())
+    rng = random.Random(2024)
+    for k in range(40):
+        n = rng.randint(1, 6)
+        cases[f"random{k}"] = random_measure(n, rng, max_weight=rng.choice([1, 3, 8]))
+    half = Fraction(1, 2)
+    cases["condsum_repeated_6"] = family_conditioned_sum([half] * 6, 2, 4)
+    cases["condsum_repeated_7"] = family_conditioned_sum([Fraction(1, 3)] * 7, 1, 3)
+    distinct = [Fraction(k, 11) for k in range(1, 7)]
+    cases["condsum_distinct_6"] = family_conditioned_sum(distinct, 2, 3)
+    cases["condsum_distinct_5"] = family_conditioned_sum(distinct[:5], 1, 3)
+    big = [Fraction(1, 1009), Fraction(2, 1013), Fraction(3, 1019), Fraction(5, 1021)]
+    cases["product_big"] = family_independent(big)
+    cases["condsum_big"] = family_conditioned_sum(big + [Fraction(7, 1031)], 1, 3)
+    cases["random_big"] = random_measure(5, random.Random(5), max_weight=1 << 40)
+    return cases
+
+
+INPUTS = _inputs()
+
+
+def test_inputs_cover_large_denominators_and_both_verdicts():
+    assert sum(m.scaled_weights()[0] > 1 << 20 for m in INPUTS.values()) >= 3
+    verdicts = {check_neg_regression(m).verdict for m in INPUTS.values()}
+    assert verdicts == {Verdict.HOLDS, Verdict.FAILS}
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_nr_matches_oracle(name):
+    m = INPUTS[name]
+    rep = check_neg_regression(m)
+    verdict, cert, work = oracle_nr(m)
+    assert rep.verdict is verdict
+    assert rep.certificate == cert
+    got = dict(rep.work_stats)
+    assert got["flows_run"] + got["repeated_laws_skipped"] == work["flows_run"]
+    assert got["pairs_checked"] == (
+        got["equal_laws_skipped"] + got["repeated_laws_skipped"] + got["flows_run"]
+    )
+    for key in MEMO_COUNTERS:
+        got.pop(key)
+    work.pop("flows_run")
+    assert got == work
+    if cert is not None:
+        recheck_nr_certificate(m, cert)
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_sc_matches_oracle(name):
+    m = INPUTS[name]
+    rep = check_stochastic_covering(m)
+    verdict, cert, work = oracle_sc(m)
+    assert rep.verdict is verdict
+    assert rep.certificate == cert
+    got = dict(rep.work_stats)
+    assert got["flows_run"] + got["repeated_laws_skipped"] == work["flows_run"]
+    for key in MEMO_COUNTERS:
+        got.pop(key)
+    work.pop("flows_run")
+    assert got == work
+
+
+def test_memo_runs_one_flow_per_distinct_pair_of_laws():
+    work = check_neg_regression(family_nand(7)).work_stats
+    assert work["flows_run"] == 16
+    assert work["repeated_laws_skipped"] == 425
+
+
+def test_canonical_laws_divide_out_the_bucket_gcd():
+    # given x1 = 0 the free weights are 2 and 4, given x1 = 1 they are 3 and 6
+    m = ExplicitMeasure._from_weights(2, {0b00: 2, 0b10: 4, 0b01: 3, 0b11: 6})
+    laws = dependence._buckets_for(m, 0b01)
+    assert laws == {0: (((0, 1), (1, 2)), 3), 1: (((0, 1), (1, 2)), 3)}
+
+
+@pytest.mark.parametrize("n, chained", [(5, 34), (6, 245), (7, 1436)])
+def test_nand_chained_pairs(n, chained):
+    rep = check_neg_regression(family_nand(n))
+    assert rep.verdict is Verdict.HOLDS
+    assert rep.work_stats["chained_pairs_skipped"] == chained
+
+
+# On {1,2,3} (free coordinate x4) the positive assignments are 000, 100,
+# 110, 111 and 011.  000 reaches 100, 110 and 111 through positive covering
+# steps, but 001 and 010 have probability zero, so the pair (000, 011) is
+# distant and unchained; P[x4 = 1] is 1/2 given 000 and 1 given 011.  110
+# is chained below 011, 111 above it.
+BROKEN_CHAIN = ExplicitMeasure._from_weights(
+    4,
+    {
+        0b0000: 1, 0b1000: 1,  # 000
+        0b0001: 1, 0b1001: 1,  # 100
+        0b0011: 1, 0b1011: 1,  # 110
+        0b0111: 1, 0b1111: 1,  # 111
+        0b1110: 2,             # 011, always x4 = 1
+    },
+)
+
+# On {1,2,3,4} (free coordinate x5) the positive assignments are 0000,
+# 1000, 1100, 0101 and 0011.  From 0000, 1100 is chained (through 1000)
+# and the unchained pairs are (0000, 0101), which holds, and then
+# (0000, 0011), which fails: P[x5 = 1] is 1/2, 0 and 1 given 0000, 0101
+# and 0011.
+TWO_UNCHAINED = ExplicitMeasure._from_weights(
+    5,
+    {
+        0b00000: 1, 0b10000: 1,  # 0000
+        0b00001: 1, 0b10001: 1,  # 1000
+        0b00011: 1, 0b10011: 1,  # 1100
+        0b01010: 2,              # 0101, always x5 = 0
+        0b11100: 2,              # 0011, always x5 = 1
+    },
+)
+
+
+def _first(order_first, n):
+    """subsets_lex with one conditioning set moved to the front."""
+    return (order_first,) + tuple(s for s in subsets_lex(n) if s != order_first)
+
+
+@pytest.mark.parametrize(
+    "m, front, pair",
+    [
+        (BROKEN_CHAIN, 0b0111, ([1, 2, 3], "000", "011")),
+        (TWO_UNCHAINED, 0b1111, ([1, 2, 3, 4], "0000", "0011")),
+    ],
+)
+def test_nr_fails_on_a_broken_chain(m, front, pair, monkeypatch):
+    # In lexicographic order a distance-2 broken pair is never the first
+    # failure: a prefix of its conditioning set fails a covering pair
+    # first.  Moving the conditioning set to the front reaches it.
+    order = _first(front, m.n)
+    monkeypatch.setattr(dependence, "subsets_lex", lambda n: order)
+    rep = check_neg_regression(m)
+    assert rep.verdict is Verdict.FAILS
+    cert = rep.certificate
+    assert (cert["J"], cert["a"], cert["b"]) == pair
+    assert sum(x != y for x, y in zip(cert["a"], cert["b"])) >= 2
+    recheck_nr_certificate(m, cert)
+    # one chained pair lies below the failing pair
+    assert rep.work_stats["chained_pairs_skipped"] == 1
+    verdict, oracle_cert, work = oracle_nr(m, order)
+    assert cert == oracle_cert
+    for key in ("pairs_checked", "equal_laws_skipped", "chained_pairs_skipped"):
+        assert rep.work_stats[key] == work[key]
+
+
+@pytest.mark.parametrize("m", [BROKEN_CHAIN, TWO_UNCHAINED])
+def test_nr_broken_chain_in_lexicographic_order(m):
+    rep = check_neg_regression(m)
+    verdict, cert, work = oracle_nr(m)
+    assert rep.verdict is verdict is Verdict.FAILS
+    assert rep.certificate == cert
+    assert sum(x != y for x, y in zip(cert["a"], cert["b"])) == 1
