@@ -30,7 +30,7 @@ import numpy as np
 from .bitops import SubsetExtractor, bits_from_mask, cap, indices_of, subsets_lex
 from .coupling import covering_cut, down_set_certificate, transport
 from .errors import DimensionMismatch, TooLarge
-from .measure import ExplicitMeasure, format_rational
+from .measure import Assignment, ExplicitMeasure, format_rational
 from .upsets import (
     ENUMERABLE_DIM,
     max_weight_upset,
@@ -248,7 +248,7 @@ def upset_indicator_cov(
     return pab - pa * pb
 
 
-def _na_violation(m: ExplicitMeasure):
+def _na_violation(m: ExplicitMeasure, held: set):
     """First bipartition with positively correlated up-set indicators.
 
     Returns (certificate | None, work).  The scan fixes the smaller side,
@@ -259,11 +259,16 @@ def _na_violation(m: ExplicitMeasure):
     hold int64 while the common denominator is at most
     _NUMPY_DENOM_LIMIT and Python integers above it; the matrix product
     over B runs only in the int64 case.
+
+    A bipartition's answer depends only on its joint weight matrix: `held`
+    collects the keys (ds, dl, joint) of those that held, and a bipartition
+    whose key is in it is skipped.  The scan returns on the first failure.
     """
     n = m.n
     d, w = m.scaled_weights()
     full = (1 << n) - 1
-    work = {"bipartitions": 0, "upsets_tested": 0, "closures": 0}
+    work = {"bipartitions": 0, "upsets_tested": 0, "closures": 0,
+            "repeated_joints_skipped": 0}
     dtype = _exact_dtype(d, _NUMPY_DENOM_LIMIT)
     for imask in range(1, full):
         if not imask & 1:
@@ -284,6 +289,10 @@ def _na_violation(m: ExplicitMeasure):
         joint = np.zeros((1 << ds, 1 << dl), dtype=dtype)
         for key, weight in w.items():
             joint[exs.extract(key), exl.extract(key)] += weight
+        held_key = (ds, dl, joint.tobytes() if dtype is np.int64 else tuple(joint.flat))
+        if held_key in held:
+            work["repeated_joints_skipped"] += 1
+            continue
         ws = joint.sum(axis=1)
         wl = joint.sum(axis=0)
         u_small = upset_matrix(ds)
@@ -291,6 +300,7 @@ def _na_violation(m: ExplicitMeasure):
         wa = u_small @ ws
         weights = d * joint_a - wa[:, None] * wl[None, :]
         work["upsets_tested"] += len(u_small)
+        found = None  # (row of A, up-set mask of B, covariance times d^2)
         if (
             dtype is np.int64
             and dl <= ENUMERABLE_DIM
@@ -301,27 +311,20 @@ def _na_violation(m: ExplicitMeasure):
             if hits.size:
                 row = int(hits[0, 0])
                 col = int(np.argmax(covs[row]))
-                a_mask = nontrivial_upsets(ds)[row]
-                b_mask = nontrivial_upsets(dl)[col]
-                value = Fraction(int(covs[row, col]), d * d)
-                return (
-                    _na_certificate(n, small_mask, large_mask, a_mask, b_mask, value),
-                    work,
-                )
-            continue
-        for row_idx, row in enumerate(weights):
-            work["closures"] += 1
-            best, chosen = max_weight_upset(list(map(int, row)), dl)
-            if best > 0:
-                a_mask = nontrivial_upsets(ds)[row_idx]
-                b_mask = 0
-                for p in chosen:
-                    b_mask |= 1 << p
-                value = Fraction(best, d * d)
-                return (
-                    _na_certificate(n, small_mask, large_mask, a_mask, b_mask, value),
-                    work,
-                )
+                found = row, nontrivial_upsets(dl)[col], int(covs[row, col])
+        else:
+            for row, row_weights in enumerate(weights):
+                work["closures"] += 1
+                best, chosen = max_weight_upset(list(map(int, row_weights)), dl)
+                if best > 0:
+                    found = row, sum(1 << p for p in chosen), best
+                    break
+        if found is not None:
+            row, b_mask, cov = found
+            a_mask = nontrivial_upsets(ds)[row]
+            cov = Fraction(cov, d * d)
+            return _na_certificate(n, small_mask, large_mask, a_mask, b_mask, cov), work
+        held.add(held_key)
     return None, work
 
 
@@ -342,11 +345,7 @@ def check_neg_association(m: ExplicitMeasure) -> NotionReport:
     non-decreasing functions."""
     if m.n > cap("neg_association"):
         raise TooLarge(f"n={m.n} exceeds the association cap")
-    if m.n < 2:
-        return NotionReport(
-            Notion.NEG_ASSOCIATION, Verdict.HOLDS, None, {"bipartitions": 0}
-        )
-    cert, work = _na_violation(m)
+    cert, work = _na_violation(m, set())  # n < 2 has no bipartition
     if cert is None:
         return NotionReport(Notion.NEG_ASSOCIATION, Verdict.HOLDS, None, work)
     return NotionReport(Notion.NEG_ASSOCIATION, Verdict.FAILS, cert, work)
@@ -360,16 +359,13 @@ def check_neg_association(m: ExplicitMeasure) -> NotionReport:
 def check_cna(m: ExplicitMeasure) -> NotionReport:
     """Holds iff the measure and all of its positive-probability partial
     conditionals are negatively associated."""
-    from .measure import Assignment
-
     if m.n > cap("cna"):
         raise TooLarge(f"n={m.n} exceeds the conditional-association cap")
-    work = {"conditionings_checked": 0, "bipartitions": 0}
-    ks: list[tuple[int, ...]] = [()]
-    if m.n >= 2:
-        ks += [
-            indices_of(s) for s in subsets_lex(m.n) if s.bit_count() <= m.n - 2
-        ]
+    work = {"conditionings_checked": 0, "bipartitions": 0,
+            "repeated_laws_skipped": 0, "repeated_joints_skipped": 0}
+    held_laws: set[ExplicitMeasure] = set()
+    held_joints: set = set()
+    ks = [()] + [indices_of(s) for s in subsets_lex(m.n) if s.bit_count() <= m.n - 2]
     for k_indices in ks:
         klen = len(k_indices)
         for pattern in range(1 << klen):
@@ -382,10 +378,12 @@ def check_cna(m: ExplicitMeasure) -> NotionReport:
             else:
                 sub = m
             work["conditionings_checked"] += 1
-            if sub.n < 2:
+            if sub in held_laws:
+                work["repeated_laws_skipped"] += 1
                 continue
-            cert, inner = _na_violation(sub)
+            cert, inner = _na_violation(sub, held_joints)
             work["bipartitions"] += inner["bipartitions"]
+            work["repeated_joints_skipped"] += inner["repeated_joints_skipped"]
             if cert is not None:
                 keep = [i for i in range(1, m.n + 1) if i not in k_indices]
                 cert = {
@@ -398,6 +396,7 @@ def check_cna(m: ExplicitMeasure) -> NotionReport:
                     "covariance": cert["covariance"],
                 }
                 return NotionReport(Notion.CNA, Verdict.FAILS, cert, work)
+            held_laws.add(sub)
     return NotionReport(Notion.CNA, Verdict.HOLDS, None, work)
 
 

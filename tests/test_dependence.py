@@ -169,6 +169,13 @@ def test_na_single_variable_vacuous():
     assert rep.verdict is Verdict.HOLDS
 
 
+def test_na_one_variable_reports_the_same_counters_as_two():
+    one = check_neg_association(family_independent([HALF])).work_stats
+    two = check_neg_association(family_independent([HALF] * 2)).work_stats
+    assert list(one) == list(two)
+    assert set(one.values()) == {0}
+
+
 def test_na_cap_enforced():
     with pytest.raises(TooLarge):
         check_neg_association(family_nand(9))
