@@ -111,22 +111,16 @@ def parse_family(spec: str) -> ExplicitMeasure:
 
 
 def parse_function(spec: str, n: int) -> TestFunction:
-    parts = spec.split(":")
-    name, args = parts[0], parts[1:]
-    if name == "sum":
+    name, *args = spec.split(":")
+    if name == "sum" and not args:
         return sum_function(n)
-    if name == "constant":
-        value = parse_rational(args[0]) if args else Fraction(0)
-        return constant_function(n, value)
-    if name == "xor":
+    if name == "constant" and len(args) <= 1:
+        return constant_function(n, parse_rational(args[0]) if args else 0)
+    if name == "xor" and not args:
         return xor_function(n)
-    if name == "random":
-        if not args:
-            raise ValueError("random function needs a seed: random:SEED[:monotone]")
-        seed = int(args[0])
-        monotone = len(args) > 1 and args[1] == "monotone"
-        return random_lipschitz(n, random.Random(seed), monotone=monotone)
-    raise ValueError(f"unknown test function {spec!r}; {F_HELP}")
+    if name == "random" and args and args[1:] in ([], ["monotone"]):
+        return random_lipschitz(n, random.Random(int(args[0])), monotone=len(args) == 2)
+    raise ValueError(f"bad test function {spec!r}; {F_HELP}")
 
 
 def _load_measure(args) -> ExplicitMeasure:
@@ -205,6 +199,8 @@ def cmd_coupling(args) -> int:
 
 def cmd_martingale(args) -> int:
     m = _load_measure(args)
+    if m.n > cap("tree"):  # refuse before building f
+        raise TooLarge(f"n={m.n} exceeds the tree cap {cap('tree')}")
     f = parse_function(args.f, m.n)
     order_spec = args.order
     try:

@@ -58,15 +58,15 @@ def exact_tail(
         )
     t = Fraction(t)
     mu = m.expectation(f)
+    total, weights = m.scaled_weights()
+    nums = f.nums
     if side is TailSide.Upper:
-        threshold = mu + t
-        return sum(
-            (p for x, p in m.items() if f.values[x] >= threshold), Fraction(0)
-        )
-    threshold = mu - t
-    return sum(
-        (p for x, p in m.items() if f.values[x] <= threshold), Fraction(0)
-    )
+        threshold = (mu + t) * f.den
+        hit = sum(w for x, w in weights.items() if nums[x] >= threshold)
+    else:
+        threshold = (mu - t) * f.den
+        hit = sum(w for x, w in weights.items() if nums[x] <= threshold)
+    return Fraction(hit, total)
 
 
 @dataclass(frozen=True)
@@ -165,12 +165,13 @@ def verify_theorem(
     t_grid = sorted(Fraction(t) for t in t_grid)
     mu = m.expectation(f)
 
-    # Sorted values with prefix weights make each tail a binary search
-    # instead of a fresh support scan; results equal exact_tail's.
+    # Sorted numerators with prefix weights make each tail a binary
+    # search instead of a fresh support scan; results equal exact_tail's.
     total, weights = m.scaled_weights()
-    by_value: dict[Fraction, int] = {}
+    nums, den = f.nums, f.den
+    by_value: dict[int, int] = {}
     for x, w in weights.items():
-        v = f.values[x]
+        v = nums[x]
         by_value[v] = by_value.get(v, 0) + w
     values = sorted(by_value)
     prefix = [0]
@@ -178,10 +179,10 @@ def verify_theorem(
         prefix.append(prefix[-1] + by_value[v])
 
     def upper_tail(threshold: Fraction) -> Fraction:
-        return Fraction(total - prefix[bisect_left(values, threshold)], total)
+        return Fraction(total - prefix[bisect_left(values, threshold * den)], total)
 
     def lower_tail(threshold: Fraction) -> Fraction:
-        return Fraction(prefix[bisect_right(values, threshold)], total)
+        return Fraction(prefix[bisect_right(values, threshold * den)], total)
 
     rows = []
     verdict = True
@@ -207,21 +208,23 @@ def node_exponential_moment(
     e^{lam^2 (beta-alpha)^2 / 8} up to rounding."""
     if node.is_leaf:
         raise NodeIsLeaf(f"node {node.assignment.to_json()} has no increment")
-    if node.child0 is None or node.child1 is None:
+    c0, c1 = node.child0, node.child1
+    if c0 is None or c1 is None:
         return 1.0
-    d0 = node.child0.y - node.y
-    d1 = node.child1.y - node.y
-    return float(node.p0) * math.exp(lam * float(d0)) + float(node.p1) * math.exp(
-        lam * float(d1)
-    )
+    # int / int true division rounds correctly, as float(Fraction) does
+    w, s, den = node.w, node.s, node.den
+    d0 = (c0.s * w - s * c0.w) / (den * c0.w * w)
+    d1 = (c1.s * w - s * c1.w) / (den * c1.w * w)
+    return c0.w / w * math.exp(lam * d0) + c1.w / w * math.exp(lam * d1)
 
 
 def chain_exponential_moment(tree: MartingaleTree, lam: float) -> float:
     """E[e^{lam * (Y_final - Y_0)}] summed over leaves; equals the atom
     sum of mass(x) e^{lam (f(x) - mu)} up to rounding."""
-    y0 = tree.root.y
+    root = tree.root
+    w, s, den = root.w, root.s, root.den
     return sum(
-        float(leaf.probability) * math.exp(lam * float(leaf.y - y0))
+        leaf.w / w * math.exp(lam * ((leaf.s * w - s * leaf.w) / (den * leaf.w * w)))
         for leaf in tree.leaves()
     )
 

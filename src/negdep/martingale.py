@@ -31,7 +31,6 @@ from .errors import (
 from .measure import Assignment, ExplicitMeasure, TestFunction, format_rational
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -207,12 +206,14 @@ def verify_pick_lemma(m: ExplicitMeasure, revealed: Assignment) -> PickLemmaRepo
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class SkeletonNode:
-    """Structure of one conditioning event; independent of any f."""
+    """Structure of one conditioning event, with its integer weight w
+    over the measure's denominator; independent of any f."""
 
     assignment: Assignment
     probability: Fraction
+    w: int
     pick: Optional[int]
     pick_deterministic: bool
     pick_influence: Optional[Fraction]
@@ -241,12 +242,13 @@ def build_skeleton(m: ExplicitMeasure, order=None) -> Skeleton:
         order = tuple(order)
         if sorted(order) != list(range(1, n + 1)):
             raise ValueError("order must be a permutation of 1..n")
-    _, weights = m.scaled_weights()
+    denom, weights = m.scaled_weights()
 
-    def grow(assignment, atoms, total, probability, depth) -> SkeletonNode:
+    def grow(assignment, atoms, total, depth) -> SkeletonNode:
+        probability = Fraction(total, denom)
         if depth == n:
             return SkeletonNode(
-                assignment, probability, None, False, None,
+                assignment, probability, total, None, False, None,
                 None, None, None, None, assignment.value_mask,
             )
         if order is None:
@@ -269,44 +271,28 @@ def build_skeleton(m: ExplicitMeasure, order=None) -> Skeleton:
         p0 = 1 - p1
         child1 = child0 = None
         if w1:
-            child1 = grow(
-                assignment.extended(index, 1), ones, w1,
-                probability * p1, depth + 1,
-            )
+            child1 = grow(assignment.extended(index, 1), ones, w1, depth + 1)
         if w0:
-            child0 = grow(
-                assignment.extended(index, 0), zeros, w0,
-                probability * p0, depth + 1,
-            )
+            child0 = grow(assignment.extended(index, 0), zeros, w0, depth + 1)
         return SkeletonNode(
-            assignment, probability, index, deterministic, influence,
+            assignment, probability, total, index, deterministic, influence,
             p0, p1, child0, child1, None,
         )
 
-    atoms = sorted(weights.items())
-    total = sum(w for _, w in atoms)
-    root = grow(Assignment.empty(), atoms, total, ONE, 0)
+    root = grow(Assignment.empty(), sorted(weights.items()), denom, 0)
     return Skeleton(m, order, root)
 
 
-@dataclass
-class TreeNode:
-    """One conditioning event with its martingale value and increment
-    interval.  alpha/beta are (0, 0) at leaves and forced branches."""
+@dataclass(slots=True)
+class TreeNode(SkeletonNode):
+    """A skeleton node annotated with f = nums / den: s is the sum of
+    w_x * nums[x] over the atoms x below, so the martingale value is
+    y = s / (den * w).  y and the increment interval (alpha, beta) are
+    built on every read; alpha/beta are (0, 0) at leaves and forced
+    branches."""
 
-    assignment: Assignment
-    probability: Fraction
-    pick: Optional[int]
-    pick_deterministic: bool
-    pick_influence: Optional[Fraction]
-    p0: Optional[Fraction]
-    p1: Optional[Fraction]
-    y: Fraction
-    alpha: Fraction
-    beta: Fraction
-    child0: Optional["TreeNode"]
-    child1: Optional["TreeNode"]
-    leaf_mask: Optional[int]
+    s: int
+    den: int
 
     @property
     def is_leaf(self) -> bool:
@@ -315,6 +301,22 @@ class TreeNode:
     @property
     def depth(self) -> int:
         return len(self.assignment.indices)
+
+    @property
+    def y(self) -> Fraction:
+        return Fraction(self.s, self.den * self.w)
+
+    @property
+    def alpha(self) -> Fraction:
+        if self.child0 is None or self.child1 is None:
+            return ZERO
+        return min(self.child0.y, self.child1.y) - self.y
+
+    @property
+    def beta(self) -> Fraction:
+        if self.child0 is None or self.child1 is None:
+            return ZERO
+        return max(self.child0.y, self.child1.y) - self.y
 
     @property
     def gap(self) -> Fraction:
@@ -436,35 +438,34 @@ class MartingaleTree:
 
 
 def _annotate(
-    skeleton: Skeleton, f: TestFunction, kind: str, gap_limit: Optional[Fraction]
+    skeleton: Skeleton, f: TestFunction, kind: str, gap_limit: Optional[int]
 ) -> MartingaleTree:
+    nums, den = f.nums, f.den
+
     def value(node: SkeletonNode) -> TreeNode:
         if node.leaf_mask is not None:
             return TreeNode(
-                node.assignment, node.probability, None, False, None,
-                None, None, f.values[node.leaf_mask], ZERO, ZERO,
-                None, None, node.leaf_mask,
+                node.assignment, node.probability, node.w, None, False, None,
+                None, None, None, None, node.leaf_mask,
+                node.w * nums[node.leaf_mask], den,
             )
         child0 = value(node.child0) if node.child0 is not None else None
         child1 = value(node.child1) if node.child1 is not None else None
-        if child0 is not None and child1 is not None:
-            y = node.p0 * child0.y + node.p1 * child1.y
-            alpha = min(child0.y, child1.y) - y
-            beta = max(child0.y, child1.y) - y
-        else:
-            y = child0.y if child0 is not None else child1.y
-            alpha = beta = ZERO
+        s = sum(c.s for c in (child0, child1) if c is not None)
         tree_node = TreeNode(
-            node.assignment, node.probability, node.pick,
-            node.pick_deterministic, node.pick_influence,
-            node.p0, node.p1, y, alpha, beta, child0, child1, None,
+            node.assignment, node.probability, node.w, node.pick,
+            node.pick_deterministic, node.pick_influence, node.p0, node.p1,
+            child0, child1, None, s, den,
         )
-        if gap_limit is not None and beta - alpha > gap_limit:
-            raise IntervalViolation(
-                f"martingale increment interval has width {beta - alpha} "
-                f"> {gap_limit} at node {node.assignment.to_json()}",
-                node=tree_node,
-            )
+        # |y1 - y0| > limit with the denominators den * w0 and den * w1 cleared
+        if gap_limit is not None and child0 is not None and child1 is not None:
+            w0, w1 = child0.w, child1.w
+            if abs(child1.s * w0 - child0.s * w1) > gap_limit * den * w0 * w1:
+                raise IntervalViolation(
+                    f"martingale increment interval has width {tree_node.gap} "
+                    f"> {gap_limit} at node {node.assignment.to_json()}",
+                    node=tree_node,
+                )
         return tree_node
 
     return MartingaleTree(skeleton.measure, f, kind, skeleton.order, value(skeleton.root))
@@ -485,8 +486,7 @@ def build_adaptive_tree(
         skeleton = build_skeleton(m)
     elif skeleton.order is not None or skeleton.measure is not m:
         raise ValueError("skeleton was built for a different configuration")
-    limit = ONE if f.declared_monotone else Fraction(2)
-    return _annotate(skeleton, f, "adaptive", limit)
+    return _annotate(skeleton, f, "adaptive", 1 if f.declared_monotone else 2)
 
 
 def fixed_order_tree(

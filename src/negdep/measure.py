@@ -16,6 +16,8 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator
 
+import numpy as np
+
 from .bitops import (
     SubsetExtractor,
     bits_from_mask,
@@ -275,9 +277,9 @@ class ExplicitMeasure:
     def expectation(self, f: "TestFunction") -> Fraction:
         if f.n != self.n:
             raise DimensionMismatch(f"function on {f.n} vars, measure on {self.n}")
-        values = f.values
-        total = sum((w * values[key] for key, w in self._weights.items()), ZERO)
-        return total / self._denom
+        nums = f.nums
+        total = sum(w * nums[key] for key, w in self._weights.items())
+        return Fraction(total, self._denom * f.den)
 
     def mean_vector(self) -> list[Fraction]:
         """E[X_i] for i = 1..n."""
@@ -339,12 +341,14 @@ def new_explicit(n: int, atoms: Iterable[tuple]) -> ExplicitMeasure:
 class TestFunction:
     """A rational-valued 1-Lipschitz function on {0,1}^n.
 
-    The Lipschitz bound is verified on construction by checking every
-    single-bit-flip edge; ``declared_monotone`` likewise via the
-    coordinatewise order.
+    Stored as one exact integer core: f(x) = nums[x] / den with integer
+    numerators over a common denominator.  ``values`` builds Fractions on
+    every read, for the API edge only.  The Lipschitz bound is verified
+    on construction by checking every single-bit-flip edge;
+    ``declared_monotone`` likewise via the coordinatewise order.
     """
 
-    __slots__ = ("n", "values", "declared_monotone", "name")
+    __slots__ = ("n", "den", "nums", "declared_monotone", "name")
     __test__ = False  # keep pytest from collecting this as a test class
 
     def __init__(
@@ -356,34 +360,55 @@ class TestFunction:
     ):
         if len(values) != 1 << n:
             raise BadWidth(f"need {1 << n} values for n={n}")
-        self.n = n
-        self.values = [Fraction(v) for v in values]
-        self.declared_monotone = bool(declared_monotone)
-        self.name = name
+        values = [Fraction(v) for v in values]
+        self.den = den = lcm(*(v.denominator for v in values))
+        self.nums = [v.numerator * (den // v.denominator) for v in values]
+        self.n, self.declared_monotone, self.name = n, bool(declared_monotone), name
         self._verify()
 
+    @classmethod
+    def _from_nums(cls, n: int, den: int, nums: list, declared_monotone, name):
+        """f(x) = nums[x] / den from 2^n integer numerators."""
+        f = object.__new__(cls)
+        f.n, f.den, f.nums = n, den, nums
+        f.declared_monotone, f.name = declared_monotone, name
+        f._verify()
+        return f
+
+    @property
+    def values(self) -> list[Fraction]:
+        return [Fraction(v, self.den) for v in self.nums]
+
     def _verify(self):
-        vals = self.values
-        for x in range(1 << self.n):
-            for pos in range(self.n):
-                y = x | (1 << pos)
-                if y == x:
-                    continue
-                step = vals[y] - vals[x & ~(1 << pos)]
-                if abs(step) > 1:
-                    raise InvalidTestFunction(
-                        f"{self.name}: flip of x{pos + 1} changes value by {step}"
-                    )
-                if self.declared_monotone and step < 0:
-                    raise InvalidTestFunction(
-                        f"{self.name}: not monotone along x{pos + 1}"
-                    )
+        """Raise at the first bad edge in the order (x, pos), x over the
+        points with bit pos clear."""
+        n, den = self.n, self.den
+        big = max(den, *map(abs, self.nums))
+        # int64 only where no step, at most 2 * big, can overflow it
+        vals = np.array(self.nums, dtype=np.int64 if big < 1 << 62 else object)
+        bad = np.zeros((1 << n, n), dtype=bool)
+        for pos in range(n):
+            pairs = vals.reshape(-1, 2, 1 << pos)
+            step = pairs[:, 1] - pairs[:, 0]
+            edge = abs(step) > den
+            if self.declared_monotone:
+                edge |= step < 0
+            bad.reshape(-1, 2, 1 << pos, n)[:, 0, :, pos] = edge
+        hits = np.flatnonzero(bad)  # row-major: ascending x, then pos
+        if hits.size:
+            x, pos = divmod(int(hits[0]), n)
+            step = Fraction(self.nums[x | 1 << pos] - self.nums[x], den)
+            if abs(step) > 1:
+                raise InvalidTestFunction(
+                    f"{self.name}: flip of x{pos + 1} changes value by {step}"
+                )
+            raise InvalidTestFunction(f"{self.name}: not monotone along x{pos + 1}")
 
     def __call__(self, mask: int) -> Fraction:
-        return self.values[mask]
+        return Fraction(self.nums[mask], self.den)
 
     def exact_range(self) -> tuple[Fraction, Fraction]:
-        return min(self.values), max(self.values)
+        return Fraction(min(self.nums), self.den), Fraction(max(self.nums), self.den)
 
     @classmethod
     def from_callable(
@@ -423,25 +448,19 @@ def random_lipschitz(n: int, rng, monotone: bool = False, pieces: int = 3) -> Te
     Lipschitz bound holds exactly and by construction.
     """
     combine = min if rng.random() < 0.5 else max
-    terms = []
+    low = 0 if monotone else -4
+    terms = []  # each piece's value at every mask, in quarters
     for _ in range(max(1, pieces)):
-        offset = Fraction(rng.randint(-12, 12), 4)
-        low = 0 if monotone else -4
-        slopes = [Fraction(rng.randint(low, 4), 4) for _ in range(n)]
-        terms.append((offset, slopes))
-
-    vals = []
-    for mask in range(1 << n):
-        candidates = [
-            offset + sum((s for pos, s in enumerate(slopes) if mask >> pos & 1), ZERO)
-            for offset, slopes in terms
-        ]
-        vals.append(combine(candidates))
-    return TestFunction(
+        q = [rng.randint(-12, 12)]
+        for slope in [rng.randint(low, 4) for _ in range(n)]:
+            q += [v + slope for v in q]  # the masks with the next bit set
+        terms.append(q)
+    return TestFunction._from_nums(
         n,
-        vals,
-        declared_monotone=monotone,
-        name=f"rand({'mono' if monotone else 'free'})",
+        4,
+        [combine(c) for c in zip(*terms)],
+        monotone,
+        f"rand({'mono' if monotone else 'free'})",
     )
 
 

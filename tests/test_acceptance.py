@@ -158,6 +158,7 @@ def test_c5_proof_chain(nr_pass_zoo):
                     ), (name, f.name)
                 nodes_checked += 1
             mu = m.expectation(f)
+            values = f.values
             n = m.n
             cap_exp = n / 8 if f.declared_monotone else n / 2
             for lam in lambdas:
@@ -168,7 +169,7 @@ def test_c5_proof_chain(nr_pass_zoo):
                     lam,
                 )
                 atoms = sum(
-                    float(p) * math.exp(lam * float(f.values[x] - mu))
+                    float(p) * math.exp(lam * float(values[x] - mu))
                     for x, p in m.items()
                 )
                 assert abs(chain - atoms) <= REL_TOL * max(1.0, abs(atoms))

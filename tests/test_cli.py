@@ -8,7 +8,14 @@ from pathlib import Path
 import pytest
 
 from negdep import __version__
-from negdep.cli import MAX_GRID_POINTS, _parse_grid, main, parse_family, parse_function
+from negdep.cli import (
+    F_HELP,
+    MAX_GRID_POINTS,
+    _parse_grid,
+    main,
+    parse_family,
+    parse_function,
+)
 from negdep.errors import TooLarge
 from negdep.measure import ExplicitMeasure, family_anti_pair, family_nand
 
@@ -55,6 +62,26 @@ def test_parse_function_grammar():
         parse_function("cubic", 3)
     with pytest.raises(ValueError):
         parse_function("random", 3)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["sum:9", "xor:1", "constant:1:2", "random:1:mono", "random:1:monotone:2",
+     "random", "cubic", ""],
+)
+def test_parse_function_rejects_extra_or_unknown_arguments(spec):
+    with pytest.raises(ValueError) as exc:
+        parse_function(spec, 3)
+    assert F_HELP in str(exc.value)
+
+
+@pytest.mark.parametrize("command", ["martingale", "tail"])
+@pytest.mark.parametrize("spec", ["random:1:mono", "sum:9", "constant:1:2"])
+def test_bad_function_spec_exit_two_with_grammar(capsys, command, spec):
+    code, out, err = run(capsys, command, "--family", "nand:4", "--f", spec)
+    assert code == 2
+    assert out == ""
+    assert F_HELP in err
 
 
 # -- check -------------------------------------------------------------------
@@ -260,6 +287,17 @@ def test_martingale_interval_violation_exit_one(capsys):
     doc = json.loads(out)
     assert doc["verdict"] == "IntervalViolation"
     assert "node" in doc
+
+
+def test_martingale_refuses_above_tree_cap_before_building_f(capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("f was built before the tree cap was checked")
+
+    monkeypatch.setattr("negdep.cli.random_lipschitz", forbidden)
+    code, out, err = run(capsys, "martingale", "--family", "nand:14", "--f", "random:1")
+    assert code == 2
+    assert out == ""
+    assert "tree cap" in err
 
 
 # -- tail --------------------------------------------------------------------
