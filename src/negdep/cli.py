@@ -2,14 +2,15 @@
 
 Subcommands: check, family, coupling, martingale, tail, counterexample.
 Exit codes: 0 all assertions pass, 1 a verdict failed (certificate
-printed), 2 usage or input error.  All output is deterministic for
-fixed inputs and flags.
+printed), 2 usage or input error, 141 stdout closed by its reader.  All
+output is deterministic for fixed inputs and flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -437,7 +438,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): send the rest to devnull so
+        # the interpreter's last flush does not fail again, and exit with
+        # 128 + SIGPIPE, as a process the signal killed would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (NegdepError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,19 +5,37 @@ integer weights, the transport problem is solved with Dinic's algorithm,
 and feasibility is decided by comparing the integer max-flow value with
 the integer target.  Floats never appear.
 
-The transport network for a pair (lower, upper) of measures has one node
-per support atom on each side; an edge x -> y is admissible when x <= y
-coordinatewise ("subset" mode) or additionally within Hamming distance 1
-("covering" mode).  The lower measure is the stochastically smaller one:
-a monotone coupling pairs x ~ lower with y ~ upper, x <= y.
+The lower measure is the stochastically smaller one: a monotone coupling
+pairs x ~ lower with y ~ upper, x <= y coordinatewise ("subset" mode),
+and in "covering" mode additionally within Hamming distance 1.  Both
+modes solve one max-flow from the lower atoms to the upper atoms.
+
+- Subset mode routes through the Hasse diagram of the cube, on the region
+  R = (up(supp lower) & down(supp upper)) | supp lower: source -> x,
+  infinite arcs p -> p | e_i inside R, y -> sink.  The cube's dimension
+  is the bit length of the OR of all keys.  That network is used only
+  when it has fewer arcs than |supp lower| * |supp upper|; otherwise
+  (sparse supports in a large cube) the bipartite network of all pairs
+  x <= y is built instead, and the walk over down(supp upper) stops as
+  soon as it passes that many points.
+- Covering mode keeps the bipartite network: each lower atom x is joined
+  to the upper atoms x and x | e_j, in upper order.
+
+Both subset networks have the same cut value over lower blocks, so they
+agree on feasibility (Strassen) and on the lower atoms left of the
+minimal minimum cut, which is what ``left_cut`` reports (Picard and
+Queyranne).  Couplings are read off a feasible flow by a deterministic
+path decomposition; on the bipartite network that returns the arc flows.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Iterator, Optional
 
 from .bitops import bits_from_mask, is_submask, mask_from_bits
@@ -108,6 +126,69 @@ def _admissible(x: int, y: int, covering: bool) -> bool:
     return not covering or (x ^ y).bit_count() <= 1
 
 
+def up_steps(p: int, members, d: int) -> list[int]:
+    """The points p | e_i of ``members`` above p, i ascending: p's arcs in
+    the Hasse diagram of {0,1}^d."""
+    return [q for i in range(d) if (q := p | 1 << i) != p and q in members]
+
+
+def _down_closure(seeds, budget: int) -> Optional[set[int]]:
+    """Every point below some seed, or None once there are more than
+    ``budget`` of them."""
+    down = set(seeds)
+    stack = list(down)
+    while stack:
+        p = stack.pop()
+        rest = p
+        while rest:
+            q = p ^ (rest & -rest)
+            rest &= rest - 1
+            if q not in down:
+                down.add(q)
+                if len(down) > budget:
+                    return None
+                stack.append(q)
+    return down
+
+
+def _cube_network(lower_keys, upper_keys, d: int):
+    """(points, arcs) of the Hasse network on the region
+    R = (up(lower) & down(upper)) | lower, points ascending; None unless
+    it has fewer arcs than the |lower|*|upper| of the bipartite scan."""
+    budget = len(lower_keys) * len(upper_keys)
+    down = _down_closure(upper_keys, budget)
+    if down is None:
+        return None
+    region = set(lower_keys)
+    stack = [x for x in region if x in down]
+    while stack:
+        for q in up_steps(stack.pop(), down, d):
+            if q not in region:
+                region.add(q)
+                stack.append(q)
+    points = sorted(region)
+    arcs = [(p, q) for p in points for q in up_steps(p, region, d)]
+    return (points, arcs) if len(arcs) < budget else None
+
+
+def _bipartite_arcs(lower_keys, upper_keys, covering: bool, d: int):
+    """Index pairs (i, j) with lower_keys[i] <= upper_keys[j] (and within
+    one raised coordinate when covering), in (i, then j) order."""
+    if not covering:
+        return [
+            (i, j)
+            for i, x in enumerate(lower_keys)
+            for j, y in enumerate(upper_keys)
+            if _admissible(x, y, covering=False)
+        ]
+    index = {y: j for j, y in enumerate(upper_keys)}
+    return [
+        (i, j)
+        for i, x in enumerate(lower_keys)
+        for j in sorted(index[y] for y in (x, *up_steps(x, index, d)) if y in index)
+    ]
+
+
 @dataclass
 class TransportResult:
     feasible: bool
@@ -116,6 +197,10 @@ class TransportResult:
     pair_flows: list[tuple[int, int, int]] = field(default_factory=list)
     left_cut: tuple[int, ...] = ()
     edges: int = 0
+    network: str = "bipartite"
+
+
+SOURCE, SINK = 0, 1
 
 
 def transport(
@@ -129,41 +214,99 @@ def transport(
     """Decide whether integer-weighted ``lower`` can be transported onto
     ``upper`` along admissible pairs; weights w/total are the masses.
 
-    On success (and ``want_flows``) returns per-pair integer flows at the
-    combined scale lower_total * upper_total.  On failure returns the
-    lower-support keys on the source side of a minimum cut: a block whose
-    mass cannot be routed.
+    Subset mode routes on the cube's Hasse network when that has fewer
+    arcs than the bipartite one, covering mode always on the bipartite
+    network of covering pairs.  On success (and ``want_flows``) returns
+    per-pair integer flows at the combined scale lower_total *
+    upper_total.  On failure returns the lower-support keys on the source
+    side of the minimal minimum cut: a block whose mass cannot be routed.
     """
-    nl, nr = len(lower_items), len(upper_items)
-    source, sink = 0, nl + nr + 1
+    lower_keys = [x for x, _ in lower_items]
+    upper_keys = [y for y, _ in upper_items]
+    d = reduce(operator.or_, lower_keys + upper_keys, 0).bit_length()
+    cube = None if covering else _cube_network(lower_keys, upper_keys, d)
+    if cube is None:
+        nl = len(lower_keys)
+        lower_nodes = range(2, 2 + nl)
+        upper_nodes = range(2 + nl, 2 + nl + len(upper_keys))
+        arcs = [
+            (2 + i, 2 + nl + j)
+            for i, j in _bipartite_arcs(lower_keys, upper_keys, covering, d)
+        ]
+        size = 2 + nl + len(upper_keys)
+    else:
+        points, steps = cube
+        node = {p: 2 + k for k, p in enumerate(points)}
+        lower_nodes = [node[x] for x in lower_keys]
+        upper_nodes = [node.get(y) for y in upper_keys]
+        arcs = [(node[p], node[q]) for p, q in steps]
+        size = 2 + len(points)
     target = lower_total * upper_total
     inf = target + 1
-    net = Dinic(nl + nr + 2)
-    left_handles = []
-    for i, (_, w) in enumerate(lower_items):
-        left_handles.append(net.add_edge(source, 1 + i, w * upper_total))
-    for j, (_, w) in enumerate(upper_items):
-        net.add_edge(1 + nl + j, sink, w * lower_total)
-    middle = []
-    for i, (x, _) in enumerate(lower_items):
-        for j, (y, _) in enumerate(upper_items):
-            if _admissible(x, y, covering):
-                middle.append((i, j, net.add_edge(1 + i, 1 + nl + j, inf)))
-    value = net.max_flow(source, sink)
+    net = Dinic(size)
+    for (_, w), u in zip(lower_items, lower_nodes):
+        net.add_edge(SOURCE, u, w * upper_total)
+    sinks = {
+        v: (y, net.add_edge(v, SINK, w * lower_total), w * lower_total)
+        for (y, w), v in zip(upper_items, upper_nodes)
+        if v is not None
+    }
+    middle = [(u, v, net.add_edge(u, v, inf)) for u, v in arcs]
+    value = net.max_flow(SOURCE, SINK)
     result = TransportResult(
-        feasible=value == target, flow_value=value, target=target, edges=len(middle)
+        feasible=value == target,
+        flow_value=value,
+        target=target,
+        edges=len(arcs),
+        network="bipartite" if cube is None else "cube",
     )
     if result.feasible and want_flows:
-        for i, j, handle in middle:
-            f = net.flow_on(handle, inf)
-            if f:
-                result.pair_flows.append((lower_items[i][0], upper_items[j][0], f))
+        result.pair_flows = _path_flows(
+            net, middle, inf, sinks, zip(lower_items, lower_nodes), upper_total
+        )
     if not result.feasible:
-        side = net.residual_reachable(source)
+        side = net.residual_reachable(SOURCE)
         result.left_cut = tuple(
-            key for i, (key, _) in enumerate(lower_items) if 1 + i in side
+            x for x, u in zip(lower_keys, lower_nodes) if u in side
         )
     return result
+
+
+def _path_flows(net, middle, inf, sinks, lower_starts, upper_total):
+    """Decompose a feasible flow into source-to-sink paths, per lower atom
+    in the given order: walk up the first arc that still carries flow,
+    stop at the first node with sink flow left, and move the path's
+    bottleneck.  ``middle`` holds the (tail, head, handle) arcs in
+    insertion order and ``sinks`` the (upper key, handle, capacity) of
+    each sink arc by node.  Returns the (x, y, flow) pairs, each pair
+    once, in the order first reached; on a bipartite network every path
+    is one arc, so these are the arcs that carry flow."""
+    out: dict[int, list[list[int]]] = {}  # [head, flow left], first arc last
+    for u, v, handle in reversed(middle):
+        f = net.flow_on(handle, inf)
+        if f:
+            out.setdefault(u, []).append([v, f])
+    left = {v: net.flow_on(handle, cap) for v, (_, handle, cap) in sinks.items()}
+    flows: dict[tuple[int, int], int] = {}
+    for (x, w), start in lower_starts:
+        rest = w * upper_total
+        while rest:
+            u, amount, path = start, rest, []
+            while not left.get(u):
+                arcs = out[u]
+                while not arcs[-1][1]:
+                    arcs.pop()
+                path.append(arcs[-1])
+                amount = min(amount, arcs[-1][1])
+                u = arcs[-1][0]
+            amount = min(amount, left[u])
+            for arc in path:
+                arc[1] -= amount
+            left[u] -= amount
+            rest -= amount
+            pair = (x, sinks[u][0])
+            flows[pair] = flows.get(pair, 0) + amount
+    return [(x, y, f) for (x, y), f in flows.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +457,9 @@ def covering_cut(
     the block outweighs the upper atoms within one raised coordinate."""
     order = lambda m: bits_from_mask(m, n)
     blocked = set(block)
+    atoms = {y for y, _ in upper}
     hood = tuple(sorted(
-        (y for y, _ in upper if any(_admissible(x, y, True) for x in blocked)),
+        {y for x in blocked for y in (x, *up_steps(x, atoms, n)) if y in atoms},
         key=order,
     ))
     return InfeasibilityCut(
@@ -344,6 +488,7 @@ def check_dominance(lower: ExplicitMeasure, upper: ExplicitMeasure) -> Dominance
         "atoms_lower": len(left),
         "atoms_upper": len(right),
         "edges": res.edges,
+        "network": res.network,
         "flow": res.flow_value,
         "target": res.target,
     }
@@ -493,6 +638,7 @@ def coupling_displacement(c: Coupling) -> Fraction:
 
 __all__ = [
     "Dinic",
+    "up_steps",
     "transport",
     "TransportResult",
     "up_closure",

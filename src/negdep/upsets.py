@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coupling import Dinic
+from .coupling import Dinic, up_steps
 from .errors import TooLarge
 
 ENUMERABLE_DIM = 5
@@ -97,10 +97,8 @@ def max_weight_upset(weights, d: int) -> tuple[int, tuple[int, ...]]:
             net.add_edge(source, p, w)
         elif w < 0:
             net.add_edge(p, sink, -w)
-        for j in range(d):
-            above = p | (1 << j)
-            if above != p:
-                net.add_edge(p, above, inf)
+        for above in up_steps(p, range(size), d):
+            net.add_edge(p, above, inf)
     flow = net.max_flow(source, sink)
     chosen = tuple(sorted(p for p in net.residual_reachable(source) if p < size))
     return total_pos - flow, chosen

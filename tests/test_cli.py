@@ -444,3 +444,31 @@ def test_version_flag(capsys):
     pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
     declared = re.search(r'^version = "([^"]+)"', pyproject, re.MULTILINE)
     assert declared.group(1) == __version__
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone.  Flushing raises; so does writing,
+    unless the text still fits in the buffer."""
+
+    def __init__(self, fd, buffered):
+        self._fd, self._buffered = fd, buffered
+
+    def write(self, text):
+        if not self._buffered:
+            self.flush()
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_closed_stdout_exits_141_without_error_line(capsys, monkeypatch, tmp_path, buffered):
+    argv = ["tail", "--family", "nand:5", "--f", "random:1:monotone", "--format", "json"]
+    with open(tmp_path / "stdout", "w") as sink:
+        monkeypatch.setattr("sys.stdout", _ClosedPipe(sink.fileno(), buffered))
+        code = main(argv)
+    assert code == 141
+    assert capsys.readouterr().err == ""
