@@ -445,7 +445,15 @@ def main(argv=None) -> int:
         # the reader closed stdout (``| head``): send the rest to devnull so
         # the interpreter's last flush does not fail again, and exit with
         # 128 + SIGPIPE, as a process the signal killed would
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return 141  # no descriptor behind stdout: nothing left to flush
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, fd)
+        finally:
+            os.close(devnull)
         return 141
     except (NegdepError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

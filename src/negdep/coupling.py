@@ -154,21 +154,31 @@ def _down_closure(seeds, budget: int) -> Optional[set[int]]:
 def _cube_network(lower_keys, upper_keys, d: int):
     """(points, arcs) of the Hasse network on the region
     R = (up(lower) & down(upper)) | lower, points ascending; None unless
-    it has fewer arcs than the |lower|*|upper| of the bipartite scan."""
+    it has fewer arcs than the |lower|*|upper| of the bipartite scan.
+    Both passes stop as soon as they have seen that many arcs."""
     budget = len(lower_keys) * len(upper_keys)
     down = _down_closure(upper_keys, budget)
     if down is None:
         return None
     region = set(lower_keys)
     stack = [x for x in region if x in down]
+    seen = 0  # each point is popped once, and each step it finds is an arc
     while stack:
-        for q in up_steps(stack.pop(), down, d):
+        above = up_steps(stack.pop(), down, d)
+        seen += len(above)
+        if seen >= budget:
+            return None
+        for q in above:
             if q not in region:
                 region.add(q)
                 stack.append(q)
     points = sorted(region)
-    arcs = [(p, q) for p in points for q in up_steps(p, region, d)]
-    return (points, arcs) if len(arcs) < budget else None
+    arcs = []
+    for p in points:
+        arcs += [(p, q) for q in up_steps(p, region, d)]
+        if len(arcs) >= budget:
+            return None
+    return points, arcs
 
 
 def _bipartite_arcs(lower_keys, upper_keys, covering: bool, d: int):
@@ -319,9 +329,7 @@ def up_closure(seeds, n: int) -> set[int]:
     seen = set(seeds)
     queue = deque(seen)
     while queue:
-        x = queue.popleft()
-        for pos in range(n):
-            y = x | (1 << pos)
+        for y in up_steps(queue.popleft(), range(1 << n), n):
             if y not in seen:
                 seen.add(y)
                 queue.append(y)

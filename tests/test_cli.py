@@ -461,14 +461,30 @@ class _ClosedPipe:
         raise BrokenPipeError(32, "Broken pipe")
 
     def fileno(self):
+        if self._fd is None:
+            raise io.UnsupportedOperation("fileno")
         return self._fd
+
+
+_TAIL_JSON = ["tail", "--family", "nand:5", "--f", "random:1:monotone", "--format", "json"]
+
+
+def _open_fds():
+    return len(list(Path("/proc/self/fd").iterdir()))
 
 
 @pytest.mark.parametrize("buffered", [False, True])
 def test_closed_stdout_exits_141_without_error_line(capsys, monkeypatch, tmp_path, buffered):
-    argv = ["tail", "--family", "nand:5", "--f", "random:1:monotone", "--format", "json"]
     with open(tmp_path / "stdout", "w") as sink:
         monkeypatch.setattr("sys.stdout", _ClosedPipe(sink.fileno(), buffered))
-        code = main(argv)
+        before = _open_fds()
+        code = main(_TAIL_JSON)
+        assert _open_fds() == before  # the devnull descriptor is closed again
     assert code == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_stdout_without_descriptor_exits_141(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdout", _ClosedPipe(None, buffered=False))
+    assert main(_TAIL_JSON) == 141
     assert capsys.readouterr().err == ""

@@ -203,3 +203,21 @@ def test_sparse_pair_in_dimension_twenty_stays_bipartite(monkeypatch):
     assert res.dominates
     assert res.work["network"] == "bipartite" and res.work["edges"] == 1
     assert walks == [None]  # the walk stopped at its budget of one point
+
+
+def test_cube_network_stops_listing_arcs_at_the_budget(monkeypatch):
+    # one lower atom under all 16 points of {0,1}^4: the down-closure fits
+    # the budget of 16 pairs, but the Hasse network has 32 arcs
+    listed = []
+    steps = coupling.up_steps
+
+    def spy(p, members, d):
+        above = steps(p, members, d)
+        listed.extend(above)
+        return above
+
+    monkeypatch.setattr(coupling, "up_steps", spy)
+    res = transport([(0, 1)], 1, [(y, 1) for y in range(16)], 16)
+    assert res.feasible
+    assert res.network == "bipartite" and res.edges == 16
+    assert len(listed) < 16 + 4  # at most one point's steps past the budget
