@@ -28,6 +28,7 @@ from .dependence import (
     check_pairwise_nc,
     check_stochastic_covering,
     rayleigh_falsify,
+    refuse_over_cap,
 )
 from .errors import DominanceFails, IntervalViolation, NegdepError, TooLarge
 from .martingale import (
@@ -155,6 +156,7 @@ def cmd_check(args) -> int:
             raise ValueError(
                 f"unknown notion {key!r}; choose from {','.join(NOTION_RUNNERS)} or all"
             )
+        refuse_over_cap(key, m.n)  # before any checker runs
     reports = [NOTION_RUNNERS[key](m) for key in keys]
     if args.format == "json":
         doc = {"n": m.n, "reports": [r.to_json() for r in reports]}

@@ -54,6 +54,18 @@ def _exact_dtype(bound: int, limit: int):
     return np.int64 if bound <= limit else object
 
 
+# The enumeration cap of each capped checker, by its `--notions` key.
+CHECKER_CAPS = {"cyl": "cylinder", "na": "neg_association", "cna": "cna",
+                "nr": "neg_regression", "sc": "stochastic_covering"}
+
+
+def refuse_over_cap(key: str, n: int) -> None:
+    """Raise TooLarge when n exceeds the cap of the checker `key` names."""
+    name = CHECKER_CAPS.get(key)
+    if name is not None and n > cap(name):
+        raise TooLarge(f"n={n} exceeds the {name} cap {cap(name)}")
+
+
 class Notion(str, Enum):
     PAIRWISE_NC = "PairwiseNC"
     CYLINDER = "CylinderDep"
@@ -154,8 +166,7 @@ def check_cylinder(m: ExplicitMeasure) -> NotionReport:
     """Holds iff for every S with |S| >= 2, both
     P[Xi = 1 for i in S] <= prod P[Xi = 1] and the same with zeros."""
     n = m.n
-    if n > cap("cylinder"):
-        raise TooLarge(f"n={n} exceeds the cylinder cap {cap('cylinder')}")
+    refuse_over_cap("cyl", n)
     d, w = m.scaled_weights()
     size = 1 << n
     ones = [0] * size   # weight of {x : x >= S} after the transform
@@ -343,8 +354,7 @@ def check_neg_association(m: ExplicitMeasure) -> NotionReport:
     """Holds iff Cov[1_A(X_I), 1_B(X_J)] <= 0 for every bipartition
     I + J = [n] and all up-sets A, B; up-sets stand in for all pairs of
     non-decreasing functions."""
-    if m.n > cap("neg_association"):
-        raise TooLarge(f"n={m.n} exceeds the association cap")
+    refuse_over_cap("na", m.n)
     cert, work = _na_violation(m, set())  # n < 2 has no bipartition
     if cert is None:
         return NotionReport(Notion.NEG_ASSOCIATION, Verdict.HOLDS, None, work)
@@ -359,8 +369,7 @@ def check_neg_association(m: ExplicitMeasure) -> NotionReport:
 def check_cna(m: ExplicitMeasure) -> NotionReport:
     """Holds iff the measure and all of its positive-probability partial
     conditionals are negatively associated."""
-    if m.n > cap("cna"):
-        raise TooLarge(f"n={m.n} exceeds the conditional-association cap")
+    refuse_over_cap("cna", m.n)
     work = {"conditionings_checked": 0, "bipartitions": 0,
             "repeated_laws_skipped": 0, "repeated_joints_skipped": 0}
     held_laws: set[ExplicitMeasure] = set()
@@ -429,74 +438,50 @@ def _buckets_for(m: ExplicitMeasure, cond_mask: int) -> dict[int, tuple]:
     return laws
 
 
-def _transport_memo(work: dict, covering: bool):
-    """solve(lower, upper) for two _buckets_for entries: None when lower
-    can be moved onto upper, else the failed TransportResult.  Feasible
-    pairs are remembered for the call, each law interned so it is stored
-    once; a failure is not, since the checker returns on it."""
+def _first_failing_cover(m: ExplicitMeasure, covering: bool):
+    """The first covering pair whose conditional laws admit no coupling.
+
+    Walks the proper nonempty J in `subsets_lex` order and, on each, the
+    positive a and b = a with one coordinate raised, in (a, then b) order;
+    each pair moves the law given b onto the law given a by a transport
+    (covering: one that moves at most one coordinate).  Equal laws need no flow, nor
+    does a pair of laws already shown feasible in this call; those pairs
+    are kept with each law interned, so that a law is stored once.
+
+    Returns (failure, work), failure None or (J mask, a, b, law given b,
+    law given a, the failed TransportResult).
+    """
+    n = m.n
+    work = dict.fromkeys((
+        "conditioning_sets", "pairs_checked", "flows_run", "equal_laws_skipped",
+        "repeated_laws_skipped",
+    ), 0)
     interned: dict[tuple, tuple] = {}
     feasible: set[tuple[tuple, tuple]] = set()
-
-    def solve(lower, upper):
-        if (lower, upper) in feasible:
-            work["repeated_laws_skipped"] += 1
-            return None
-        work["flows_run"] += 1
-        res = transport(*lower, *upper, covering=covering)
-        if not res.feasible:
-            return res
-        feasible.add(tuple(interned.setdefault(law, law) for law in (lower, upper)))
-        return None
-
-    return solve
-
-
-def _covering_pairs(laws: dict, width: int):
-    """Pairs (a, b) of positive assignments, b = a with one coordinate
-    raised, in (a, then b) order."""
-    for a in sorted(laws):
-        for pos in range(width):
-            b = a | (1 << pos)
-            if b != a and b in laws:
-                yield a, b
-
-
-def _regression_pairs(laws: dict, width: int, work: dict):
-    """The pairs negative regression checks: the covering pairs, then the
-    pairs a < b of positive assignments that no chain of positive
-    covering steps joins, in (a, then b) order.  Before each of the
-    latter it counts the chained pairs (a, b') with b' < b in
-    work["chained_pairs_skipped"].
-
-    Bitsets over the assignments: reach[a] holds the positive ones
-    reached from a by positive covering steps, above the supersets of a.
-    """
-    yield from _covering_pairs(laws, width)
-    present = sorted(laws)
-    if len(present) == 1 << width:
-        return  # all assignments positive: chains cover every pair
-    reach: dict[int, int] = {}
-    for a in reversed(present):  # supersets sort later
-        reach[a] = 1 << a
-        for pos in range(width):
-            up = a | (1 << pos)
-            if up != a and up in laws:
-                reach[a] |= reach[up]
-    positive = sum(1 << a for a in present)
-    for a in present:
-        above = near = 1 << a  # near: a and its covers
-        for pos in range(width):
-            if not a >> pos & 1:
-                above |= above << (1 << pos)
-                near |= 1 << (a | 1 << pos)
-        chained, unchained = reach[a] & ~near, above & positive & ~reach[a]
-        while unchained:
-            low = unchained & -unchained
-            work["chained_pairs_skipped"] += (chained & (low - 1)).bit_count()
-            chained &= ~(low - 1)
-            yield a, low.bit_length() - 1
-            unchained ^= low
-        work["chained_pairs_skipped"] += chained.bit_count()
+    for cond_mask in subsets_lex(n):
+        width = cond_mask.bit_count()
+        if width == n:
+            continue
+        work["conditioning_sets"] += 1
+        laws = _buckets_for(m, cond_mask)
+        for a in sorted(laws):
+            for pos in range(width):
+                b = a | (1 << pos)
+                if b == a or b not in laws:
+                    continue
+                work["pairs_checked"] += 1
+                lower, upper = laws[b], laws[a]
+                if lower == upper:
+                    work["equal_laws_skipped"] += 1
+                elif (lower, upper) in feasible:
+                    work["repeated_laws_skipped"] += 1
+                else:
+                    work["flows_run"] += 1
+                    res = transport(*lower, *upper, covering=covering)
+                    if not res.feasible:
+                        return (cond_mask, a, b, lower, upper, res), work
+                    feasible.add(tuple(interned.setdefault(law, law) for law in (lower, upper)))
+    return None, work
 
 
 def _certificate_fields(cert) -> dict:
@@ -511,47 +496,34 @@ def check_neg_regression(m: ExplicitMeasure) -> NotionReport:
     positive-probability assignments on J, the conditional law given a
     stochastically dominates the one given b.
 
-    Only covering pairs (one raised coordinate) are flow-checked;
-    dominance composes along chains of positive assignments.  Pairs whose
-    chain is broken by a zero-probability intermediate are checked
-    directly.  Each distinct pair of laws gets one flow per call.
+    Only covering pairs (b raises one coordinate of a) are flow-checked:
+    dominance composes along chains of positive covering steps, and on
+    each J the scan reaches every pair is chained.  Lemma: if the covering pairs hold
+    on every proper prefix of J, which `subsets_lex` visits before J, any
+    positive a <= b on J are chained.  By induction on |J|, with m = max J
+    and J' = J minus m: a|J' and b|J' are equal or chained on J' by some
+    c_0, ..., c_k, and negative regression on J' with the up-set
+    {x_m = 1} keeps P[x_m = 1 | c_t] from rising along it.  So if b_m = 1,
+    every c_t extended by x_m = 1 is positive; if a_m = 0, every c_t
+    extended by x_m = 0 is, and when b_m = 1 one last step raises x_m.
+    Each distinct pair of laws gets one flow per call.
     """
     n = m.n
-    if n > cap("neg_regression"):
-        raise TooLarge(f"n={n} exceeds the regression cap")
-    work = dict.fromkeys((
-        "conditioning_sets", "pairs_checked", "flows_run", "equal_laws_skipped",
-        "repeated_laws_skipped", "chained_pairs_skipped",
-    ), 0)
-    if n < 2:
+    refuse_over_cap("nr", n)
+    failure, work = _first_failing_cover(m, covering=False)
+    if failure is None:
         return NotionReport(Notion.NEG_REGRESSION, Verdict.HOLDS, None, work)
-    solve = _transport_memo(work, covering=False)
-    for cond_mask in subsets_lex(n):
-        jl = cond_mask.bit_count()
-        if jl == n:
-            continue
-        j_indices = indices_of(cond_mask)
-        work["conditioning_sets"] += 1
-        laws = _buckets_for(m, cond_mask)
-        for a, b in _regression_pairs(laws, jl, work):
-            work["pairs_checked"] += 1
-            lower, upper = laws[b], laws[a]
-            if lower == upper:
-                work["equal_laws_skipped"] += 1
-                continue
-            res = solve(lower, upper)
-            if res is None:
-                continue
-            witness = down_set_certificate(*lower, *upper, res.left_cut, n - jl)
-            cert = {
-                "J": list(j_indices),
-                "a": bits_from_mask(a, jl),
-                "b": bits_from_mask(b, jl),
-                "free_indices": [i for i in range(1, n + 1) if i not in j_indices],
-                **_certificate_fields(witness),
-            }
-            return NotionReport(Notion.NEG_REGRESSION, Verdict.FAILS, cert, work)
-    return NotionReport(Notion.NEG_REGRESSION, Verdict.HOLDS, None, work)
+    cond_mask, a, b, lower, upper, res = failure
+    jl = cond_mask.bit_count()
+    witness = down_set_certificate(*lower, *upper, res.left_cut, n - jl)
+    cert = {
+        "J": list(indices_of(cond_mask)),
+        "a": bits_from_mask(a, jl),
+        "b": bits_from_mask(b, jl),
+        "free_indices": list(indices_of(((1 << n) - 1) ^ cond_mask)),
+        **_certificate_fields(witness),
+    }
+    return NotionReport(Notion.NEG_REGRESSION, Verdict.FAILS, cert, work)
 
 
 def check_stochastic_covering(m: ExplicitMeasure) -> NotionReport:
@@ -560,41 +532,21 @@ def check_stochastic_covering(m: ExplicitMeasure) -> NotionReport:
     one coordinate: x ~ law given a, y ~ law given a', x <= y,
     |y - x| <= 1.  Each distinct pair of laws gets one flow per call."""
     n = m.n
-    if n > cap("stochastic_covering"):
-        raise TooLarge(f"n={n} exceeds the covering cap")
-    work = dict.fromkeys(
-        ("conditioning_sets", "pairs_checked", "flows_run", "repeated_laws_skipped"), 0
-    )
-    if n < 2:
+    refuse_over_cap("sc", n)
+    failure, work = _first_failing_cover(m, covering=True)
+    if failure is None:
         return NotionReport(Notion.STOCHASTIC_COVERING, Verdict.HOLDS, None, work)
-    solve = _transport_memo(work, covering=True)
-    for cond_mask in subsets_lex(n):
-        il = cond_mask.bit_count()
-        if il == n:
-            continue
-        i_indices = indices_of(cond_mask)
-        work["conditioning_sets"] += 1
-        laws = _buckets_for(m, cond_mask)
-        for a_low, a_high in _covering_pairs(laws, il):
-            work["pairs_checked"] += 1
-            lower, upper = laws[a_high], laws[a_low]
-            if lower == upper:
-                continue  # identity coupling
-            res = solve(lower, upper)
-            if res is None:
-                continue
-            cut = covering_cut(*lower, *upper, res.left_cut, n - il)
-            cert = {
-                "I": list(i_indices),
-                "a": bits_from_mask(a_high, il),
-                "a_prime": bits_from_mask(a_low, il),
-                "free_indices": [i for i in range(1, n + 1) if i not in i_indices],
-                **_certificate_fields(cut),
-            }
-            return NotionReport(
-                Notion.STOCHASTIC_COVERING, Verdict.FAILS, cert, work
-            )
-    return NotionReport(Notion.STOCHASTIC_COVERING, Verdict.HOLDS, None, work)
+    cond_mask, a_low, a_high, lower, upper, res = failure
+    il = cond_mask.bit_count()
+    cut = covering_cut(*lower, *upper, res.left_cut, n - il)
+    cert = {
+        "I": list(indices_of(cond_mask)),
+        "a": bits_from_mask(a_high, il),
+        "a_prime": bits_from_mask(a_low, il),
+        "free_indices": list(indices_of(((1 << n) - 1) ^ cond_mask)),
+        **_certificate_fields(cut),
+    }
+    return NotionReport(Notion.STOCHASTIC_COVERING, Verdict.FAILS, cert, work)
 
 
 # ---------------------------------------------------------------------------
@@ -838,6 +790,8 @@ __all__ = [
     "check_cna",
     "check_neg_regression",
     "check_stochastic_covering",
+    "CHECKER_CAPS",
+    "refuse_over_cap",
     "default_rayleigh_grid",
     "rayleigh_falsify",
     "NOTION_IMPLICATIONS",

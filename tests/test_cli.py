@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from negdep import __version__
+from negdep import __version__, cli
 from negdep.cli import (
     F_HELP,
     MAX_GRID_POINTS,
@@ -16,6 +16,7 @@ from negdep.cli import (
     parse_family,
     parse_function,
 )
+from negdep.dependence import check_neg_association
 from negdep.errors import TooLarge
 from negdep.measure import ExplicitMeasure, family_anti_pair, family_nand
 
@@ -144,6 +145,21 @@ def test_check_all_notions_one_variable(capsys, tmp_path):
     assert code == 0
     assert "PairwiseNC: Holds" in out
     assert "RayleighFalsifier: NoViolationFound" in out
+
+
+def test_check_refuses_an_over_cap_notion_before_any_checker_runs(capsys, monkeypatch):
+    with pytest.raises(TooLarge) as refusal:
+        check_neg_association(family_nand(14))
+
+    def never(m):
+        raise AssertionError("a checker ran")
+
+    for key in cli.NOTION_RUNNERS:
+        monkeypatch.setitem(cli.NOTION_RUNNERS, key, never)
+    code, out, err = run(capsys, "check", "--family", "nand:14", "--notions", "all")
+    assert (code, out) == (2, "")
+    assert err == f"error: {refusal.value}\n"
+    assert "association cap" in err
 
 
 def test_check_unknown_notion_exit_two(capsys):
