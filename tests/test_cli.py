@@ -16,7 +16,8 @@ from negdep.cli import (
     parse_family,
     parse_function,
 )
-from negdep.dependence import check_neg_association
+from negdep.bitops import cap
+from negdep.dependence import CHECKER_CAPS, check_neg_association
 from negdep.errors import TooLarge
 from negdep.measure import ExplicitMeasure, family_anti_pair, family_nand
 
@@ -160,6 +161,21 @@ def test_check_refuses_an_over_cap_notion_before_any_checker_runs(capsys, monkey
     assert (code, out) == (2, "")
     assert err == f"error: {refusal.value}\n"
     assert "association cap" in err
+
+
+@pytest.mark.parametrize("key", ["na", "cna", "nr", "sc"])
+def test_check_refuses_one_over_cap_notion_with_its_cap(capsys, monkeypatch, key):
+    name = CHECKER_CAPS[key]
+    n = cap(name) + 1
+
+    def never(m):
+        raise AssertionError("a checker ran")
+
+    for runner in cli.NOTION_RUNNERS:
+        monkeypatch.setitem(cli.NOTION_RUNNERS, runner, never)
+    code, out, err = run(capsys, "check", "--family", f"nand:{n}", "--notions", f"nc,{key}")
+    assert (code, out) == (2, "")
+    assert err == f"error: n={n} exceeds the {name} cap {n - 1}\n"
 
 
 def test_check_unknown_notion_exit_two(capsys):

@@ -9,6 +9,7 @@ import negdep.dependence as dependence
 from negdep.bitops import mask_from_bits
 from negdep.coupling import is_down_closed
 from negdep.dependence import (
+    CHECKER_CAPS,
     NOTION_IMPLICATIONS,
     GeneratingPolynomial,
     Notion,
@@ -181,6 +182,28 @@ def test_na_cap_enforced():
         check_neg_association(family_nand(9))
 
 
+CAPPED_CHECKERS = {
+    "cyl": check_cylinder,
+    "na": check_neg_association,
+    "cna": check_cna,
+    "nr": check_neg_regression,
+    "sc": check_stochastic_covering,
+}
+
+
+def test_every_capped_checker_is_in_the_cap_table():
+    assert set(CAPPED_CHECKERS) == set(CHECKER_CAPS)
+
+
+@pytest.mark.parametrize("key", sorted(CAPPED_CHECKERS))
+def test_capped_checker_refuses_with_the_cap_table_message(key, monkeypatch):
+    m = family_nand(5)
+    monkeypatch.setenv("NEGDEP_MAX_N", "4")
+    with pytest.raises(TooLarge) as refusal:
+        CAPPED_CHECKERS[key](m)
+    assert str(refusal.value) == f"n=5 exceeds the {CHECKER_CAPS[key]} cap 4"
+
+
 def _small_measures():
     small = [m for m in zoo().values() if m.n <= 6]
     rng = random.Random(31)
@@ -313,6 +336,15 @@ def test_nr_certificates_recompute():
 def test_nr_cap_enforced():
     with pytest.raises(TooLarge):
         check_neg_regression(family_nand(11))
+
+
+@pytest.mark.parametrize("check", [check_neg_regression, check_stochastic_covering])
+def test_regression_checkers_one_variable_report_the_same_counters_as_two(check):
+    one = check(family_independent([HALF]))
+    two = check(family_independent([HALF] * 2))
+    assert one.verdict is Verdict.HOLDS
+    assert list(one.work_stats) == list(two.work_stats)
+    assert set(one.work_stats.values()) == {0}
 
 
 # -- stochastic covering -----------------------------------------------------
