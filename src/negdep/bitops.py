@@ -11,6 +11,8 @@ from __future__ import annotations
 import os
 from functools import lru_cache
 
+import numpy as np
+
 _ENV_CAP = "NEGDEP_MAX_N"
 
 # Enumeration caps, per operation family.  NEGDEP_MAX_N overrides all of
@@ -29,9 +31,11 @@ _DEFAULT_CAPS = {
 def cap(name: str) -> int:
     """Enumeration cap for the named operation family."""
     override = os.environ.get(_ENV_CAP)
-    if override is not None:
-        return int(override)
-    return _DEFAULT_CAPS[name]
+    if override is None:
+        return _DEFAULT_CAPS[name]
+    if not override.isdecimal():
+        raise ValueError(f"{_ENV_CAP} must be a non-negative integer, got {override!r}")
+    return int(override)
 
 
 def mask_from_bits(bits: str) -> int:
@@ -84,6 +88,15 @@ def subsets_lex(n: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
+@lru_cache(maxsize=None)
+def covering_steps(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The covering pairs (a, a | e_pos) of the width-bit cube as two index
+    arrays, in (a, then pos) order."""
+    a = np.repeat(np.arange(1 << width), width)
+    b = a | 1 << np.tile(np.arange(width), 1 << width)
+    return a[a != b], b[a != b]
+
+
 class SubsetExtractor:
     """Constant-time extraction of the bits selected by a fixed mask.
 
@@ -106,16 +119,12 @@ class SubsetExtractor:
 
     @staticmethod
     def _build_table(sel: int, width: int) -> list[int]:
-        table = []
-        for value in range(1 << width):
-            packed = 0
-            out = 0
-            for pos in range(width):
-                if sel >> pos & 1:
-                    if value >> pos & 1:
-                        packed |= 1 << out
-                    out += 1
-            table.append(packed)
+        # doubling: the values with bit pos set repeat those below 1 << pos,
+        # with the next packed bit set when pos is selected
+        table = [0]
+        for pos in range(width):
+            bit = 1 << (sel & ((1 << pos) - 1)).bit_count() if sel >> pos & 1 else 0
+            table += [packed | bit for packed in table]
         return table
 
     def extract(self, mask: int) -> int:
@@ -123,3 +132,9 @@ class SubsetExtractor:
         return self._lo[mask & ((1 << half) - 1)] | (
             self._hi[mask >> half] << self._lo_count
         )
+
+    def extract_array(self, masks: np.ndarray) -> np.ndarray:
+        """`extract` applied to each entry of an int64 array of masks."""
+        half = self._half
+        lo = np.array(self._lo, dtype=np.int64)[masks & ((1 << half) - 1)]
+        return lo | np.array(self._hi, dtype=np.int64)[masks >> half] << self._lo_count

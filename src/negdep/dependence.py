@@ -27,7 +27,9 @@ from typing import Optional
 
 import numpy as np
 
-from .bitops import SubsetExtractor, bits_from_mask, cap, indices_of, subsets_lex
+from .bitops import (
+    SubsetExtractor, bits_from_mask, cap, covering_steps, indices_of, subsets_lex,
+)
 from .coupling import covering_cut, down_set_certificate, transport
 from .errors import DimensionMismatch, TooLarge
 from .measure import Assignment, ExplicitMeasure, format_rational
@@ -414,39 +416,20 @@ def check_cna(m: ExplicitMeasure) -> NotionReport:
 # ---------------------------------------------------------------------------
 
 
-def _buckets_for(m: ExplicitMeasure, cond_mask: int) -> dict[int, tuple]:
-    """Split the integer-weighted atoms by their assignment on cond_mask.
-
-    Returns {a: (law, total)} over the positive assignments a: law is the
-    sorted tuple of (packed free-coordinate pattern, weight // g), g the
-    gcd of the bucket's weights, and total its weight sum.  Two
-    assignments have the same conditional law iff their entries are equal.
-    """
-    n = m.n
-    exc = SubsetExtractor(cond_mask, n)
-    exf = SubsetExtractor(((1 << n) - 1) ^ cond_mask, n)
-    buckets: dict[int, list[tuple[int, int]]] = {}
-    # in key order, the free patterns of each bucket come out sorted
-    for key, weight in sorted(m.scaled_weights()[1].items()):
-        buckets.setdefault(exc.extract(key), []).append((exf.extract(key), weight))
-    laws = {}
-    for a, bucket in buckets.items():
-        g = math.gcd(*(weight for _, weight in bucket))
-        if g > 1:
-            bucket = [(rest, weight // g) for rest, weight in bucket]
-        laws[a] = (tuple(bucket), sum(weight for _, weight in bucket))
-    return laws
-
-
 def _first_failing_cover(m: ExplicitMeasure, covering: bool):
     """The first covering pair whose conditional laws admit no coupling.
 
     Walks the proper nonempty J in `subsets_lex` order and, on each, the
     positive a and b = a with one coordinate raised, in (a, then b) order;
     each pair moves the law given b onto the law given a by a transport
-    (covering: one that moves at most one coordinate).  Equal laws need no flow, nor
-    does a pair of laws already shown feasible in this call; those pairs
-    are kept with each law interned, so that a law is stored once.
+    (covering: one that moves at most one coordinate).  Per J the weights
+    are split into one matrix, a row per assignment on J and a column per
+    free pattern, and each row is divided by its gcd, so two assignments
+    have the same conditional law iff their rows are equal: equal laws
+    are told apart for all pairs at once and need no flow, nor does a pair
+    of laws already shown feasible in this call.  A law is the sorted
+    tuple of (packed free pattern, weight) over its row's support and the
+    row sum, built only for unequal pairs and stored once.
 
     Returns (failure, work), failure None or (J mask, a, b, law given b,
     law given a, the failed TransportResult).
@@ -458,29 +441,48 @@ def _first_failing_cover(m: ExplicitMeasure, covering: bool):
     ), 0)
     interned: dict[tuple, tuple] = {}
     feasible: set[tuple[tuple, tuple]] = set()
+    denom, weights = m.scaled_weights()
+    keys = np.array(list(weights), dtype=np.int64)
+    dtype = _exact_dtype(denom, _INT64_MAX)  # no weight, gcd or row sum exceeds D
+    values = np.array(list(weights.values()), dtype=dtype)
     for cond_mask in subsets_lex(n):
         width = cond_mask.bit_count()
         if width == n:
             continue
         work["conditioning_sets"] += 1
-        laws = _buckets_for(m, cond_mask)
-        for a in sorted(laws):
-            for pos in range(width):
-                b = a | (1 << pos)
-                if b == a or b not in laws:
-                    continue
-                work["pairs_checked"] += 1
-                lower, upper = laws[b], laws[a]
-                if lower == upper:
-                    work["equal_laws_skipped"] += 1
-                elif (lower, upper) in feasible:
-                    work["repeated_laws_skipped"] += 1
-                else:
-                    work["flows_run"] += 1
-                    res = transport(*lower, *upper, covering=covering)
-                    if not res.feasible:
-                        return (cond_mask, a, b, lower, upper, res), work
-                    feasible.add(tuple(interned.setdefault(law, law) for law in (lower, upper)))
+        rows = SubsetExtractor(cond_mask, n).extract_array(keys)
+        cols = SubsetExtractor(((1 << n) - 1) ^ cond_mask, n).extract_array(keys)
+        split = np.zeros((1 << width, 1 << (n - width)), dtype=dtype)
+        split[rows, cols] = values
+        g = np.gcd.reduce(split, axis=1)
+        positive = g > 0
+        split //= np.maximum(g, 1)[:, None]
+        below, above = covering_steps(width)
+        both = positive[below] & positive[above]
+        below, above = below[both], above[both]
+        unequal = np.flatnonzero((split[below] != split[above]).any(axis=1))
+        table = split.tolist() if unequal.size else None
+        laws = {}
+        pairs = zip(unequal.tolist(), below[unequal].tolist(), above[unequal].tolist())
+        # the i-th unequal pair is the k-th pair checked, after k - i equal ones
+        for i, (k, a, b) in enumerate(pairs):
+            for r in (a, b):
+                if r not in laws:
+                    law = tuple((col, w) for col, w in enumerate(table[r]) if w)
+                    laws[r] = (law, sum(table[r]))
+            lower, upper = laws[b], laws[a]
+            if (lower, upper) in feasible:
+                work["repeated_laws_skipped"] += 1
+                continue
+            work["flows_run"] += 1
+            res = transport(*lower, *upper, covering=covering)
+            if not res.feasible:
+                work["pairs_checked"] += k + 1
+                work["equal_laws_skipped"] += k - i
+                return (cond_mask, a, b, lower, upper, res), work
+            feasible.add(tuple(interned.setdefault(law, law) for law in (lower, upper)))
+        work["pairs_checked"] += len(below)
+        work["equal_laws_skipped"] += len(below) - len(unequal)
     return None, work
 
 

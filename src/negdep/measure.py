@@ -478,8 +478,7 @@ def family_nand(n: int) -> ExplicitMeasure:
     """
     if n < 2:
         raise BadWidth("nand family needs n >= 2")
-    if n > cap("measure"):
-        raise TooLarge(f"n={n} exceeds the measure cap")
+    _check_width(n)
     last = (1 << (n - 1)) - 1
     weights = {(rest != last) | (rest << 1): 1 for rest in range(last + 1)}
     return ExplicitMeasure._from_weights(n, weights)
@@ -491,8 +490,7 @@ def family_independent(probs) -> ExplicitMeasure:
     n = len(probs)
     if n < 1:
         raise BadWidth("need at least one probability")
-    if n > cap("measure"):
-        raise TooLarge(f"n={n} exceeds the measure cap")
+    _check_width(n)
     if any(p < 0 or p > 1 for p in probs):
         raise NegativeMass("probabilities must lie in [0, 1]")
     # weights over the product of the denominators
@@ -528,8 +526,7 @@ def family_balls_bins(balls: int, bins: int) -> ExplicitMeasure:
     if balls < 1 or bins < 1:
         raise BadWidth("balls and bins must be positive")
     n = balls * bins
-    if n > cap("measure"):
-        raise TooLarge(f"n={n} exceeds the measure cap")
+    _check_width(n)
     weights: dict[int, int] = {}
     for outcome in range(bins**balls):
         key = 0
@@ -552,8 +549,7 @@ def family_hadamard(order: int) -> ExplicitMeasure:
     if order < 2 or order & (order - 1):
         raise BadWidth("order must be a power of two, at least 2")
     n = order - 1
-    if n > cap("measure"):
-        raise TooLarge(f"n={n} exceeds the measure cap")
+    _check_width(n)
     weights: dict[int, int] = {}
     for col in range(order):
         key = 0

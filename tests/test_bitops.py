@@ -1,11 +1,13 @@
 import os
 
+import numpy as np
 import pytest
 
 from negdep.bitops import (
     SubsetExtractor,
     bits_from_mask,
     cap,
+    covering_steps,
     indices_of,
     is_submask,
     mask_from_bits,
@@ -73,6 +75,47 @@ def test_subset_extractor_matches_naive():
             if mask >> (i - 1) & 1:
                 packed |= 1 << t
         assert ex.extract(mask) == packed
+
+
+def _bit_loop_table(sel, width):
+    """The extraction table built bit by bit, as the doubling build replaced."""
+    table = []
+    for value in range(1 << width):
+        packed = 0
+        out = 0
+        for pos in range(width):
+            if sel >> pos & 1:
+                if value >> pos & 1:
+                    packed |= 1 << out
+                out += 1
+        table.append(packed)
+    return table
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_doubled_tables_and_array_extraction(n):
+    keys = np.arange(1 << n, dtype=np.int64)
+    for selector in range(1 << n):
+        ex = SubsetExtractor(selector, n)
+        half = max(1, n // 2)
+        assert ex._lo == _bit_loop_table(selector & ((1 << half) - 1), half)
+        assert ex._hi == _bit_loop_table(selector >> half, n - half)
+        packed = ex.extract_array(keys)
+        assert packed.dtype == np.int64
+        assert packed.tolist() == [ex.extract(key) for key in range(1 << n)]
+    assert ex.extract_array(keys[:0]).tolist() == []
+
+
+@pytest.mark.parametrize("width", range(1, 7))
+def test_covering_steps_in_a_then_pos_order(width):
+    below, above = covering_steps(width)
+    expected = [
+        (a, a | 1 << pos)
+        for a in range(1 << width)
+        for pos in range(width)
+        if not a >> pos & 1
+    ]
+    assert list(zip(below.tolist(), above.tolist())) == expected
 
 
 def test_cap_env_override(monkeypatch):

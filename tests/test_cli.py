@@ -178,6 +178,28 @@ def test_check_refuses_one_over_cap_notion_with_its_cap(capsys, monkeypatch, key
     assert err == f"error: n={n} exceeds the {name} cap {n - 1}\n"
 
 
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5", "²"])
+def test_cap_override_that_is_no_count_exits_two_naming_it(capsys, monkeypatch, value):
+    monkeypatch.setenv("NEGDEP_MAX_N", value)
+    code, out, err = run(capsys, "check", "--family", "nand:3", "--notions", "nr")
+    assert (code, out) == (2, "")
+    assert err == f"error: NEGDEP_MAX_N must be a non-negative integer, got {value!r}\n"
+
+
+@pytest.mark.parametrize("spec, n", [
+    ("nand:21", 21),
+    ("independent:" + ",".join(["1/2"] * 21), 21),
+    ("condsum:" + ",".join(["1/3"] * 22) + ":1:2", 22),
+    ("balls_bins:3:7", 21),
+    ("hadamard:32", 31),
+], ids=["nand", "independent", "condsum", "balls_bins", "hadamard"])
+def test_family_over_the_measure_cap_names_the_cap(capsys, spec, n):
+    code, out, err = run(capsys, "check", "--family", spec, "--notions", "nc")
+    assert (code, out) == (2, "")
+    assert err == f"error: n={n} exceeds the measure cap {cap('measure')}\n"
+    assert cap("measure") == 20
+
+
 def test_check_unknown_notion_exit_two(capsys):
     code, _, err = run(capsys, "check", "--family", "nand:3", "--notions", "bogus")
     assert code == 2

@@ -1,10 +1,16 @@
 """Golden outputs: the exact stdout and exit code of `martingale` and
-`tail` in every format, pinned in golden/cli_outputs.json.
+`tail` in every format, of the negative regression and stochastic
+covering checkers, and of `counterexample`, pinned in
+golden/cli_outputs.json.
 
-The inputs cover a NAND measure, the anti-correlated pair, the
+The tree inputs cover a NAND measure, the anti-correlated pair, the
 positively correlated pair (the IntervalViolation path), a conditioned
 sum and a product measure whose common denominator exceeds 2^20, each
 with the sum, xor, a constant and two seeded random test functions.
+The checker inputs are `nand:8`, conditioned sums whose denominators
+exceed 2^20 and 2^63, and a measure (golden/nr_fails_late.json) that
+fails both notions on its sixteenth conditioning set, so that the `work`
+counters of an early exit and the certificates are pinned too.
 
 Regenerate the file only for an intended output change, by running this
 module with the package on the path:
@@ -15,6 +21,7 @@ module with the package on the path:
 import contextlib
 import io
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -31,6 +38,14 @@ FAMILIES = [
     "independent:1/1009,2/1013,500/1019",  # D = 1009 * 1013 * 1019 > 2^20
 ]
 FUNCTIONS = ["sum", "xor", "constant:7/2", "random:3", "random:4:monotone"]
+# paths are relative to the repository root, where run_cli runs
+CHECK_INPUTS = [
+    ["--family", "nand:8"],
+    ["--family", "condsum:1/1009,2/1013,500/1019,1/3,2/5,3/7:2:4"],  # D > 2^20
+    ["--family", "condsum:1/2003,2/2011,500/2017,7/2027,1000/2029,3/2039,11/2053:2:5"],  # D > 2^63
+    ["--file", "tests/golden/nr_fails_late.json"],
+]
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def cases() -> list[list[str]]:
@@ -42,13 +57,22 @@ def cases() -> list[list[str]]:
                     out.append(["martingale", "--family", family, "--f", f,
                                 "--order", order, "--format", fmt])
                 out.append(["tail", "--family", family, "--f", f, "--format", fmt])
+    for source in CHECK_INPUTS:
+        out.append(["check", *source, "--notions", "nr,sc", "--format", "json"])
+    for n in range(3, 11):
+        out.append(["counterexample", str(n), "--format", "json"])
     return out
 
 
 def run_cli(argv) -> tuple[int, str]:
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
     return code, out.getvalue()
 
 
@@ -60,7 +84,9 @@ def golden():
 def test_golden_file_covers_every_case(golden):
     assert sorted(golden) == sorted(map(tuple, cases()))
     codes = {entry["exit"] for entry in golden.values()}
-    assert codes == {0, 1}  # the pos_pair trees exit 1 with IntervalViolation
+    # the pos_pair trees exit 1 with IntervalViolation, and so do the
+    # failing checker reports
+    assert codes == {0, 1}
 
 
 @pytest.mark.parametrize("argv", cases(), ids=lambda argv: " ".join(argv[1:]))

@@ -24,10 +24,11 @@ from negdep.coupling import (
     check_dominance,
     transport,
 )
-from negdep.dependence import _buckets_for
 from negdep.errors import DominanceFails
 from negdep.measure import Assignment, family_conditioned_sum, family_nand, new_explicit
 from negdep.zoo import random_measure
+
+from test_cover_scan import _buckets_for
 
 BIG_PROBS = (Fraction(1, 3), Fraction(2, 7), Fraction(5, 11), Fraction(4, 13),
              Fraction(6, 17), Fraction(9, 19), Fraction(10, 23))

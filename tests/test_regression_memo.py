@@ -15,7 +15,6 @@ from fractions import Fraction
 
 import pytest
 
-import negdep.dependence as dependence
 from negdep.bitops import SubsetExtractor, bits_from_mask, indices_of, subsets_lex
 from negdep.coupling import covering_cut, down_set_certificate, transport
 from negdep.dependence import Verdict, check_neg_regression, check_stochastic_covering
@@ -27,6 +26,7 @@ from negdep.measure import (
 )
 from negdep.zoo import random_measure, zoo
 
+from test_cover_scan import _buckets_for
 from test_dependence import recheck_nr_certificate
 
 # counters that the per-call memo changes on purpose
@@ -236,7 +236,7 @@ def test_memo_runs_one_flow_per_distinct_pair_of_laws():
 def test_canonical_laws_divide_out_the_bucket_gcd():
     # given x1 = 0 the free weights are 2 and 4, given x1 = 1 they are 3 and 6
     m = ExplicitMeasure._from_weights(2, {0b00: 2, 0b10: 4, 0b01: 3, 0b11: 6})
-    laws = dependence._buckets_for(m, 0b01)
+    laws = _buckets_for(m, 0b01)
     assert laws == {0: (((0, 1), (1, 2)), 3), 1: (((0, 1), (1, 2)), 3)}
 
 
