@@ -108,6 +108,7 @@ class SubsetExtractor:
 
     def __init__(self, selector: int, n: int):
         self.selector = selector
+        self.n = n
         self.width = selector.bit_count()
         half = max(1, n // 2)
         lo_sel = selector & ((1 << half) - 1)
@@ -133,8 +134,13 @@ class SubsetExtractor:
             self._hi[mask >> half] << self._lo_count
         )
 
-    def extract_array(self, masks: np.ndarray) -> np.ndarray:
-        """`extract` applied to each entry of an int64 array of masks."""
-        half = self._half
-        lo = np.array(self._lo, dtype=np.int64)[masks & ((1 << half) - 1)]
-        return lo | np.array(self._hi, dtype=np.int64)[masks >> half] << self._lo_count
+    def split(self, dense: np.ndarray) -> np.ndarray:
+        """A length-``2^n`` array indexed by mask, as a new
+        ``(2^width, 2^(n - width))`` matrix: entry ``mask`` goes to row
+        ``extract(mask)`` and to the column its other bits pack to."""
+        n = self.n
+        # axis k of the (2,) * n view is bit n - 1 - k; a stable sort puts the
+        # selected axes first, so each packed index keeps its highest bit first
+        axes = sorted(range(n), key=lambda k: not self.selector >> (n - 1 - k) & 1)
+        # a copy even when the order is the identity and the transpose a view
+        return dense.reshape((2,) * n).transpose(axes).copy().reshape(1 << self.width, -1)

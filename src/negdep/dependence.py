@@ -56,6 +56,16 @@ def _exact_dtype(bound: int, limit: int):
     return np.int64 if bound <= limit else object
 
 
+def _dense_weights(m: ExplicitMeasure, limit: int) -> tuple[int, np.ndarray]:
+    """The common denominator D and the integer weights as a length-2^n
+    array indexed by atom, int64 while D is at most `limit`."""
+    d, w = m.scaled_weights()
+    dtype = _exact_dtype(d, limit)
+    dense = np.zeros(1 << m.n, dtype=dtype)
+    dense[list(w)] = np.array(list(w.values()), dtype=dtype)
+    return d, dense
+
+
 # The enumeration cap of each capped checker, by its `--notions` key.
 CHECKER_CAPS = {"cyl": "cylinder", "na": "neg_association", "cna": "cna",
                 "nr": "neg_regression", "sc": "stochastic_covering"}
@@ -268,54 +278,42 @@ def _na_violation(m: ExplicitMeasure, held: set):
     enumerates its nontrivial up-sets A in a deterministic order, and for
     each A maximizes the covariance over up-sets B of the other side,
     either by an exact int64 matrix product (dimension <= 5) or by a
-    max-weight-closure min-cut (always exact, any dimension).  The arrays
-    hold int64 while the common denominator is at most
-    _NUMPY_DENOM_LIMIT and Python integers above it; the matrix product
-    over B runs only in the int64 case.
+    max-weight-closure min-cut (always exact, any dimension).  Each joint
+    weight matrix is one `split` of the dense weights, which hold int64
+    while the common denominator is at most _NUMPY_DENOM_LIMIT and Python
+    integers above it; the matrix product over B runs only on int64.
 
     A bipartition's answer depends only on its joint weight matrix: `held`
     collects the keys (ds, dl, joint) of those that held, and a bipartition
     whose key is in it is skipped.  The scan returns on the first failure.
     """
     n = m.n
-    d, w = m.scaled_weights()
+    if n > 2 * ENUMERABLE_DIM + 1:  # then some bipartition has no enumerable side
+        raise TooLarge(f"association check needs n <= {2 * ENUMERABLE_DIM + 1}, got n={n}")
     full = (1 << n) - 1
     work = {"bipartitions": 0, "upsets_tested": 0, "closures": 0,
             "repeated_joints_skipped": 0}
-    dtype = _exact_dtype(d, _NUMPY_DENOM_LIMIT)
-    for imask in range(1, full):
-        if not imask & 1:
-            continue  # covariance is symmetric; anchor variable 1 on the I side
-        jmask = full ^ imask
-        di, dj = imask.bit_count(), jmask.bit_count()
-        if di <= dj:
-            small_mask, large_mask, ds, dl = imask, jmask, di, dj
-        else:
-            small_mask, large_mask, ds, dl = jmask, imask, dj, di
-        if ds > ENUMERABLE_DIM:
-            raise TooLarge(
-                f"association check needs one side of dimension <= {ENUMERABLE_DIM}"
-            )
+    d, dense = _dense_weights(m, _NUMPY_DENOM_LIMIT)
+    # covariance is symmetric: anchor variable 1 on the I side (odd masks)
+    for imask in range(1, full, 2):
+        # the smaller side, I on a tie
+        small_mask, large_mask = sorted((imask, full ^ imask), key=int.bit_count)
+        ds, dl = small_mask.bit_count(), large_mask.bit_count()
         work["bipartitions"] += 1
-        exs = SubsetExtractor(small_mask, n)
-        exl = SubsetExtractor(large_mask, n)
-        joint = np.zeros((1 << ds, 1 << dl), dtype=dtype)
-        for key, weight in w.items():
-            joint[exs.extract(key), exl.extract(key)] += weight
-        held_key = (ds, dl, joint.tobytes() if dtype is np.int64 else tuple(joint.flat))
+        joint = SubsetExtractor(small_mask, n).split(dense)
+        held_key = (ds, dl, joint.tobytes() if joint.dtype != object else tuple(joint.flat))
         if held_key in held:
             work["repeated_joints_skipped"] += 1
             continue
-        ws = joint.sum(axis=1)
         wl = joint.sum(axis=0)
         u_small = upset_matrix(ds)
         joint_a = u_small @ joint          # weight of {X_s in A, X_l = b}
-        wa = u_small @ ws
+        wa = joint_a.sum(axis=1)
         weights = d * joint_a - wa[:, None] * wl[None, :]
         work["upsets_tested"] += len(u_small)
         found = None  # (row of A, up-set mask of B, covariance times d^2)
         if (
-            dtype is np.int64
+            joint.dtype != object
             and dl <= ENUMERABLE_DIM
             and len(u_small) * len(nontrivial_upsets(dl)) <= 1 << 22
         ):
@@ -423,13 +421,14 @@ def _first_failing_cover(m: ExplicitMeasure, covering: bool):
     positive a and b = a with one coordinate raised, in (a, then b) order;
     each pair moves the law given b onto the law given a by a transport
     (covering: one that moves at most one coordinate).  Per J the weights
-    are split into one matrix, a row per assignment on J and a column per
-    free pattern, and each row is divided by its gcd, so two assignments
-    have the same conditional law iff their rows are equal: equal laws
-    are told apart for all pairs at once and need no flow, nor does a pair
-    of laws already shown feasible in this call.  A law is the sorted
-    tuple of (packed free pattern, weight) over its row's support and the
-    row sum, built only for unequal pairs and stored once.
+    are split into one matrix (`split`), a row per assignment on J and a
+    column per free pattern, and each row is divided by its gcd, so two
+    assignments have the same conditional law iff their rows are equal:
+    equal laws are told apart for all pairs at once and need no flow, nor
+    does a pair of laws already shown feasible in this call (kept as
+    pairs of law ids).  A law is the sorted tuple of (packed free pattern,
+    weight) over its row's support and the row sum, built only for
+    unequal pairs.
 
     Returns (failure, work), failure None or (J mask, a, b, law given b,
     law given a, the failed TransportResult).
@@ -439,21 +438,15 @@ def _first_failing_cover(m: ExplicitMeasure, covering: bool):
         "conditioning_sets", "pairs_checked", "flows_run", "equal_laws_skipped",
         "repeated_laws_skipped",
     ), 0)
-    interned: dict[tuple, tuple] = {}
-    feasible: set[tuple[tuple, tuple]] = set()
-    denom, weights = m.scaled_weights()
-    keys = np.array(list(weights), dtype=np.int64)
-    dtype = _exact_dtype(denom, _INT64_MAX)  # no weight, gcd or row sum exceeds D
-    values = np.array(list(weights.values()), dtype=dtype)
+    ids: dict[tuple, int] = {}
+    feasible: set[tuple[int, int]] = set()
+    _, dense = _dense_weights(m, _INT64_MAX)  # no weight, gcd or row sum exceeds D
     for cond_mask in subsets_lex(n):
         width = cond_mask.bit_count()
         if width == n:
             continue
         work["conditioning_sets"] += 1
-        rows = SubsetExtractor(cond_mask, n).extract_array(keys)
-        cols = SubsetExtractor(((1 << n) - 1) ^ cond_mask, n).extract_array(keys)
-        split = np.zeros((1 << width, 1 << (n - width)), dtype=dtype)
-        split[rows, cols] = values
+        split = SubsetExtractor(cond_mask, n).split(dense)
         g = np.gcd.reduce(split, axis=1)
         positive = g > 0
         split //= np.maximum(g, 1)[:, None]
@@ -468,10 +461,11 @@ def _first_failing_cover(m: ExplicitMeasure, covering: bool):
         for i, (k, a, b) in enumerate(pairs):
             for r in (a, b):
                 if r not in laws:
-                    law = tuple((col, w) for col, w in enumerate(table[r]) if w)
-                    laws[r] = (law, sum(table[r]))
-            lower, upper = laws[b], laws[a]
-            if (lower, upper) in feasible:
+                    row = table[r]
+                    law = (tuple((col, w) for col, w in enumerate(row) if w), sum(row))
+                    laws[r] = law, ids.setdefault(law, len(ids))
+            (lower, lower_id), (upper, upper_id) = laws[b], laws[a]
+            if (lower_id, upper_id) in feasible:
                 work["repeated_laws_skipped"] += 1
                 continue
             work["flows_run"] += 1
@@ -480,7 +474,7 @@ def _first_failing_cover(m: ExplicitMeasure, covering: bool):
                 work["pairs_checked"] += k + 1
                 work["equal_laws_skipped"] += k - i
                 return (cond_mask, a, b, lower, upper, res), work
-            feasible.add(tuple(interned.setdefault(law, law) for law in (lower, upper)))
+            feasible.add((lower_id, upper_id))
         work["pairs_checked"] += len(below)
         work["equal_laws_skipped"] += len(below) - len(unequal)
     return None, work

@@ -94,16 +94,38 @@ def _bit_loop_table(sel, width):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_doubled_tables_and_array_extraction(n):
-    keys = np.arange(1 << n, dtype=np.int64)
+    full = (1 << n) - 1
+    # distinct entries, once in int64 and once as Python ints beyond 2^63
+    arrays = [np.arange(1, 2 + full, dtype=np.int64) * 7,
+              np.array([(1 << 70) + 3 * mask for mask in range(1 << n)], dtype=object)]
     for selector in range(1 << n):
         ex = SubsetExtractor(selector, n)
         half = max(1, n // 2)
         assert ex._lo == _bit_loop_table(selector & ((1 << half) - 1), half)
         assert ex._hi == _bit_loop_table(selector >> half, n - half)
-        packed = ex.extract_array(keys)
-        assert packed.dtype == np.int64
-        assert packed.tolist() == [ex.extract(key) for key in range(1 << n)]
-    assert ex.extract_array(keys[:0]).tolist() == []
+        rows = _bit_loop_table(selector, n)
+        cols = _bit_loop_table(full ^ selector, n)
+        for dense in arrays:
+            expected = np.zeros((1 << ex.width, 1 << (n - ex.width)), dtype=dense.dtype)
+            expected[rows, cols] = dense
+            got = ex.split(dense)
+            assert got.dtype == dense.dtype
+            assert got.shape == expected.shape
+            assert got.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_split_returns_a_copy(n):
+    dense = np.arange(1 << n, dtype=np.int64)
+    before = dense.copy()
+    # the highest variables: the transpose is the identity permutation
+    for low in range(n + 1):
+        selector = ((1 << n) - 1) ^ ((1 << low) - 1)
+        out = SubsetExtractor(selector, n).split(dense)
+        assert out.ravel().tolist() == before.tolist()
+        out += 1
+        assert not np.shares_memory(out, dense)
+        assert dense.tolist() == before.tolist()
 
 
 @pytest.mark.parametrize("width", range(1, 7))

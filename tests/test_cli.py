@@ -178,6 +178,14 @@ def test_check_refuses_one_over_cap_notion_with_its_cap(capsys, monkeypatch, key
     assert err == f"error: n={n} exceeds the {name} cap {n - 1}\n"
 
 
+@pytest.mark.parametrize("key", ["na", "cna"])
+def test_check_refuses_association_past_n_11_naming_n(capsys, monkeypatch, key):
+    monkeypatch.setenv("NEGDEP_MAX_N", "12")
+    code, out, err = run(capsys, "check", "--family", "nand:12", "--notions", key)
+    assert (code, out) == (2, "")
+    assert err == "error: association check needs n <= 11, got n=12\n"
+
+
 @pytest.mark.parametrize("value", ["abc", "-1", "1.5", "²"])
 def test_cap_override_that_is_no_count_exits_two_naming_it(capsys, monkeypatch, value):
     monkeypatch.setenv("NEGDEP_MAX_N", value)

@@ -10,7 +10,10 @@ with the sum, xor, a constant and two seeded random test functions.
 The checker inputs are `nand:8`, conditioned sums whose denominators
 exceed 2^20 and 2^63, and a measure (golden/nr_fails_late.json) that
 fails both notions on its sixteenth conditioning set, so that the `work`
-counters of an early exit and the certificates are pinned too.
+counters of an early exit and the certificates are pinned too.  Negative
+association and CNA run on those inputs, on every catalog measure and on
+a seeded perturbed conditioned sum (golden/cna_fails_late.json) that
+holds NA and fails CNA on its 216th conditional.
 
 Regenerate the file only for an intended output change, by running this
 module with the package on the path:
@@ -45,6 +48,26 @@ CHECK_INPUTS = [
     ["--family", "condsum:1/2003,2/2011,500/2017,7/2027,1000/2029,3/2039,11/2053:2:5"],  # D > 2^63
     ["--file", "tests/golden/nr_fails_late.json"],
 ]
+# the catalog of negdep.zoo, as family specs
+CATALOG = [
+    *(f"nand:{n}" for n in range(3, 9)),
+    "independent:1/2,1/2,1/2,1/2",
+    "independent:1/3,2/3,1/4",
+    "anti_pair",
+    "pos_pair",
+    "condsum:1/2,1/2,1/2:1:2",
+    "condsum:1/2,1/2,1/2,1/2,1/2:2:3",
+    "condsum:1/2,1/2,1/2,1/2,1/2,1/2,1/2,1/2:3:5",
+    "balls_bins:2:2",
+    "balls_bins:3:2",
+    "hadamard:4",
+    "hadamard:8",
+]
+ASSOCIATION_INPUTS = [
+    *(["--family", spec] for spec in CATALOG if spec != "nand:8"),
+    *CHECK_INPUTS,
+    ["--file", "tests/golden/cna_fails_late.json"],
+]
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -59,6 +82,8 @@ def cases() -> list[list[str]]:
                 out.append(["tail", "--family", family, "--f", f, "--format", fmt])
     for source in CHECK_INPUTS:
         out.append(["check", *source, "--notions", "nr,sc", "--format", "json"])
+    for source in ASSOCIATION_INPUTS:
+        out.append(["check", *source, "--notions", "na,cna", "--format", "json"])
     for n in range(3, 11):
         out.append(["counterexample", str(n), "--format", "json"])
     return out

@@ -182,6 +182,22 @@ def test_na_cap_enforced():
         check_neg_association(family_nand(9))
 
 
+@pytest.mark.parametrize("checker", [check_neg_association, check_cna])
+def test_association_refuses_past_enumerable_bipartitions_before_splitting(
+    checker, monkeypatch
+):
+    # at n = 12 the 6 | 6 bipartitions have no side of dimension <= 5
+    monkeypatch.setenv("NEGDEP_MAX_N", "12")
+
+    def never(*args):
+        raise AssertionError("a bipartition was split")
+
+    monkeypatch.setattr(dependence, "SubsetExtractor", never)
+    with pytest.raises(TooLarge) as refusal:
+        checker(family_nand(12))
+    assert str(refusal.value) == "association check needs n <= 11, got n=12"
+
+
 CAPPED_CHECKERS = {
     "cyl": check_cylinder,
     "na": check_neg_association,
