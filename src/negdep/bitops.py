@@ -9,7 +9,8 @@ variables is ``(1 << n) - 1``.
 from __future__ import annotations
 
 import os
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -102,21 +103,14 @@ class SubsetExtractor:
 
     ``extract(m)`` returns the selected bits of ``m`` packed densely, in
     ascending position order (position j of the packed value is the j-th
-    smallest selected position).  Built from two half-width lookup tables
-    so bucketing a measure over many subsets stays cheap.
+    smallest selected position).  It reads two half-width lookup tables,
+    built on its first use, so an extractor that only splits builds none.
     """
 
     def __init__(self, selector: int, n: int):
         self.selector = selector
         self.n = n
         self.width = selector.bit_count()
-        half = max(1, n // 2)
-        lo_sel = selector & ((1 << half) - 1)
-        hi_sel = selector >> half
-        self._half = half
-        self._lo_count = lo_sel.bit_count()
-        self._lo = self._build_table(lo_sel, half)
-        self._hi = self._build_table(hi_sel, n - half)
 
     @staticmethod
     def _build_table(sel: int, width: int) -> list[int]:
@@ -128,11 +122,18 @@ class SubsetExtractor:
             table += [packed | bit for packed in table]
         return table
 
-    def extract(self, mask: int) -> int:
-        half = self._half
-        return self._lo[mask & ((1 << half) - 1)] | (
-            self._hi[mask >> half] << self._lo_count
-        )
+    @cached_property
+    def extract(self) -> Callable[[int], int]:
+        half = max(1, self.n // 2)
+        low = (1 << half) - 1
+        lo = self._build_table(self.selector & low, half)
+        hi = self._build_table(self.selector >> half, self.n - half)
+        shift = (self.selector & low).bit_count()
+
+        def extract(mask: int) -> int:
+            return lo[mask & low] | hi[mask >> half] << shift
+
+        return extract
 
     def split(self, dense: np.ndarray) -> np.ndarray:
         """A length-``2^n`` array indexed by mask, as a new

@@ -7,8 +7,9 @@ regression this yields martingale increments confined to an interval of
 width 2 (width 1 for monotone f).  A fixed-ordering comparator builds
 the same tree with a prescribed permutation and no width guarantee.
 
-All node quantities (probabilities, conditional expectations, interval
-ends) are exact rationals.
+Nodes hold integer weights over the measure's common denominator (and,
+in trees, f's weighted numerator sums); probabilities, conditional
+expectations and interval ends are exact rationals built on read.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Iterator, Optional
 
 from .bitops import bits_from_mask, cap
 from .errors import (
+    DimensionMismatch,
     IntervalViolation,
     LemmaViolated,
     NoEligibleIndex,
@@ -48,6 +50,8 @@ class PickResult:
 
 def _conditional_atoms(m: ExplicitMeasure, revealed: Assignment):
     """Integer-weighted atoms matching the assignment, and their total."""
+    if revealed.index_mask >> m.n:
+        raise DimensionMismatch("assignment index out of range")
     _, w = m.scaled_weights()
     atoms = [(k, v) for k, v in sorted(w.items()) if revealed.matches(k)]
     total = sum(v for _, v in atoms)
@@ -76,17 +80,16 @@ def _pick_from_atoms(atoms, n: int, revealed_mask: int) -> PickResult:
     unrevealed = [i for i in range(1, n + 1) if not revealed_mask >> (i - 1) & 1]
     if not unrevealed:
         raise NoEligibleIndex("every variable is already revealed")
-    full_unrevealed = 0
-    for i in unrevealed:
-        full_unrevealed |= 1 << (i - 1)
+    full_unrevealed = ((1 << n) - 1) & ~revealed_mask
     for i in unrevealed:
         bit = 1 << (i - 1)
         w1, w0, s1, s0 = _influence_terms(atoms, bit, full_unrevealed & ~bit)
         if w1 == 0 or w0 == 0:
             return PickResult(i, True, None)
-        influence = Fraction(s0, w0) - Fraction(s1, w1)
-        if influence <= 1:
-            return PickResult(i, False, influence)
+        # influence s0/w0 - s1/w1 <= 1, with both denominators cleared
+        excess = s0 * w1 - s1 * w0
+        if excess <= w0 * w1:
+            return PickResult(i, False, Fraction(excess, w0 * w1))
     raise NoEligibleIndex(
         "no unrevealed index is deterministic or has influence sum <= 1"
     )
@@ -155,24 +158,17 @@ def verify_pick_lemma(m: ExplicitMeasure, revealed: Assignment) -> PickLemmaRepo
     unrevealed = [i for i in range(1, n + 1) if not revealed_mask >> (i - 1) & 1]
     if not unrevealed:
         raise NoEligibleIndex("every variable is already revealed")
-    full_unrevealed = 0
-    for i in unrevealed:
-        full_unrevealed |= 1 << (i - 1)
+    full_unrevealed = ((1 << n) - 1) & ~revealed_mask
 
     entries = []
     satisfied = []
-    w1_of = {}
     for i in unrevealed:
         bit = 1 << (i - 1)
-        w1_of[i] = sum(weight for mask, weight in atoms if mask & bit)
-    for i in unrevealed:
-        bit = 1 << (i - 1)
-        others = full_unrevealed & ~bit
-        w1, w0, s1, s0 = _influence_terms(atoms, bit, others)
+        w1, w0, s1, s0 = _influence_terms(atoms, bit, full_unrevealed & ~bit)
         pi = Fraction(w1, total)
         variance = pi * (1 - pi)
-        others_ones = sum(w1_of[j] for j in unrevealed if j != i)
-        cov_sum = Fraction(s1, total) - pi * Fraction(others_ones, total)
+        # s0 + s1 is the weighted count of ones among the other variables
+        cov_sum = Fraction(s1, total) - pi * Fraction(s0 + s1, total)
         quantity = variance + cov_sum
         if w1 == 0 or w0 == 0:
             if quantity != 0:
@@ -208,20 +204,33 @@ def verify_pick_lemma(m: ExplicitMeasure, revealed: Assignment) -> PickLemmaRepo
 
 @dataclass(slots=True)
 class SkeletonNode:
-    """Structure of one conditioning event, with its integer weight w
-    over the measure's denominator; independent of any f."""
+    """Structure of one conditioning event, independent of any f: its
+    integer weight w over the measure's common denominator and its pick.
+    probability = w / denom, p1 = w1 / w and p0 are built on every read."""
 
     assignment: Assignment
-    probability: Fraction
+    denom: int
     w: int
     pick: Optional[int]
     pick_deterministic: bool
     pick_influence: Optional[Fraction]
-    p0: Optional[Fraction]
-    p1: Optional[Fraction]
     child0: Optional["SkeletonNode"]
     child1: Optional["SkeletonNode"]
     leaf_mask: Optional[int]
+
+    @property
+    def probability(self) -> Fraction:
+        return Fraction(self.w, self.denom)
+
+    @property
+    def p0(self) -> Optional[Fraction]:
+        return None if self.pick is None else 1 - self.p1
+
+    @property
+    def p1(self) -> Optional[Fraction]:
+        if self.pick is None:
+            return None
+        return Fraction(0 if self.child1 is None else self.child1.w, self.w)
 
 
 @dataclass
@@ -233,7 +242,7 @@ class Skeleton:
 
 def build_skeleton(m: ExplicitMeasure, order=None) -> Skeleton:
     """The decision-tree structure for a measure: picks, branch
-    probabilities, reachable assignments.  order=None selects adaptively;
+    weights, reachable assignments.  order=None selects adaptively;
     otherwise order must be a permutation of 1..n."""
     n = m.n
     if n > cap("tree"):
@@ -245,38 +254,28 @@ def build_skeleton(m: ExplicitMeasure, order=None) -> Skeleton:
     denom, weights = m.scaled_weights()
 
     def grow(assignment, atoms, total, depth) -> SkeletonNode:
-        probability = Fraction(total, denom)
         if depth == n:
-            return SkeletonNode(
-                assignment, probability, total, None, False, None,
-                None, None, None, None, assignment.value_mask,
-            )
+            return SkeletonNode(assignment, denom, total, None, False, None,
+                                None, None, assignment.value_mask)
         if order is None:
             pick = _pick_from_atoms(atoms, n, assignment.index_mask)
-            index, deterministic, influence = (
-                pick.index, pick.deterministic, pick.influence_sum,
-            )
+            index, influence = pick.index, pick.influence_sum
         else:
-            index = order[depth]
-            bit = 1 << (index - 1)
-            w1 = sum(weight for mask, weight in atoms if mask & bit)
-            deterministic = w1 == 0 or w1 == total
-            influence = None
+            index, influence = order[depth], None
         bit = 1 << (index - 1)
         ones = [(mask, weight) for mask, weight in atoms if mask & bit]
         zeros = [(mask, weight) for mask, weight in atoms if not mask & bit]
         w1 = sum(weight for _, weight in ones)
         w0 = total - w1
-        p1 = Fraction(w1, total)
-        p0 = 1 - p1
         child1 = child0 = None
         if w1:
             child1 = grow(assignment.extended(index, 1), ones, w1, depth + 1)
         if w0:
             child0 = grow(assignment.extended(index, 0), zeros, w0, depth + 1)
+        # a pick is deterministic exactly when one branch has weight 0
         return SkeletonNode(
-            assignment, probability, total, index, deterministic, influence,
-            p0, p1, child0, child1, None,
+            assignment, denom, total, index, not (w0 and w1), influence,
+            child0, child1, None,
         )
 
     root = grow(Assignment.empty(), sorted(weights.items()), denom, 0)
@@ -320,7 +319,11 @@ class TreeNode(SkeletonNode):
 
     @property
     def gap(self) -> Fraction:
-        return self.beta - self.alpha
+        c0, c1 = self.child0, self.child1
+        if c0 is None or c1 is None:
+            return ZERO
+        # |y1 - y0| over the common denominator den * w0 * w1
+        return Fraction(abs(c1.s * c0.w - c0.s * c1.w), self.den * c0.w * c1.w)
 
 
 @dataclass
@@ -440,22 +443,22 @@ class MartingaleTree:
 def _annotate(
     skeleton: Skeleton, f: TestFunction, kind: str, gap_limit: Optional[int]
 ) -> MartingaleTree:
+    m = skeleton.measure
+    if f.n != m.n:
+        raise DimensionMismatch(f"function on {f.n} vars, measure on {m.n}")
     nums, den = f.nums, f.den
 
     def value(node: SkeletonNode) -> TreeNode:
-        if node.leaf_mask is not None:
-            return TreeNode(
-                node.assignment, node.probability, node.w, None, False, None,
-                None, None, None, None, node.leaf_mask,
-                node.w * nums[node.leaf_mask], den,
-            )
         child0 = value(node.child0) if node.child0 is not None else None
         child1 = value(node.child1) if node.child1 is not None else None
-        s = sum(c.s for c in (child0, child1) if c is not None)
+        if node.leaf_mask is not None:
+            s = node.w * nums[node.leaf_mask]
+        else:
+            s = sum(c.s for c in (child0, child1) if c is not None)
         tree_node = TreeNode(
-            node.assignment, node.probability, node.w, node.pick,
-            node.pick_deterministic, node.pick_influence, node.p0, node.p1,
-            child0, child1, None, s, den,
+            node.assignment, node.denom, node.w, node.pick,
+            node.pick_deterministic, node.pick_influence, child0, child1,
+            node.leaf_mask, s, den,
         )
         # |y1 - y0| > limit with the denominators den * w0 and den * w1 cleared
         if gap_limit is not None and child0 is not None and child1 is not None:
@@ -468,7 +471,7 @@ def _annotate(
                 )
         return tree_node
 
-    return MartingaleTree(skeleton.measure, f, kind, skeleton.order, value(skeleton.root))
+    return MartingaleTree(m, f, kind, skeleton.order, value(skeleton.root))
 
 
 def build_adaptive_tree(
@@ -518,25 +521,23 @@ def max_step(tree: MartingaleTree, mode: Optional[str] = None) -> Fraction:
         mode = "gap" if tree.kind == "adaptive" else "deviation"
     if mode not in ("gap", "deviation"):
         raise ValueError(f"unknown mode {mode!r}")
-    worst = ZERO
-    for node in tree.internal_nodes():
-        if mode == "gap":
-            worst = max(worst, node.gap)
-        else:
-            for child in (node.child0, node.child1):
-                if child is not None:
-                    worst = max(worst, abs(child.y - node.y))
-    return worst
+    if mode == "gap":
+        return max((node.gap for node in tree.internal_nodes()), default=ZERO)
+    return max(map(_deviation, tree.internal_nodes()), default=ZERO)
+
+
+def _deviation(node: TreeNode) -> Fraction:
+    """max |y_c - y| over the node's children c, one Fraction per child:
+    y_c - y = (s_c * w - s * w_c) / (den * w_c * w)."""
+    w, s, den = node.w, node.s, node.den
+    steps = [Fraction(abs(c.s * w - s * c.w), den * c.w * w)
+             for c in (node.child0, node.child1) if c is not None]
+    return max(steps, default=ZERO)
 
 
 def root_step(tree: MartingaleTree) -> Fraction:
     """Largest first-step deviation |Y1 - Y0| over the root's branches."""
-    node = tree.root
-    worst = ZERO
-    for child in (node.child0, node.child1):
-        if child is not None:
-            worst = max(worst, abs(child.y - node.y))
-    return worst
+    return _deviation(tree.root)
 
 
 __all__ = [

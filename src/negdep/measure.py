@@ -422,22 +422,19 @@ class TestFunction:
 
 
 def sum_function(n: int) -> TestFunction:
-    return TestFunction.from_callable(
-        n, lambda bits: sum(bits), declared_monotone=True, name="sum"
-    )
+    nums = [mask.bit_count() for mask in range(1 << n)]
+    return TestFunction._from_nums(n, 1, nums, True, "sum")
 
 
 def constant_function(n: int, value=0) -> TestFunction:
     v = parse_rational(value)
-    return TestFunction(
-        n, [v] * (1 << n), declared_monotone=True, name=f"const({v})"
-    )
+    nums = [v.numerator] * (1 << n)
+    return TestFunction._from_nums(n, v.denominator, nums, True, f"const({v})")
 
 
 def xor_function(n: int) -> TestFunction:
-    return TestFunction.from_callable(
-        n, lambda bits: sum(bits) % 2, name="xor"
-    )
+    nums = [mask.bit_count() & 1 for mask in range(1 << n)]
+    return TestFunction._from_nums(n, 1, nums, False, "xor")
 
 
 def random_lipschitz(n: int, rng, monotone: bool = False, pieces: int = 3) -> TestFunction:

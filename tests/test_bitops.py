@@ -100,9 +100,6 @@ def test_doubled_tables_and_array_extraction(n):
               np.array([(1 << 70) + 3 * mask for mask in range(1 << n)], dtype=object)]
     for selector in range(1 << n):
         ex = SubsetExtractor(selector, n)
-        half = max(1, n // 2)
-        assert ex._lo == _bit_loop_table(selector & ((1 << half) - 1), half)
-        assert ex._hi == _bit_loop_table(selector >> half, n - half)
         rows = _bit_loop_table(selector, n)
         cols = _bit_loop_table(full ^ selector, n)
         for dense in arrays:
@@ -112,6 +109,24 @@ def test_doubled_tables_and_array_extraction(n):
             assert got.dtype == dense.dtype
             assert got.shape == expected.shape
             assert got.tolist() == expected.tolist()
+        # extract after a split, through the half-width tables it builds
+        assert [ex.extract(mask) for mask in range(1 << n)] == rows
+
+
+def test_split_builds_no_extract_table(monkeypatch):
+    built = []
+    build = SubsetExtractor._build_table
+
+    def counted(sel, width):
+        built.append(width)
+        return build(sel, width)
+
+    monkeypatch.setattr(SubsetExtractor, "_build_table", staticmethod(counted))
+    ex = SubsetExtractor(0b01011, 5)
+    ex.split(np.arange(32))
+    assert built == []
+    assert [ex.extract(0b11111), ex.extract(0b01000)] == [0b111, 0b100]
+    assert built == [2, 3]  # the two half tables, once
 
 
 @pytest.mark.parametrize("n", range(1, 9))

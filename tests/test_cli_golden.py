@@ -6,8 +6,10 @@ golden/cli_outputs.json.
 The tree inputs cover a NAND measure, the anti-correlated pair, the
 positively correlated pair (the IntervalViolation path), a conditioned
 sum and a product measure whose common denominator exceeds 2^20, each
-with the sum, xor, a constant and two seeded random test functions.
-The checker inputs are `nand:8`, conditioned sums whose denominators
+with the sum, xor, a constant and two seeded random test functions, in
+the adaptive, identity and reversed orders.  `counterexample` runs for
+n = 3..12, so the two runs at the tree cap, where negative regression
+is skipped, are pinned too.  The checker inputs are `nand:8`, conditioned sums whose denominators
 exceed 2^20 and 2^63, and a measure (golden/nr_fails_late.json) that
 fails both notions on its sixteenth conditioning set, so that the `work`
 counters of an early exit and the certificates are pinned too.  Negative
@@ -33,13 +35,14 @@ from negdep.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_outputs.json"
 
-FAMILIES = [
-    "nand:5",
-    "anti_pair",
-    "pos_pair",
-    "condsum:1/3,1/2,2/5,1/4,3/5:2:3",
-    "independent:1/1009,2/1013,500/1019",  # D = 1009 * 1013 * 1019 > 2^20
-]
+# each family with its number of variables, for the reversed fixed order
+FAMILIES = {
+    "nand:5": 5,
+    "anti_pair": 2,
+    "pos_pair": 2,
+    "condsum:1/3,1/2,2/5,1/4,3/5:2:3": 5,
+    "independent:1/1009,2/1013,500/1019": 3,  # D = 1009 * 1013 * 1019 > 2^20
+}
 FUNCTIONS = ["sum", "xor", "constant:7/2", "random:3", "random:4:monotone"]
 # paths are relative to the repository root, where run_cli runs
 CHECK_INPUTS = [
@@ -73,10 +76,14 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def cases() -> list[list[str]]:
     out = []
-    for family in FAMILIES:
+    for family, n in FAMILIES.items():
+        reversed_order = "fixed:" + ",".join(map(str, range(n, 0, -1)))
         for f in FUNCTIONS:
             for fmt in ("text", "json", "csv"):
-                for order in ("adaptive", "fixed"):
+                orders = ["adaptive", "fixed"]
+                if fmt != "text":
+                    orders.append(reversed_order)
+                for order in orders:
                     out.append(["martingale", "--family", family, "--f", f,
                                 "--order", order, "--format", fmt])
                 out.append(["tail", "--family", family, "--f", f, "--format", fmt])
@@ -84,7 +91,8 @@ def cases() -> list[list[str]]:
         out.append(["check", *source, "--notions", "nr,sc", "--format", "json"])
     for source in ASSOCIATION_INPUTS:
         out.append(["check", *source, "--notions", "na,cna", "--format", "json"])
-    for n in range(3, 11):
+    # 11 and 12 run at the tree cap with negative regression skipped
+    for n in range(3, 13):
         out.append(["counterexample", str(n), "--format", "json"])
     return out
 

@@ -5,6 +5,7 @@ import pytest
 
 from negdep.coupling import build_monotone_coupling, coupling_displacement
 from negdep.errors import (
+    DimensionMismatch,
     IntervalViolation,
     NoEligibleIndex,
     TooLarge,
@@ -30,6 +31,7 @@ from negdep.measure import (
     random_lipschitz,
     sum_function,
 )
+from negdep.zoo import random_measure, zoo
 
 HALF = Fraction(1, 2)
 
@@ -71,6 +73,14 @@ def test_pick_on_zero_probability_event():
         pick_index(family_nand(3), Assignment.of({1: 0, 2: 0}))
 
 
+@pytest.mark.parametrize("value", [0, 1])
+def test_pick_refuses_an_index_above_n(value):
+    m = family_nand(3)
+    for check in (pick_index, verify_pick_lemma):
+        with pytest.raises(DimensionMismatch, match="assignment index out of range"):
+            check(m, Assignment.of({5: value}))
+
+
 def test_lemma_quantities_nand3():
     rep = verify_pick_lemma(family_nand(3), Assignment.empty())
     by_index = {e.index: e for e in rep.entries}
@@ -106,6 +116,53 @@ def test_lemma_report_json():
     assert doc["entries"][0]["influence_sum"] == "4/3"
 
 
+def _pick_cases():
+    rng = random.Random(12)
+    seeded = {f"random{n}_{k}": random_measure(n, rng, max_weight=rng.choice([1, 2, 8]))
+              for n in range(1, 6) for k in range(4)}
+    return {**zoo(), **seeded}
+
+
+PICK_CASES = _pick_cases()
+
+
+@pytest.mark.parametrize("m", PICK_CASES.values(), ids=PICK_CASES.keys())
+def test_skeleton_picks_match_the_lemma_entries(m):
+    # the lemma report's Fractions are the reference for every internal node
+    for order in (None, tuple(range(1, m.n + 1)), tuple(range(m.n, 0, -1))):
+        stack = [build_skeleton(m, order).root]
+        while stack:
+            node = stack.pop()
+            if node.pick is None:
+                continue
+            rep = verify_pick_lemma(m, node.assignment)
+            entry = next(e for e in rep.entries if e.index == node.pick)
+            assert node.pick_deterministic == entry.deterministic
+            if order is None:
+                assert node.pick == rep.chosen.index
+                assert node.pick_influence == entry.influence_sum
+            else:
+                assert node.pick_influence is None
+            stack += [c for c in (node.child0, node.child1) if c is not None]
+
+
+def test_pick_at_influence_exactly_one():
+    res = pick_index(family_nand(3), Assignment.of({2: 1}))
+    assert (res.index, res.deterministic, res.influence_sum) == (1, False, 1)
+    for n in range(3, 9):
+        m = family_nand(n)
+        stack = [build_skeleton(m).root]
+        ones = 0
+        while stack:
+            node = stack.pop()
+            if node.pick_influence == 1:
+                ones += 1
+                rep = verify_pick_lemma(m, node.assignment)
+                assert rep.chosen.influence_sum == 1
+            stack += [c for c in (node.child0, node.child1) if c is not None]
+        assert ones > 0, n
+
+
 # -- skeletons and trees -----------------------------------------------------
 
 
@@ -126,6 +183,14 @@ def test_skeleton_configuration_mismatch_rejected():
     sk_adaptive = build_skeleton(m)
     with pytest.raises(ValueError):
         fixed_order_tree(m, sum_function(3), skeleton=sk_adaptive)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_tree_builders_refuse_a_function_on_another_cube(k):
+    m = family_nand(3)
+    for build in (build_adaptive_tree, fixed_order_tree):
+        with pytest.raises(DimensionMismatch, match=f"function on {k} vars, measure on 3"):
+            build(m, sum_function(k))
 
 
 def test_order_must_be_permutation():
