@@ -52,7 +52,8 @@ def mask_from_bits(bits: str) -> int:
 
 def bits_from_mask(mask: int, n: int) -> str:
     """Serialize an integer mask to the ``x1 x2 ... xn`` bitstring."""
-    return "".join("1" if mask >> pos & 1 else "0" for pos in range(n))
+    # the binary digits of the low n bits behind a guard bit, read backwards
+    return bin(mask & ((1 << n) - 1) | 1 << n)[:2:-1]
 
 
 def indices_of(mask: int) -> tuple[int, ...]:

@@ -26,6 +26,16 @@ agree on feasibility (Strassen) and on the lower atoms left of the
 minimal minimum cut, which is what ``left_cut`` reports (Picard and
 Queyranne).  Couplings are read off a feasible flow by a deterministic
 path decomposition; on the bipartite network that returns the arc flows.
+
+``Dinic`` keeps its edges in flat lists and finds each phase's blocking
+flow with one walk that holds its path as edge ids.  At the sink it
+pushes the bottleneck (at most 2^200) and resumes at the tail of the
+first saturated edge, which is where a walk restarted at the source
+would arrive: the edges before it keep capacity and their iterators.  A
+dead end stays dead for the phase (only arcs back toward the source gain
+capacity), and the BFS stops once the sink has its level, as nodes that
+far out are dead ends.  So every flow, cut and coupling depends only on
+the order in which edges were added.
 """
 
 from __future__ import annotations
@@ -46,75 +56,91 @@ ZERO = Fraction(0)
 
 
 class Dinic:
-    """Integer max-flow (Dinic).  Deterministic for fixed edge-insert order."""
+    """Integer max-flow (Dinic).  Deterministic for fixed edge-insert order.
 
-    __slots__ = ("graph", "_level", "_it")
+    Edge ``e`` ends at ``head[e]`` with residual capacity ``cap[e]``;
+    ``e ^ 1`` is its reverse, and ``adj[u]`` lists u's edge ids in order.
+    """
+
+    __slots__ = ("head", "cap", "adj")
 
     def __init__(self, num_nodes: int):
-        self.graph: list[list[list[int]]] = [[] for _ in range(num_nodes)]
-        self._level: list[int] = []
-        self._it: list[int] = []
+        self.head: list[int] = []
+        self.cap: list[int] = []
+        self.adj: list[list[int]] = [[] for _ in range(num_nodes)]
 
-    def add_edge(self, u: int, v: int, capacity: int) -> tuple[int, int]:
-        """Add a directed edge; returns a handle for flow queries."""
-        handle = (u, len(self.graph[u]))
-        self.graph[u].append([v, capacity, len(self.graph[v])])
-        self.graph[v].append([u, 0, len(self.graph[u]) - 1])
-        return handle
+    def add_edge(self, u: int, v: int, capacity: int) -> int:
+        """Add a directed edge; returns its id, the handle for flow queries."""
+        e = len(self.head)
+        self.head += (v, u)
+        self.cap += (capacity, 0)
+        self.adj[u].append(e)
+        self.adj[v].append(e + 1)
+        return e
 
-    def flow_on(self, handle: tuple[int, int], original_capacity: int) -> int:
-        u, idx = handle
-        return original_capacity - self.graph[u][idx][1]
+    def flow_on(self, handle: int, original_capacity: int) -> int:
+        return original_capacity - self.cap[handle]
 
-    def _bfs(self, s: int, t: int) -> bool:
-        level = [-1] * len(self.graph)
+    def _levels(self, s: int, t: int) -> Optional[list[int]]:
+        """Residual BFS levels from s, up to t's (None if t is unreachable)."""
+        head, cap, adj = self.head, self.cap, self.adj
+        level = [-1] * len(adj)
         level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v, cap, _ in self.graph[u]:
-                if cap > 0 and level[v] < 0:
+        queue = [s]
+        for u in queue:  # the loop also visits what it appends
+            for e in adj[u]:
+                if cap[e] and level[v := head[e]] < 0:
                     level[v] = level[u] + 1
+                    if v == t:
+                        return level
                     queue.append(v)
-        self._level = level
-        return level[t] >= 0
-
-    def _dfs(self, u: int, t: int, limit: int) -> int:
-        if u == t:
-            return limit
-        graph, level, it = self.graph, self._level, self._it
-        while it[u] < len(graph[u]):
-            edge = graph[u][it[u]]
-            v, cap, rev = edge
-            if cap > 0 and level[v] == level[u] + 1:
-                pushed = self._dfs(v, t, min(limit, cap))
-                if pushed > 0:
-                    edge[1] -= pushed
-                    graph[v][rev][1] += pushed
-                    return pushed
-            it[u] += 1
-        return 0
+        return None
 
     def max_flow(self, s: int, t: int) -> int:
+        head, cap, adj = self.head, self.cap, self.adj
         total = 0
-        while self._bfs(s, t):
-            self._it = [0] * len(self.graph)
+        while (level := self._levels(s, t)) is not None:
+            it = [0] * len(adj)  # each node's next edge to try
+            path: list[int] = []  # the edge ids from s to u
+            u = s
             while True:
-                pushed = self._dfs(s, t, 1 << 200)
-                if pushed == 0:
-                    break
-                total += pushed
+                edges, up = adj[u], level[u] + 1
+                for i in range(it[u], len(edges)):
+                    e = edges[i]
+                    if cap[e] and level[head[e]] == up:
+                        break
+                else:  # a dead end: drop it for the phase and step back
+                    if not path:
+                        break
+                    level[u] = -1
+                    u = head[path.pop() ^ 1]
+                    it[u] += 1
+                    continue
+                it[u] = i
+                path.append(e)
+                u = head[e]
+                while u == t:  # again along the same path if nothing saturates
+                    pushed = min(1 << 200, *map(cap.__getitem__, path))
+                    total += pushed
+                    for e in path:
+                        cap[e] -= pushed
+                        cap[e ^ 1] += pushed
+                    for k, e in enumerate(path):  # resume at the first saturated one
+                        if not cap[e]:
+                            u = head[e ^ 1]
+                            del path[k:]
+                            break
         return total
 
     def residual_reachable(self, s: int) -> set[int]:
         """Nodes reachable from s in the residual graph (source side of a
         minimum cut once max_flow has run)."""
+        head, cap, adj = self.head, self.cap, self.adj
         seen = {s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v, cap, _ in self.graph[u]:
-                if cap > 0 and v not in seen:
+        queue = [s]
+        for u in queue:
+            for e in adj[u]:
+                if cap[e] and (v := head[e]) not in seen:
                     seen.add(v)
                     queue.append(v)
         return seen
@@ -566,17 +592,15 @@ class Coupling:
         )
 
     def to_json(self) -> dict:
+        # the order of pairs(), with each pair's bit strings built once
+        rows = sorted(
+            (bits_from_mask(x, self.n), bits_from_mask(y, self.n), p)
+            for (x, y), p in self.mass.items()
+        )
         return {
             "n": self.n,
             "covering": self.covering,
-            "pairs": [
-                {
-                    "x": bits_from_mask(x, self.n),
-                    "y": bits_from_mask(y, self.n),
-                    "p": format_rational(p),
-                }
-                for x, y, p in self.pairs()
-            ],
+            "pairs": [{"x": x, "y": y, "p": format_rational(p)} for x, y, p in rows],
             "lower": self.lower.to_json(),
             "upper": self.upper.to_json(),
         }
@@ -611,8 +635,8 @@ def build_monotone_coupling(
     Plain mode fails with a down-set witness; covering mode fails with a
     Hall-type cut (a lower block heavier than its covering neighborhood).
     The construction is deterministic: the transport network is built in
-    bitstring order and the blocking-flow solution is unique given that
-    order.
+    bitstring order, and the max-flow augments along the same paths for
+    the same edge order (see the module docstring).
     """
     if lower.n != upper.n:
         raise DimensionMismatch("measures live on different cubes")

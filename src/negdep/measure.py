@@ -56,7 +56,7 @@ def parse_rational(text) -> Fraction:
 
 def format_rational(q: Fraction) -> str:
     """Lowest-terms "num/den" (or plain integer) representation."""
-    return str(Fraction(q))
+    return str(q if isinstance(q, Fraction) else Fraction(q))
 
 
 def _check_width(n: int) -> None:

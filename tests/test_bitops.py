@@ -1,4 +1,5 @@
 import os
+import random
 
 import numpy as np
 import pytest
@@ -22,6 +23,20 @@ def test_mask_bitstring_roundtrip():
     assert bits_from_mask(0b001, 3) == "100"
     for mask in range(32):
         assert mask_from_bits(bits_from_mask(mask, 5)) == mask
+
+
+def test_bits_from_mask_matches_the_per_bit_form():
+    def per_bit(mask, n):
+        return "".join("1" if mask >> pos & 1 else "0" for pos in range(n))
+
+    rng = random.Random(5)
+    for n in range(21):
+        # masks of 2^n and above are truncated to their low n bits
+        masks = [0, (1 << n) - 1, 1 << n, -1]
+        masks += [rng.randrange(-8, 1 << (n + 3)) for _ in range(50)]
+        for mask in masks:
+            assert bits_from_mask(mask, n) == per_bit(mask, n)
+    assert bits_from_mask(5, 0) == ""
 
 
 def test_indices_are_one_based_ascending():

@@ -1,6 +1,6 @@
 """Golden outputs: the exact stdout and exit code of `martingale` and
 `tail` in every format, of the negative regression and stochastic
-covering checkers, and of `counterexample`, pinned in
+covering checkers, of `counterexample` and of `coupling`, pinned in
 golden/cli_outputs.json.
 
 The tree inputs cover a NAND measure, the anti-correlated pair, the
@@ -16,6 +16,20 @@ counters of an early exit and the certificates are pinned too.  Negative
 association and CNA run on those inputs, on every catalog measure and on
 a seeded perturbed conditioned sum (golden/cna_fails_late.json) that
 holds NA and fails CNA on its 216th conditional.
+
+`coupling` runs in plain and `--covering` mode, in JSON and in text, on
+the pairs of golden/coupling/ (NAME_lower.json, NAME_upper.json).  The
+lower measure of `nand6_x1`, `nand6_x2`, `condsum9_x1` and `condsum9_x9`
+is the conditional on x_i = 1 and the upper one on x_i = 0, of `nand:6`
+and of `condsum:1/3,1/2,2/3,1/4,3/4,1/2,1/3,2/3,1/4:3:6`; the
+conditioned sums and `nand6_x2` route on the cube network, `nand6_x1` on
+the bipartite one, and its covering run fails with a Hall cut.
+`sparse12` holds six seeded atoms in dimension 12, each split over two
+random supersets (bipartite network).  `nand6_x1_reversed` swaps the
+two laws of `nand6_x1`, so the plain run fails with a down-set
+certificate.  `independent3` is the product 1/4 below the product 3/4 on
+three coordinates: it dominates, and the covering run fails with a Hall
+cut.
 
 Regenerate the file only for an intended output change, by running this
 module with the package on the path:
@@ -71,6 +85,10 @@ ASSOCIATION_INPUTS = [
     *CHECK_INPUTS,
     ["--file", "tests/golden/cna_fails_late.json"],
 ]
+COUPLING_PAIRS = [
+    "nand6_x1", "nand6_x2", "condsum9_x1", "condsum9_x9", "sparse12",
+    "nand6_x1_reversed", "independent3",
+]
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -94,6 +112,12 @@ def cases() -> list[list[str]]:
     # 11 and 12 run at the tree cap with negative regression skipped
     for n in range(3, 13):
         out.append(["counterexample", str(n), "--format", "json"])
+    for name in COUPLING_PAIRS:
+        pair = ["--lower", f"tests/golden/coupling/{name}_lower.json",
+                "--upper", f"tests/golden/coupling/{name}_upper.json"]
+        for mode in ([], ["--covering"]):
+            for fmt in ("json", "text"):
+                out.append(["coupling", *pair, *mode, "--format", fmt])
     return out
 
 

@@ -82,6 +82,9 @@ def test_format_rational():
     assert format_rational(Fraction(3, 4)) == "3/4"
     assert format_rational(Fraction(2)) == "2"
     assert format_rational(Fraction(-1, 2)) == "-1/2"
+    # values that are not Fractions are read as one first
+    assert format_rational(3) == "3"
+    assert format_rational("6/4") == "3/2"
 
 
 # -- assignments -------------------------------------------------------------
