@@ -41,13 +41,10 @@ def cap(name: str) -> int:
 
 def mask_from_bits(bits: str) -> int:
     """Parse a bitstring ``x1 x2 ... xn`` into an integer mask."""
-    mask = 0
-    for pos, ch in enumerate(bits):
-        if ch == "1":
-            mask |= 1 << pos
-        elif ch != "0":
-            raise ValueError(f"not a bitstring: {bits!r}")
-    return mask
+    if bits.strip("01"):
+        raise ValueError(f"not a bitstring: {bits!r}")
+    # x1 is the lowest bit, so the string is the binary digits read backwards
+    return int(bits[::-1] or "0", 2)
 
 
 def bits_from_mask(mask: int, n: int) -> str:

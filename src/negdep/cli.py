@@ -191,7 +191,7 @@ def cmd_coupling(args) -> int:
         return 1
     if args.format == "text":
         text = (
-            f"coupling on {c.lower.n} variables: {len(c.mass)} pairs, "
+            f"coupling on {c.lower.n} variables: {len(c.flows)} pairs, "
             f"displacement {c.displacement()}"
         )
         _emit(text, args.output)

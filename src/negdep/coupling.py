@@ -50,7 +50,8 @@ from typing import Iterator, Optional
 
 from .bitops import bits_from_mask, is_submask, mask_from_bits
 from .errors import DimensionMismatch, DominanceFails
-from .measure import ExplicitMeasure, format_rational, parse_rational
+from .measure import ExplicitMeasure, format_ratio, format_rational
+from .measure import parse_ratio, sum_over_lcm
 
 ZERO = Fraction(0)
 
@@ -542,32 +543,41 @@ class Coupling:
     """A joint law on pairs (x, y) with x ~ lower, y ~ upper, x <= y.
 
     In covering mode the support additionally satisfies |y| - |x| <= 1,
-    so y flips at most one coordinate of x upward.
+    so y flips at most one coordinate of x upward.  Stored on integers:
+    pair (x, y) has mass flows[(x, y)] / scale, scale > 0; ``validate``
+    compares the flows' row and column sums with each measure's integer
+    weights.  ``mass``, ``pairs()`` and ``displacement()`` build
+    Fractions when read, for the API edge only.
     """
 
     lower: ExplicitMeasure
     upper: ExplicitMeasure
-    mass: dict[tuple[int, int], Fraction]
+    flows: dict[tuple[int, int], int]
+    scale: int
     covering: bool = False
 
     @property
     def n(self) -> int:
         return self.lower.n
 
+    @property
+    def mass(self) -> dict[tuple[int, int], Fraction]:
+        return {xy: Fraction(f, self.scale) for xy, f in self.flows.items()}
+
     def pairs(self) -> Iterator[tuple[int, int, Fraction]]:
         n = self.n
         key = lambda xy: (bits_from_mask(xy[0], n), bits_from_mask(xy[1], n))
-        for x, y in sorted(self.mass, key=key):
-            yield x, y, self.mass[(x, y)]
+        for x, y in sorted(self.flows, key=key):
+            yield x, y, Fraction(self.flows[(x, y)], self.scale)
 
     def validate(self) -> None:
         """Raise unless the marginal and support invariants all hold."""
         if self.lower.n != self.upper.n:
             raise DimensionMismatch("coupling marginals on different cubes")
-        row: dict[int, Fraction] = {}
-        col: dict[int, Fraction] = {}
-        for (x, y), p in self.mass.items():
-            if p < 0:
+        s = self.scale
+        row, col = {}, {}  # the flows summed per x and per y
+        for (x, y), f in self.flows.items():
+            if f < 0:
                 raise ValueError("coupling mass must be nonnegative")
             if not is_submask(x, y):
                 raise ValueError(
@@ -576,49 +586,52 @@ class Coupling:
                 )
             if self.covering and (x ^ y).bit_count() > 1:
                 raise ValueError("covering coupling moves more than one coordinate")
-            if p > 0:
-                row[x] = row.get(x, ZERO) + p
-                col[y] = col.get(y, ZERO) + p
-        if row != dict(self.lower.items()):
+            if f > 0:
+                row[x] = row.get(x, 0) + f
+                col[y] = col.get(y, 0) + f
+        d, w = self.lower.scaled_weights()
+        if {x: f * d for x, f in row.items()} != {x: v * s for x, v in w.items()}:
             raise ValueError("first marginal does not match the lower measure")
-        if col != dict(self.upper.items()):
+        d, w = self.upper.scaled_weights()
+        if {y: f * d for y, f in col.items()} != {y: v * s for y, v in w.items()}:
             raise ValueError("second marginal does not match the upper measure")
 
     def displacement(self) -> Fraction:
         """Expected number of coordinates raised, sum of p * (|y| - |x|)."""
-        return sum(
-            (p * (y.bit_count() - x.bit_count()) for (x, y), p in self.mass.items()),
-            ZERO,
+        raised = sum(
+            f * (y.bit_count() - x.bit_count()) for (x, y), f in self.flows.items()
         )
+        return Fraction(raised, self.scale)
 
     def to_json(self) -> dict:
         # the order of pairs(), with each pair's bit strings built once
+        n, s = self.n, self.scale
         rows = sorted(
-            (bits_from_mask(x, self.n), bits_from_mask(y, self.n), p)
-            for (x, y), p in self.mass.items()
+            (bits_from_mask(x, n), bits_from_mask(y, n), f)
+            for (x, y), f in self.flows.items()
         )
         return {
-            "n": self.n,
+            "n": n,
             "covering": self.covering,
-            "pairs": [{"x": x, "y": y, "p": format_rational(p)} for x, y, p in rows],
+            "pairs": [{"x": x, "y": y, "p": format_ratio(f, s)} for x, y, f in rows],
             "lower": self.lower.to_json(),
             "upper": self.upper.to_json(),
         }
 
     @classmethod
     def from_json(cls, doc: dict) -> "Coupling":
+        """Inverse of to_json; repeated pairs are summed."""
         lower = ExplicitMeasure.from_json(doc["lower"])
         upper = ExplicitMeasure.from_json(doc["upper"])
-        mass: dict[tuple[int, int], Fraction] = {}
-        for entry in doc["pairs"]:
-            key = (mask_from_bits(entry["x"]), mask_from_bits(entry["y"]))
-            mass[key] = mass.get(key, ZERO) + parse_rational(entry["p"])
-        return cls(lower=lower, upper=upper, mass=mass, covering=bool(doc.get("covering")))
+        scale, flows = sum_over_lcm([
+            ((mask_from_bits(e["x"]), mask_from_bits(e["y"])), *parse_ratio(e["p"]))
+            for e in doc["pairs"]
+        ])
+        return cls(lower, upper, flows, scale, covering=bool(doc.get("covering")))
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(self.to_json(), indent=2) + "\n")
 
     @classmethod
     def load(cls, path) -> "Coupling":
@@ -644,11 +657,8 @@ def build_monotone_coupling(
     right, ut = _sorted_scaled(upper)
     res = transport(left, lt, right, ut, covering=covering_mode, want_flows=True)
     if res.feasible:
-        scale = res.target
-        mass = {
-            (x, y): Fraction(f, scale) for x, y, f in res.pair_flows
-        }
-        coupling = Coupling(lower=lower, upper=upper, mass=mass, covering=covering_mode)
+        flows = {(x, y): f for x, y, f in res.pair_flows}
+        coupling = Coupling(lower, upper, flows, res.target, covering_mode)
         coupling.validate()
         return coupling
     if covering_mode:

@@ -38,8 +38,6 @@ from .errors import (
     ZeroProbabilityEvent,
 )
 
-ZERO = Fraction(0)
-
 
 def parse_rational(text) -> Fraction:
     """Parse "num/den" or a decimal string exactly; a zero denominator
@@ -57,6 +55,33 @@ def parse_rational(text) -> Fraction:
 def format_rational(q: Fraction) -> str:
     """Lowest-terms "num/den" (or plain integer) representation."""
     return str(q if isinstance(q, Fraction) else Fraction(q))
+
+
+def format_ratio(a: int, b: int) -> str:
+    """format_rational(Fraction(a, b)) for integers b > 0, with no Fraction."""
+    g = gcd(a, b)
+    return f"{a // g}/{b // g}" if b != g else str(a // g)
+
+
+def parse_ratio(p) -> tuple[int, int]:
+    """parse_rational(p) as (num, den > 0), maybe not in lowest terms: plain
+    ASCII "a/b" and "a" are read by int, all else by parse_rational."""
+    if isinstance(p, str) and p.isascii():
+        num, slash, den = p.partition("/")
+        if num.isdigit() and (den.isdigit() or not slash) and (d := int(den or 1)):
+            return int(num), d
+    q = parse_rational(p)
+    return q.numerator, q.denominator
+
+
+def sum_over_lcm(ratios) -> tuple[int, dict]:
+    """(L, key -> summed numerator over L) for (key, num, den) triples,
+    where L is the lcm of the denominators; keys keep first-seen order."""
+    denom = lcm(*(d for _, _, d in ratios))
+    out: dict = {}
+    for key, a, d in ratios:
+        out[key] = out.get(key, 0) + a * (denom // d)
+    return denom, out
 
 
 def _check_width(n: int) -> None:
@@ -125,38 +150,20 @@ class ExplicitMeasure:
     positive integer weights with sum exactly D and no common factor with
     D, so P[x] = weight(x) / D.  Zero-mass atoms are not stored and every
     key fits in n bits.  Fractions are made only on the way out (items,
-    prob, atoms, to_json).  Instances are immutable; share them freely.
+    prob, atoms); to_json formats the integers.  Instances are immutable.
     """
 
     __slots__ = ("n", "_denom", "_weights")
 
     def __init__(self, n: int, mass: dict[int, Fraction]):
-        _check_width(n)
-        full = (1 << n) - 1
-        clean: dict[int, Fraction] = {}
-        for key, p in mass.items():
-            if key < 0 or key > full:
-                raise BadWidth(f"atom {key} does not fit in {n} bits")
-            p = parse_rational(p)
-            if p < 0:
-                raise NegativeMass(f"atom {bits_from_mask(key, n)} has mass {p}")
-            if p > 0:
-                clean[key] = p
-        # the lcm of lowest-terms denominators leaves weights coprime to it
-        denom = lcm(*(p.denominator for p in clean.values()))
-        weights = {k: p.numerator * (denom // p.denominator) for k, p in clean.items()}
-        total = sum(weights.values())
-        if total != denom:
-            raise MassNotOne(f"masses sum to {Fraction(total, denom)}, expected 1")
-        self.n = n
-        self._denom = denom
-        self._weights = weights
+        core = self.from_atoms(n, mass.items())
+        self.n, self._denom, self._weights = n, core._denom, core._weights
 
     @classmethod
     def _from_weights(cls, n: int, weights: dict[int, int]) -> "ExplicitMeasure":
         """The measure weight(x) / sum(weights) from positive integer
-        weights; their gcd is divided out.  Every internal construction
-        goes through here."""
+        weights; their gcd is divided out.  Every construction ends
+        here."""
         _check_width(n)
         g = gcd(*weights.values())
         if g != 1:
@@ -173,18 +180,29 @@ class ExplicitMeasure:
     def from_atoms(cls, n: int, atoms: Iterable[tuple]) -> "ExplicitMeasure":
         """Build from (bitstring-or-mask, rational) pairs.
 
-        Duplicate atoms are merged by summing their masses.
+        Duplicate atoms are merged by summing their masses.  Every public
+        constructor comes here: weights over the lcm of the denominators,
+        checked, then reduced to the least common one by _from_weights.
         """
         _check_width(n)
-        mass: dict[int, Fraction] = {}
+        ratios = []
         for key, p in atoms:
             if isinstance(key, str):
                 if len(key) != n:
                     raise BadWidth(f"bitstring {key!r} is not {n} bits wide")
                 key = mask_from_bits(key)
-            p = parse_rational(p)
-            mass[key] = mass.get(key, ZERO) + p
-        return cls(n, mass)
+            ratios.append((key, *parse_ratio(p)))
+        denom, weights = sum_over_lcm(ratios)
+        for key, w in weights.items():
+            if key < 0 or key >> n:
+                raise BadWidth(f"atom {key} does not fit in {n} bits")
+            if w < 0:
+                p = format_ratio(w, denom)
+                raise NegativeMass(f"atom {bits_from_mask(key, n)} has mass {p}")
+        weights = {k: w for k, w in weights.items() if w}
+        if (total := sum(weights.values())) != denom:
+            raise MassNotOne(f"masses sum to {format_ratio(total, denom)}, expected 1")
+        return cls._from_weights(n, weights)
 
     # -- basic queries ----------------------------------------------------
 
@@ -294,13 +312,9 @@ class ExplicitMeasure:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "atoms": [
-                {"x": bits_from_mask(k, self.n), "p": format_rational(p)}
-                for k, p in self.atoms()
-            ],
-        }
+        n, d = self.n, self._denom
+        rows = sorted((bits_from_mask(k, n), w) for k, w in self._weights.items())
+        return {"n": n, "atoms": [{"x": x, "p": format_ratio(w, d)} for x, w in rows]}
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExplicitMeasure":
@@ -319,8 +333,7 @@ class ExplicitMeasure:
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(self.to_json(), indent=2) + "\n")
 
     @classmethod
     def load(cls, path) -> "ExplicitMeasure":

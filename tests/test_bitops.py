@@ -25,6 +25,32 @@ def test_mask_bitstring_roundtrip():
         assert mask_from_bits(bits_from_mask(mask, 5)) == mask
 
 
+def test_mask_from_bits_matches_the_per_character_loop():
+    def per_char(bits):
+        mask = 0
+        for pos, ch in enumerate(bits):
+            if ch == "1":
+                mask |= 1 << pos
+            elif ch != "0":
+                raise ValueError(f"not a bitstring: {bits!r}")
+        return mask
+
+    def outcome(f, bits):
+        try:
+            return f(bits)
+        except ValueError as exc:
+            return str(exc)
+
+    rng = random.Random(11)
+    cases = [" 01", "0_1", "1 0", "\uff12", "", "0", "1", "01\n", "+1", "0b1", "1" * 70]
+    cases += ["".join(rng.choice("01") for _ in range(rng.randrange(25))) for _ in range(300)]
+    cases += ["".join(rng.choice("01 2_-") for _ in range(rng.randrange(1, 8))) for _ in range(300)]
+    for bits in cases:
+        assert outcome(mask_from_bits, bits) == outcome(per_char, bits), bits
+    with pytest.raises(ValueError, match="not a bitstring"):
+        mask_from_bits("1 0")
+
+
 def test_bits_from_mask_matches_the_per_bit_form():
     def per_bit(mask, n):
         return "".join("1" if mask >> pos & 1 else "0" for pos in range(n))
