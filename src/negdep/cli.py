@@ -247,7 +247,9 @@ def cmd_martingale(args) -> int:
 
 
 def _parse_grid(spec: str) -> list[Fraction]:
-    lo, step, hi = (parse_rational(tok) for tok in spec.split(":"))
+    if len(parts := spec.split(":")) != 3:
+        raise ValueError(f"grid {spec!r} is not of the form LO:STEP:HI")
+    lo, step, hi = map(parse_rational, parts)
     if step <= 0:
         raise ValueError("grid step must be positive")
     count = max(0, (hi - lo) // step + 1)
@@ -261,7 +263,7 @@ def _parse_grid(spec: str) -> list[Fraction]:
 def cmd_tail(args) -> int:
     m = _load_measure(args)
     f = parse_function(args.f, m.n)
-    grid = _parse_grid(args.grid) if args.grid else None
+    grid = None if args.grid is None else _parse_grid(args.grid)
     advisory = ""
     if m.n <= cap("neg_regression"):
         nr = check_neg_regression(m)

@@ -34,15 +34,16 @@ first saturated edge, which is where a walk restarted at the source
 would arrive: the edges before it keep capacity and their iterators.  A
 dead end stays dead for the phase (only arcs back toward the source gain
 capacity), and the BFS stops once the sink has its level, as nodes that
-far out are dead ends.  So every flow, cut and coupling depends only on
-the order in which edges were added.
+far out are dead ends; run to the end, the same BFS gives the residual
+side of the cut.  So every flow, cut and coupling depends only on the
+order in which edges were added.  Up-closures are the complements of
+down-closures of the complemented seeds, one walk for both.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -82,8 +83,9 @@ class Dinic:
     def flow_on(self, handle: int, original_capacity: int) -> int:
         return original_capacity - self.cap[handle]
 
-    def _levels(self, s: int, t: int) -> Optional[list[int]]:
-        """Residual BFS levels from s, up to t's (None if t is unreachable)."""
+    def _levels(self, s: int, t: int) -> list[int]:
+        """Residual BFS levels from s, -1 where unreached; the BFS stops
+        once t has its level (t = -1 never does)."""
         head, cap, adj = self.head, self.cap, self.adj
         level = [-1] * len(adj)
         level[s] = 0
@@ -95,12 +97,12 @@ class Dinic:
                     if v == t:
                         return level
                     queue.append(v)
-        return None
+        return level
 
     def max_flow(self, s: int, t: int) -> int:
         head, cap, adj = self.head, self.cap, self.adj
         total = 0
-        while (level := self._levels(s, t)) is not None:
+        while (level := self._levels(s, t))[t] >= 0:
             it = [0] * len(adj)  # each node's next edge to try
             path: list[int] = []  # the edge ids from s to u
             u = s
@@ -136,15 +138,7 @@ class Dinic:
     def residual_reachable(self, s: int) -> set[int]:
         """Nodes reachable from s in the residual graph (source side of a
         minimum cut once max_flow has run)."""
-        head, cap, adj = self.head, self.cap, self.adj
-        seen = {s}
-        queue = [s]
-        for u in queue:
-            for e in adj[u]:
-                if cap[e] and (v := head[e]) not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
+        return {v for v, lv in enumerate(self._levels(s, -1)) if lv >= 0}
 
 
 def _admissible(x: int, y: int, covering: bool) -> bool:
@@ -352,15 +346,10 @@ def _path_flows(net, middle, inf, sinks, lower_starts, upper_total):
 
 
 def up_closure(seeds, n: int) -> set[int]:
-    """All points of {0,1}^n above some seed (including the seeds)."""
-    seen = set(seeds)
-    queue = deque(seen)
-    while queue:
-        for y in up_steps(queue.popleft(), range(1 << n), n):
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen
+    """All points of {0,1}^n above some seed (including the seeds): the
+    complements of the points below the complemented seeds."""
+    full = (1 << n) - 1
+    return {full ^ p for p in _down_closure([full ^ s for s in seeds], 1 << n)}
 
 
 def is_down_closed(masks, n: int) -> bool:

@@ -11,6 +11,7 @@ certificate that can be re-verified from the raw measure alone:
   * regression:   (J, a, b) and a down-closed set where dominance fails;
   * covering:     (I, a, a') and a Hall-type infeasibility cut.
 
+The cylinder check sweeps its 2^n sets on arrays, int64 while D^n fits.
 The strong Rayleigh property only gets a falsifier: a grid search for a
 point with negative Rayleigh difference.  It can refute, never certify.
 """
@@ -137,34 +138,22 @@ def covariance(m: ExplicitMeasure, i: int, j: int) -> Fraction:
 
 
 def check_pairwise_nc(m: ExplicitMeasure) -> NotionReport:
-    """Holds iff Cov[Xi, Xj] <= 0 for every pair i < j (vacuously for n < 2)."""
-    if m.n < 2:
+    """Holds iff Cov[Xi, Xj] <= 0 for every pair i < j (vacuously for n < 2);
+    the worst pair is the first of the largest covariance."""
+    pairs = list(itertools.combinations(range(1, m.n + 1), 2))
+    if not pairs:
         work = {"pairs_checked": 0, "worst_pair": None, "worst_covariance": None}
         return NotionReport(Notion.PAIRWISE_NC, Verdict.HOLDS, None, work)
-    d, w = m.scaled_weights()
-    singles = [0] * (m.n + 1)
-    for key, weight in w.items():
-        for i in range(1, m.n + 1):
-            if key >> (i - 1) & 1:
-                singles[i] += weight
-    worst = None
-    pairs = 0
-    for i in range(1, m.n):
-        for j in range(i + 1, m.n + 1):
-            pairs += 1
-            bij = (1 << (i - 1)) | (1 << (j - 1))
-            wij = sum(weight for key, weight in w.items() if key & bij == bij)
-            num = d * wij - singles[i] * singles[j]
-            if worst is None or num > worst[0]:
-                worst = (num, i, j)
-    cov = Fraction(worst[0], d * d)
+    covs = [covariance(m, i, j) for i, j in pairs]
+    cov = max(covs)
+    i, j = pairs[covs.index(cov)]
     work = {
-        "pairs_checked": pairs,
-        "worst_pair": [worst[1], worst[2]],
+        "pairs_checked": len(pairs),
+        "worst_pair": [i, j],
         "worst_covariance": format_rational(cov),
     }
     if cov > 0:
-        cert = {"i": worst[1], "j": worst[2], "covariance": format_rational(cov)}
+        cert = {"i": i, "j": j, "covariance": format_rational(cov)}
         return NotionReport(Notion.PAIRWISE_NC, Verdict.FAILS, cert, work)
     return NotionReport(Notion.PAIRWISE_NC, Verdict.HOLDS, None, work)
 
@@ -174,70 +163,52 @@ def check_pairwise_nc(m: ExplicitMeasure) -> NotionReport:
 # ---------------------------------------------------------------------------
 
 
+def _lex_first(masks: np.ndarray) -> int:
+    """The mask whose ascending index tuple is smallest (a prefix first):
+    fix the lowest next index among the masks that extend the prefix."""
+    prefix = 0
+    while (rest := masks ^ prefix).all():
+        lows = rest & -rest  # the lowest index past the prefix, as a bit
+        low = lows.min()
+        masks, prefix = masks[lows == low], prefix | int(low)
+    return prefix
+
+
 def check_cylinder(m: ExplicitMeasure) -> NotionReport:
     """Holds iff for every S with |S| >= 2, both
-    P[Xi = 1 for i in S] <= prod P[Xi = 1] and the same with zeros."""
+    P[Xi = 1 for i in S] <= prod P[Xi = 1] and the same with zeros.
+
+    Row 0 is the ones side, row 1 the zeros side; the zeros side of S is
+    the ones side of S on the complemented points (the reversed array).
+    Both sides and all products are at most D^n, so int64 is exact while
+    D^n fits; otherwise the arrays hold Python ints."""
     n = m.n
     refuse_over_cap("cyl", n)
-    d, w = m.scaled_weights()
-    size = 1 << n
-    ones = [0] * size   # weight of {x : x >= S} after the transform
-    zeros = [0] * size  # weight of {x : x & S == 0}
-    for key, weight in w.items():
-        ones[key] += weight
-        zeros[key] += weight
-    # superset-sum and subset-sum zeta transforms
+    d, dense = _dense_weights(m, _INT64_MAX)
+    dtype = _exact_dtype(d ** n, _INT64_MAX)
+    side = np.stack([dense, dense[::-1]]).astype(dtype, copy=False)
+    for pos in range(n):  # superset sums: the weight of {x >= S}
+        pairs = side.reshape(2, -1, 2, 1 << pos)
+        pairs[:, :, 0] += pairs[:, :, 1]
+    singles = side[:, 1 << np.arange(n), None, None]
+    prod = np.ones_like(side)  # the product of the singles over S
+    card = np.zeros(1 << n, dtype=np.int64)  # |S|
     for pos in range(n):
-        bit = 1 << pos
-        for s in range(size):
-            if s & bit:
-                ones[s ^ bit] += ones[s]
-            else:
-                zeros[s | bit] += zeros[s]
-    # zeros[s] currently sums over subsets of s; re-index by the cylinder S
-    singles1 = [ones[1 << pos] for pos in range(n)]
-    singles0 = [d - s1 for s1 in singles1]
-    # prod1[s] = prod of singles1 over members of s, by lowest-bit DP
-    prod1 = [1] * size
-    prod0 = [1] * size
-    for s in range(1, size):
-        low = s & -s
-        rest = s ^ low
-        pos = low.bit_length() - 1
-        prod1[s] = prod1[rest] * singles1[pos]
-        prod0[s] = prod0[rest] * singles0[pos]
-    dpow = [1] * (n + 1)
-    for k in range(1, n + 1):
-        dpow[k] = dpow[k - 1] * d
-
-    best = None  # (index tuple, side, lhs weight, prod, k)
-    checked = 0
-    full = size - 1
-    for s in range(1, size):
-        k = s.bit_count()
-        if k < 2:
-            continue
-        checked += 2
-        scale = dpow[k - 1]
-        lhs1 = ones[s] * scale
-        if lhs1 > prod1[s]:
-            key = indices_of(s)
-            if best is None or key < best[0]:
-                best = (key, "ones", ones[s], prod1[s], k)
-        lhs0 = zeros[full ^ s] * scale
-        if lhs0 > prod0[s]:
-            key = indices_of(s)
-            if best is None or (key, 1) < (best[0], 0 if best[1] == "ones" else 1):
-                best = (key, "zeros", zeros[full ^ s], prod0[s], k)
-    work = {"sets_checked": checked}
-    if best is None:
+        prod.reshape(2, -1, 2, 1 << pos)[:, :, 1] *= singles[:, pos]
+        card.reshape(-1, 2, 1 << pos)[:, 1] += 1
+    # D^(|S| - 1), and 0 at S empty: never bad for |S| <= 1
+    scale = np.array([0] + [d ** k for k in range(n)], dtype=dtype)[card]
+    bad = side * scale > prod
+    work = {"sets_checked": 2 * ((1 << n) - n - 1)}
+    if not bad.any():
         return NotionReport(Notion.CYLINDER, Verdict.HOLDS, None, work)
-    key, side, lhs_w, prod, k = best
+    s = _lex_first(np.flatnonzero(bad.any(axis=0)))
+    row = 0 if bad[0, s] else 1
     cert = {
-        "S": list(key),
-        "side": side,
-        "lhs": format_rational(Fraction(lhs_w, d)),
-        "rhs": format_rational(Fraction(prod, dpow[k])),
+        "S": list(indices_of(s)),
+        "side": ("ones", "zeros")[row],
+        "lhs": format_rational(Fraction(int(side[row, s]), d)),
+        "rhs": format_rational(Fraction(int(prod[row, s]), d ** s.bit_count())),
     }
     return NotionReport(Notion.CYLINDER, Verdict.FAILS, cert, work)
 

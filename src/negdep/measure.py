@@ -319,7 +319,8 @@ class ExplicitMeasure:
     @classmethod
     def from_json(cls, doc: dict) -> "ExplicitMeasure":
         """Inverse of to_json: {"n": N, "atoms": [{"x": bits, "p": rational}]}."""
-        if not isinstance(doc, dict) or not isinstance(doc.get("n"), (int, str)):
+        # JSON true and false are ints to isinstance; type() refuses them
+        if not isinstance(doc, dict) or type(doc.get("n")) not in (int, str):
             raise MalformedMeasure('a measure is a JSON object with an integer "n"')
         atoms = doc.get("atoms")
         if not isinstance(atoms, list) or not all(

@@ -54,15 +54,10 @@ def nontrivial_upsets(d: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def upset_matrix(d: int) -> np.ndarray:
-    """Membership matrix over the nontrivial up-sets, shape (count, 2^d)."""
-    ups = nontrivial_upsets(d)
-    size = 1 << d
-    mat = np.zeros((len(ups), size), dtype=np.int64)
-    for row, a in enumerate(ups):
-        for p in range(size):
-            if a >> p & 1:
-                mat[row, p] = 1
-    return mat
+    """Membership matrix over the nontrivial up-sets, shape (count, 2^d):
+    entry (row, p) is bit p of the row's bitmask."""
+    ups = np.array(nontrivial_upsets(d), dtype=np.int64)
+    return (ups[:, None] >> np.arange(1 << d)) & 1
 
 
 def upset_members(bitmask: int, d: int) -> tuple[int, ...]:

@@ -118,6 +118,15 @@ def test_check_malformed_measure_exit_two(capsys, tmp_path, doc):
     assert err.startswith("error:") and '"atoms" must be a list' in err
 
 
+def test_check_boolean_n_exit_two(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": True, "atoms": [{"x": "1", "p": "1"}]}))
+    code, out, err = run(capsys, "check", "--file", str(path), "--notions", "nc")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and 'integer "n"' in err
+
+
 def test_check_sc_witness(capsys):
     code, out, _ = run(capsys, "check", "--family", "nand:3", "--notions", "sc")
     assert code == 1
@@ -405,6 +414,14 @@ def test_tail_bad_grid(capsys):
         capsys, "tail", "--family", "nand:3", "--f", "sum", "--grid", "0:0:1"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("grid", ["1:1", "1", "0:1:2:3", ""])
+def test_tail_grid_without_three_parts_exit_two_naming_the_form(capsys, grid):
+    code, out, err = run(capsys, "tail", "--family", "nand:4", "--grid", grid)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "LO:STEP:HI" in err
 
 
 def test_tail_grid_point_count_is_exact():

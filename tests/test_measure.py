@@ -269,6 +269,8 @@ def test_from_json_rejects_bad_mass():
         {"n": 1, "atoms": [{"x": "1"}]},                 # atom without p
         {"n": 1, "atoms": [{"x": ["1"], "p": "1"}]},
         [{"x": "1", "p": "1"}],
+        {"n": True, "atoms": [{"x": "1", "p": "1"}]},   # bool is an int subclass
+        {"n": False, "atoms": [{"x": "", "p": "1"}]},
     ],
 )
 def test_from_json_rejects_malformed_documents(doc):
