@@ -9,6 +9,7 @@ output is deterministic for fixed inputs and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -41,18 +42,13 @@ from .measure import (
     ExplicitMeasure,
     TestFunction,
     constant_function,
-    family_anti_pair,
-    family_balls_bins,
-    family_conditioned_sum,
-    family_hadamard,
-    family_independent,
     family_nand,
-    family_pos_pair,
     parse_rational,
     random_lipschitz,
     sum_function,
     xor_function,
 )
+from .zoo import FAMILY_HELP, parse_family
 
 # The one checker registry: --notions keys, in the order "all" runs them.
 NOTION_RUNNERS = {
@@ -65,11 +61,6 @@ NOTION_RUNNERS = {
     "rayleigh": rayleigh_falsify,
 }
 
-FAMILY_HELP = (
-    "family spec grammar: nand:N | independent:p1,p2,... | "
-    "condsum:p1,p2,...:LO:HI | balls_bins:BALLS:BINS | hadamard:ORDER | "
-    "anti_pair | pos_pair (rationals as p/q or decimals)"
-)
 F_HELP = (
     "test function: sum | constant[:v] | xor | random:SEED[:monotone]"
 )
@@ -77,39 +68,6 @@ F_HELP = (
 
 # A tail table row costs one exact tail per point; refuse longer grids.
 MAX_GRID_POINTS = 10_000
-
-
-def parse_family(spec: str) -> ExplicitMeasure:
-    parts = spec.split(":")
-    name, args = parts[0], parts[1:]
-
-    def rationals(s: str) -> list[Fraction]:
-        return [parse_rational(tok) for tok in s.split(",")]
-
-    if name == "nand":
-        (n,) = args
-        return family_nand(int(n))
-    if name == "independent":
-        (ps,) = args
-        return family_independent(rationals(ps))
-    if name == "condsum":
-        ps, lo, hi = args
-        return family_conditioned_sum(rationals(ps), int(lo), int(hi))
-    if name == "balls_bins":
-        balls, bins = args
-        return family_balls_bins(int(balls), int(bins))
-    if name == "hadamard":
-        (order,) = args
-        return family_hadamard(int(order))
-    if name == "anti_pair":
-        if args:
-            raise ValueError("anti_pair takes no arguments")
-        return family_anti_pair()
-    if name == "pos_pair":
-        if args:
-            raise ValueError("pos_pair takes no arguments")
-        return family_pos_pair()
-    raise ValueError(f"unknown family {name!r}; {FAMILY_HELP}")
 
 
 def parse_function(spec: str, n: int) -> TestFunction:
@@ -260,17 +218,21 @@ def _parse_grid(spec: str) -> list[Fraction]:
     return [lo + k * step for k in range(count)]
 
 
+def _nr_gate(m: ExplicitMeasure):
+    """The negative regression report that the bounds of ``tail`` and
+    ``counterexample`` rest on, or None above the checker's cap."""
+    return check_neg_regression(m) if m.n <= cap("neg_regression") else None
+
+
 def cmd_tail(args) -> int:
     m = _load_measure(args)
     f = parse_function(args.f, m.n)
     grid = None if args.grid is None else _parse_grid(args.grid)
     advisory = ""
-    if m.n <= cap("neg_regression"):
-        nr = check_neg_regression(m)
-        if not nr.ok:
-            advisory = "negative regression fails; bounds are advisory"
-    else:
+    if (nr := _nr_gate(m)) is None:
         advisory = "negative regression unchecked (n above cap); bounds are advisory"
+    elif not nr.ok:
+        advisory = "negative regression fails; bounds are advisory"
     report = verify_theorem(m, f, grid)
     if args.format == "csv":
         _emit(report.to_csv(), args.output)
@@ -305,14 +267,8 @@ def cmd_counterexample(args) -> int:
         raise ValueError(f"n must be between 3 and 12, got {n}")
     m = family_nand(n)
     f = sum_function(n)
-    nr_line = None
-    if n <= cap("neg_regression"):
-        nr = check_neg_regression(m)
-        nr_line = f"NR check: {nr.verdict.value}"
-        nr_ok = nr.ok
-    else:
-        nr_line = "NR check: skipped (n above enumeration cap)"
-        nr_ok = True
+    nr = _nr_gate(m)
+    nr_text = "skipped (n above enumeration cap)" if nr is None else nr.verdict.value
     fixed = fixed_order_tree(m, f)
     adaptive = build_adaptive_tree(m, f)
     fixed_first = root_step(fixed)
@@ -320,11 +276,11 @@ def cmd_counterexample(args) -> int:
     adaptive_max = max_step(adaptive)
     separated = fixed_first > 1 >= adaptive_max
     formula = Fraction(n - 3, 2) + Fraction(1, 2 ** (n - 1))
-    ok = nr_ok and (separated or n < 5)
+    ok = (nr is None or nr.ok) and (separated or n < 5)
     if args.format == "json":
         doc = {
             "n": n,
-            "nr": nr_line.split(": ", 1)[1],
+            "nr": nr_text,
             "fixed_first_step": str(fixed_first),
             "fixed_max_step": str(fixed_global),
             "first_step_formula": str(formula),
@@ -336,7 +292,7 @@ def cmd_counterexample(args) -> int:
     else:
         lines = [
             f"NAND measure, n={n}, f = sum",
-            nr_line,
+            f"NR check: {nr_text}",
             f"fixed identity order: max step {fixed_first} at the first reveal "
             f"(formula (n-3)/2 + 2^(1-n) = {formula}); "
             f"largest deviation anywhere: {fixed_global}",
@@ -359,6 +315,7 @@ def cmd_counterexample(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="negdep",

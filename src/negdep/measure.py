@@ -320,7 +320,7 @@ class ExplicitMeasure:
     def from_json(cls, doc: dict) -> "ExplicitMeasure":
         """Inverse of to_json: {"n": N, "atoms": [{"x": bits, "p": rational}]}."""
         # JSON true and false are ints to isinstance; type() refuses them
-        if not isinstance(doc, dict) or type(doc.get("n")) not in (int, str):
+        if not isinstance(doc, dict) or type(doc.get("n")) is not int:
             raise MalformedMeasure('a measure is a JSON object with an integer "n"')
         atoms = doc.get("atoms")
         if not isinstance(atoms, list) or not all(
@@ -330,7 +330,7 @@ class ExplicitMeasure:
             raise MalformedMeasure(
                 '"atoms" must be a list of {"x": bitstring, "p": rational} objects'
             )
-        return cls.from_atoms(int(doc["n"]), [(a["x"], a["p"]) for a in atoms])
+        return cls.from_atoms(doc["n"], [(a["x"], a["p"]) for a in atoms])
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

@@ -1,4 +1,9 @@
-"""Fixed catalog of test measures, plus seeded random measures.
+"""Family specs, the fixed catalog of test measures, and seeded random
+measures.
+
+``FAMILIES`` is the one grammar of family specs, for the CLI and the
+catalog: a name maps to its builder, then one ``(ARG, parser)`` pair per
+``:``-part after the name.  ``parse_family`` and ``FAMILY_HELP`` read it.
 
 The catalog spans the dependence spectrum: NAND measures (NR but not
 stochastic covering), independent products, the anti-correlated and
@@ -10,7 +15,6 @@ while staying pairwise uncorrelated.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .measure import (
     ExplicitMeasure,
@@ -21,34 +25,63 @@ from .measure import (
     family_independent,
     family_nand,
     family_pos_pair,
+    parse_rational,
 )
 
-_HALF = Fraction(1, 2)
+
+_PROBS = ("p1,p2,...", lambda text: [parse_rational(t) for t in text.split(",")])
+FAMILIES = {
+    "nand": (family_nand, ("N", int)),
+    "independent": (family_independent, _PROBS),
+    "condsum": (family_conditioned_sum, _PROBS, ("LO", int), ("HI", int)),
+    "balls_bins": (family_balls_bins, ("BALLS", int), ("BINS", int)),
+    "hadamard": (family_hadamard, ("ORDER", int)),
+    "anti_pair": (family_anti_pair,),
+    "pos_pair": (family_pos_pair,),
+}
+
+
+def _form(name: str) -> str:
+    return ":".join([name, *(arg for arg, _ in FAMILIES[name][1:])])
+
+
+FAMILY_HELP = (
+    f"family spec grammar: {' | '.join(map(_form, FAMILIES))} "
+    "(rationals as p/q or decimals)"
+)
+
+
+def parse_family(spec: str) -> ExplicitMeasure:
+    """The measure a family spec such as ``condsum:1/2,1/2:1:1`` names."""
+    name, *parts = spec.split(":")
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}; {FAMILY_HELP}")
+    builder, *args = FAMILIES[name]
+    if len(parts) != len(args):
+        raise ValueError(f"family {name} is written {_form(name)}; {FAMILY_HELP}")
+    return builder(*(parse(part) for (_, parse), part in zip(args, parts)))
+
+
+# the catalog as family specs, in the order zoo() returns it
+CATALOG = {
+    **{f"nand{n}": f"nand:{n}" for n in range(3, 9)},
+    "independent_half4": "independent:1/2,1/2,1/2,1/2",
+    "independent_mixed": "independent:1/3,2/3,1/4",
+    "anti_pair": "anti_pair",
+    "pos_pair": "pos_pair",
+    "condsum_3_1_2": "condsum:1/2,1/2,1/2:1:2",
+    "condsum_5_2_3": "condsum:1/2,1/2,1/2,1/2,1/2:2:3",
+    "condsum_8_3_5": "condsum:1/2,1/2,1/2,1/2,1/2,1/2,1/2,1/2:3:5",
+    "balls_bins_2_2": "balls_bins:2:2",
+    "balls_bins_3_2": "balls_bins:3:2",
+    "hadamard_4": "hadamard:4",
+    "hadamard_8": "hadamard:8",
+}
 
 
 def zoo() -> dict[str, ExplicitMeasure]:
     """Fresh instances of the whole catalog, keyed by stable names."""
-    return {
-        "nand3": family_nand(3),
-        "nand4": family_nand(4),
-        "nand5": family_nand(5),
-        "nand6": family_nand(6),
-        "nand7": family_nand(7),
-        "nand8": family_nand(8),
-        "independent_half4": family_independent([_HALF] * 4),
-        "independent_mixed": family_independent(
-            [Fraction(1, 3), Fraction(2, 3), Fraction(1, 4)]
-        ),
-        "anti_pair": family_anti_pair(),
-        "pos_pair": family_pos_pair(),
-        "condsum_3_1_2": family_conditioned_sum([_HALF] * 3, 1, 2),
-        "condsum_5_2_3": family_conditioned_sum([_HALF] * 5, 2, 3),
-        "condsum_8_3_5": family_conditioned_sum([_HALF] * 8, 3, 5),
-        "balls_bins_2_2": family_balls_bins(2, 2),
-        "balls_bins_3_2": family_balls_bins(3, 2),
-        "hadamard_4": family_hadamard(4),
-        "hadamard_8": family_hadamard(8),
-    }
+    return {name: parse_family(spec) for name, spec in CATALOG.items()}
 
 
 def random_measure(
@@ -65,4 +98,4 @@ def random_measure(
     )
 
 
-__all__ = ["zoo", "random_measure"]
+__all__ = ["zoo", "random_measure", "parse_family", "FAMILIES", "FAMILY_HELP", "CATALOG"]

@@ -10,6 +10,7 @@ import pytest
 from negdep import __version__, cli
 from negdep.cli import (
     F_HELP,
+    FAMILY_HELP,
     MAX_GRID_POINTS,
     _parse_grid,
     main,
@@ -20,6 +21,7 @@ from negdep.bitops import cap
 from negdep.dependence import CHECKER_CAPS, check_neg_association
 from negdep.errors import TooLarge
 from negdep.measure import ExplicitMeasure, family_anti_pair, family_nand
+from negdep.zoo import FAMILIES
 
 
 def run(capsys, *argv):
@@ -49,6 +51,45 @@ def test_parse_family_unknown():
         parse_family("zeta:3")
     with pytest.raises(ValueError):
         parse_family("anti_pair:1")
+
+
+# the help text as it was written out before the family table printed it
+FAMILY_HELP_LITERAL = (
+    "family spec grammar: nand:N | independent:p1,p2,... | "
+    "condsum:p1,p2,...:LO:HI | balls_bins:BALLS:BINS | hadamard:ORDER | "
+    "anti_pair | pos_pair (rationals as p/q or decimals)"
+)
+FORMS = {
+    "nand": "nand:N",
+    "independent": "independent:p1,p2,...",
+    "condsum": "condsum:p1,p2,...:LO:HI",
+    "balls_bins": "balls_bins:BALLS:BINS",
+    "hadamard": "hadamard:ORDER",
+    "anti_pair": "anti_pair",
+    "pos_pair": "pos_pair",
+}
+# every family written with one part too few (where it has a part) and
+# one part too many
+WRONG_PART_COUNTS = [
+    *((form.rsplit(":", 1)[0], name) for name, form in FORMS.items() if ":" in form),
+    *((form + ":1", name) for name, form in FORMS.items()),
+]
+
+
+def test_family_help_is_printed_from_the_table():
+    assert list(FAMILIES) == list(FORMS)
+    assert FAMILY_HELP == FAMILY_HELP_LITERAL
+    assert parse_family.__module__ == "negdep.zoo"
+
+
+@pytest.mark.parametrize("spec, name", WRONG_PART_COUNTS)
+def test_wrong_part_count_names_the_form(capsys, spec, name):
+    message = f"family {name} is written {FORMS[name]}; {FAMILY_HELP_LITERAL}"
+    with pytest.raises(ValueError) as exc_info:
+        parse_family(spec)
+    assert str(exc_info.value) == message
+    for argv in (["check", "--family", spec, "--notions", "nc"], ["family", "--spec", spec]):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_parse_function_grammar():
@@ -121,6 +162,16 @@ def test_check_malformed_measure_exit_two(capsys, tmp_path, doc):
 def test_check_boolean_n_exit_two(capsys, tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"n": True, "atoms": [{"x": "1", "p": "1"}]}))
+    code, out, err = run(capsys, "check", "--file", str(path), "--notions", "nc")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and 'integer "n"' in err
+
+
+@pytest.mark.parametrize("n", ["2", " 2", 2.0])
+def test_check_n_that_is_no_json_integer_exit_two(capsys, tmp_path, n):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": n, "atoms": [{"x": "10", "p": "1"}]}))
     code, out, err = run(capsys, "check", "--file", str(path), "--notions", "nc")
     assert code == 2
     assert out == ""
@@ -513,6 +564,32 @@ def test_mutually_exclusive_source(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["check", "--family", "nand:3", "--file", "x.json"])
     assert exc_info.value.code == 2
+
+
+def test_one_parser_per_process_prints_what_a_fresh_parser_prints(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    argvs = [
+        ["check", "--family", "nand:3", "--file", "x.json"],  # usage error, exit 2
+        ["tail", "--family", "nand:4", "--grid", "0:1:2", "--format", "json"],
+        ["tail", "--family", "nand:4"],  # the defaults, not the last call's flags
+        ["check", "--family", "nand:4", "--notions", "nr,sc"],
+        ["counterexample", "5"],
+    ]
+
+    def outputs():
+        seen = []
+        for argv in argvs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            seen.append((code, *capsys.readouterr()))
+        return seen
+
+    cached = outputs()
+    assert [code for code, _, _ in cached] == [2, 0, 0, 1, 0]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert outputs() == cached
 
 
 def test_version_flag(capsys):

@@ -271,6 +271,9 @@ def test_from_json_rejects_bad_mass():
         [{"x": "1", "p": "1"}],
         {"n": True, "atoms": [{"x": "1", "p": "1"}]},   # bool is an int subclass
         {"n": False, "atoms": [{"x": "", "p": "1"}]},
+        {"n": "2", "atoms": [{"x": "10", "p": "1"}]},     # n is a JSON integer
+        {"n": " 2", "atoms": [{"x": "10", "p": "1"}]},
+        {"n": 2.0, "atoms": [{"x": "10", "p": "1"}]},
     ],
 )
 def test_from_json_rejects_malformed_documents(doc):
