@@ -29,6 +29,15 @@ _DEFAULT_CAPS = {
 }
 
 
+_INT64_MAX = (1 << 63) - 1  # the largest int64
+
+
+def _exact_dtype(bound: int):
+    """int64 while `bound`, proven on every |value| the work makes, fits;
+    otherwise `object` arrays of Python ints, which cannot overflow."""
+    return np.int64 if bound <= _INT64_MAX else object
+
+
 def cap(name: str) -> int:
     """Enumeration cap for the named operation family."""
     override = os.environ.get(_ENV_CAP)

@@ -11,7 +11,11 @@ certificate that can be re-verified from the raw measure alone:
   * regression:   (J, a, b) and a down-closed set where dominance fails;
   * covering:     (I, a, a') and a Hall-type infeasibility cut.
 
-The cylinder check sweeps its 2^n sets on arrays, int64 while D^n fits.
+Arrays are int64 only behind a proven bound on their values: D for
+negative regression and stochastic covering, D^2 for negative
+association and CNA, D^n for the cylinder check; the Rayleigh scan
+bounds each chunk of grid points.
+
 The strong Rayleigh property only gets a falsifier: a grid search for a
 point with negative Rayleigh difference.  It can refute, never certify.
 """
@@ -29,7 +33,8 @@ from typing import Optional
 import numpy as np
 
 from .bitops import (
-    SubsetExtractor, bits_from_mask, cap, covering_steps, indices_of, subsets_lex,
+    SubsetExtractor, _exact_dtype, bits_from_mask, cap, covering_steps, indices_of,
+    subsets_lex,
 )
 from .coupling import covering_cut, down_set_certificate, transport
 from .errors import DimensionMismatch, TooLarge
@@ -44,24 +49,13 @@ from .upsets import (
 
 ZERO = Fraction(0)
 
-# product DP and int64 covariance accumulation both stay exact below this
-_NUMPY_DENOM_LIMIT = 1 << 20
-# the largest int64; the Rayleigh scan's proven bound must not exceed it
-_INT64_MAX = (1 << 63) - 1
 
-
-def _exact_dtype(bound: int, limit: int):
-    """The array dtype for exact integer work: int64 while `bound` (a
-    proven bound on the work's values) is at most `limit`, otherwise
-    `object` arrays of Python ints, which cannot overflow."""
-    return np.int64 if bound <= limit else object
-
-
-def _dense_weights(m: ExplicitMeasure, limit: int) -> tuple[int, np.ndarray]:
+def _dense_weights(m: ExplicitMeasure, power: int) -> tuple[int, np.ndarray]:
     """The common denominator D and the integer weights as a length-2^n
-    array indexed by atom, int64 while D is at most `limit`."""
+    array indexed by atom, int64 while D ** power, the caller's proven
+    bound on the values it makes from them, fits."""
     d, w = m.scaled_weights()
-    dtype = _exact_dtype(d, limit)
+    dtype = _exact_dtype(d ** power)
     dense = np.zeros(1 << m.n, dtype=dtype)
     dense[list(w)] = np.array(list(w.values()), dtype=dtype)
     return d, dense
@@ -184,9 +178,8 @@ def check_cylinder(m: ExplicitMeasure) -> NotionReport:
     D^n fits; otherwise the arrays hold Python ints."""
     n = m.n
     refuse_over_cap("cyl", n)
-    d, dense = _dense_weights(m, _INT64_MAX)
-    dtype = _exact_dtype(d ** n, _INT64_MAX)
-    side = np.stack([dense, dense[::-1]]).astype(dtype, copy=False)
+    d, dense = _dense_weights(m, n)
+    side = np.stack([dense, dense[::-1]])
     for pos in range(n):  # superset sums: the weight of {x >= S}
         pairs = side.reshape(2, -1, 2, 1 << pos)
         pairs[:, :, 0] += pairs[:, :, 1]
@@ -197,7 +190,7 @@ def check_cylinder(m: ExplicitMeasure) -> NotionReport:
         prod.reshape(2, -1, 2, 1 << pos)[:, :, 1] *= singles[:, pos]
         card.reshape(-1, 2, 1 << pos)[:, 1] += 1
     # D^(|S| - 1), and 0 at S empty: never bad for |S| <= 1
-    scale = np.array([0] + [d ** k for k in range(n)], dtype=dtype)[card]
+    scale = np.array([0] + [d ** k for k in range(n)], dtype=dense.dtype)[card]
     bad = side * scale > prod
     work = {"sets_checked": 2 * ((1 << n) - n - 1)}
     if not bad.any():
@@ -251,8 +244,13 @@ def _na_violation(m: ExplicitMeasure, held: set):
     either by an exact int64 matrix product (dimension <= 5) or by a
     max-weight-closure min-cut (always exact, any dimension).  Each joint
     weight matrix is one `split` of the dense weights, which hold int64
-    while the common denominator is at most _NUMPY_DENOM_LIMIT and Python
-    integers above it; the matrix product over B runs only on int64.
+    while D^2 fits and Python integers above it; the matrix product over
+    B runs only on int64.
+
+    D^2 bounds every value.  An entry of d * joint_a - wa * wl, or its sum
+    over any set S of the other side's patterns (a partial sum of the
+    product over B), is D x - wa y with y <= D the weight of S, wa <= D
+    that of A and 0 <= x <= min(wa, y) that of both: it is in [-D^2, D^2].
 
     A bipartition's answer depends only on its joint weight matrix: `held`
     collects the keys (ds, dl, joint) of those that held, and a bipartition
@@ -264,7 +262,7 @@ def _na_violation(m: ExplicitMeasure, held: set):
     full = (1 << n) - 1
     work = {"bipartitions": 0, "upsets_tested": 0, "closures": 0,
             "repeated_joints_skipped": 0}
-    d, dense = _dense_weights(m, _NUMPY_DENOM_LIMIT)
+    d, dense = _dense_weights(m, 2)
     # covariance is symmetric: anchor variable 1 on the I side (odd masks)
     for imask in range(1, full, 2):
         # the smaller side, I on a tie
@@ -366,15 +364,10 @@ def check_cna(m: ExplicitMeasure) -> NotionReport:
             work["repeated_joints_skipped"] += inner["repeated_joints_skipped"]
             if cert is not None:
                 keep = [i for i in range(1, m.n + 1) if i not in k_indices]
-                cert = {
-                    "K": list(k_indices),
-                    "values": "".join(str(v) for v in values),
-                    "I": [keep[i - 1] for i in cert["I"]],
-                    "J": [keep[j - 1] for j in cert["J"]],
-                    "A": cert["A"],
-                    "B": cert["B"],
-                    "covariance": cert["covariance"],
-                }
+                # the conditional's I and J relabeled, in their places
+                cert = {"K": list(k_indices), "values": "".join(map(str, values)), **cert,
+                        "I": [keep[i - 1] for i in cert["I"]],
+                        "J": [keep[j - 1] for j in cert["J"]]}
                 return NotionReport(Notion.CNA, Verdict.FAILS, cert, work)
             held_laws.add(sub)
     return NotionReport(Notion.CNA, Verdict.HOLDS, None, work)
@@ -411,7 +404,7 @@ def _first_failing_cover(m: ExplicitMeasure, covering: bool):
     ), 0)
     ids: dict[tuple, int] = {}
     feasible: set[tuple[int, int]] = set()
-    _, dense = _dense_weights(m, _INT64_MAX)  # no weight, gcd or row sum exceeds D
+    _, dense = _dense_weights(m, 1)  # no weight, gcd or row sum exceeds D
     for cond_mask in subsets_lex(n):
         width = cond_mask.bit_count()
         if width == n:
@@ -535,15 +528,7 @@ class GeneratingPolynomial:
     def evaluate(self, z) -> Fraction:
         total = ZERO
         for key, p in self.coefficients.items():
-            term = p
-            k = key
-            pos = 0
-            while k:
-                if k & 1:
-                    term *= z[pos]
-                k >>= 1
-                pos += 1
-            total += term
+            total += p * math.prod(z[i - 1] for i in indices_of(key))
         return total
 
     def rayleigh_difference(self, i: int, j: int, z) -> Fraction:
@@ -626,15 +611,15 @@ def _rayleigh_deltas(bits, weights, d: int, nums, dens, pairs):
     (columns) of one chunk.
 
     Every G' is at most D * M^(n-2) in absolute value, M the largest
-    |p_l| or q_l in the chunk, so |Delta'| <= 2 (D M^(n-2))^2 and int64
-    is exact when that is at most _INT64_MAX.
+    |p_l| or q_l in the chunk, so |Delta'| <= 2 (D M^(n-2))^2, the bound
+    that picks the dtype.
     """
     n = bits.shape[1]
     big = max(
         max(map(abs, itertools.chain.from_iterable(nums))),
         max(itertools.chain.from_iterable(dens)),
     )
-    dtype = _exact_dtype(2 * (d * big ** (n - 2)) ** 2, _INT64_MAX)
+    dtype = _exact_dtype(2 * (d * big ** (n - 2)) ** 2)
     num = np.array(nums, dtype=dtype)[:, None, :]
     den = np.array(dens, dtype=dtype)[:, None, :]
     w = np.array(weights, dtype=dtype)

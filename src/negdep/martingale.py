@@ -76,12 +76,16 @@ def _influence_terms(atoms, bit: int, others_mask: int):
     return w1, total - w1, s1, s0
 
 
-def _pick_from_atoms(atoms, n: int, revealed_mask: int) -> PickResult:
+def _unrevealed(n: int, revealed_mask: int) -> list[int]:
     unrevealed = [i for i in range(1, n + 1) if not revealed_mask >> (i - 1) & 1]
     if not unrevealed:
         raise NoEligibleIndex("every variable is already revealed")
+    return unrevealed
+
+
+def _pick_from_atoms(atoms, n: int, revealed_mask: int) -> PickResult:
     full_unrevealed = ((1 << n) - 1) & ~revealed_mask
-    for i in unrevealed:
+    for i in _unrevealed(n, revealed_mask):
         bit = 1 << (i - 1)
         w1, w0, s1, s0 = _influence_terms(atoms, bit, full_unrevealed & ~bit)
         if w1 == 0 or w0 == 0:
@@ -153,16 +157,10 @@ def verify_pick_lemma(m: ExplicitMeasure, revealed: Assignment) -> PickLemmaRepo
     implementation or the input measure is broken.
     """
     atoms, total = _conditional_atoms(m, revealed)
-    n = m.n
-    revealed_mask = revealed.index_mask
-    unrevealed = [i for i in range(1, n + 1) if not revealed_mask >> (i - 1) & 1]
-    if not unrevealed:
-        raise NoEligibleIndex("every variable is already revealed")
-    full_unrevealed = ((1 << n) - 1) & ~revealed_mask
-
+    full_unrevealed = ((1 << m.n) - 1) & ~revealed.index_mask
     entries = []
     satisfied = []
-    for i in unrevealed:
+    for i in _unrevealed(m.n, revealed.index_mask):
         bit = 1 << (i - 1)
         w1, w0, s1, s0 = _influence_terms(atoms, bit, full_unrevealed & ~bit)
         pi = Fraction(w1, total)
@@ -170,22 +168,17 @@ def verify_pick_lemma(m: ExplicitMeasure, revealed: Assignment) -> PickLemmaRepo
         # s0 + s1 is the weighted count of ones among the other variables
         cov_sum = Fraction(s1, total) - pi * Fraction(s0 + s1, total)
         quantity = variance + cov_sum
-        if w1 == 0 or w0 == 0:
-            if quantity != 0:
-                raise LemmaViolated(
-                    f"deterministic index {i} has nonzero witness {quantity}"
-                )
-            entries.append(PickLemmaEntry(i, pi, variance, cov_sum, quantity, True, None))
-            satisfied.append(i)
-            continue
-        influence = Fraction(s0, w0) - Fraction(s1, w1)
-        if quantity != variance * (1 - influence):
+        deterministic = w1 == 0 or w0 == 0
+        influence = None if deterministic else Fraction(s0, w0) - Fraction(s1, w1)
+        if deterministic and quantity != 0:
+            raise LemmaViolated(f"deterministic index {i} has nonzero witness {quantity}")
+        if not deterministic and quantity != variance * (1 - influence):
             raise LemmaViolated(
                 f"index {i}: witness {quantity} != pi(1-pi)(1-influence) "
                 f"{variance * (1 - influence)}"
             )
         entries.append(
-            PickLemmaEntry(i, pi, variance, cov_sum, quantity, False, influence)
+            PickLemmaEntry(i, pi, variance, cov_sum, quantity, deterministic, influence)
         )
         if quantity >= 0:
             satisfied.append(i)
@@ -193,7 +186,10 @@ def verify_pick_lemma(m: ExplicitMeasure, revealed: Assignment) -> PickLemmaRepo
         raise LemmaViolated(
             f"no unrevealed index has a nonnegative witness at {revealed.to_json()}"
         )
-    chosen = _pick_from_atoms(atoms, n, revealed_mask)
+    # the pick rule takes the first satisfied index: where pi(1 - pi) > 0,
+    # quantity >= 0 exactly when influence <= 1
+    first = next(e for e in entries if e.index == satisfied[0])
+    chosen = PickResult(first.index, first.deterministic, first.influence_sum)
     return PickLemmaReport(revealed, entries, satisfied, chosen)
 
 
@@ -408,13 +404,9 @@ class MartingaleTree:
              "p0", "p1", "y", "alpha", "beta", "node"]
         )
 
-        def emit(node: TreeNode):
-            if node.is_leaf:
-                kind = "leaf"
-            elif node.child0 is None or node.child1 is None:
-                kind = "forced"
-            else:
-                kind = "branch"
+        for node in self.nodes():  # preorder: root, 0-subtree, 1-subtree
+            forced = node.child0 is None or node.child1 is None
+            kind = "leaf" if node.is_leaf else "forced" if forced else "branch"
             writer.writerow([
                 node.depth,
                 self._pattern(node),
@@ -427,12 +419,6 @@ class MartingaleTree:
                 format_rational(node.beta),
                 kind,
             ])
-            if node.child0 is not None:
-                emit(node.child0)
-            if node.child1 is not None:
-                emit(node.child1)
-
-        emit(self.root)
         return out.getvalue()
 
     def save_csv(self, path) -> None:

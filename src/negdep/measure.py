@@ -20,6 +20,7 @@ import numpy as np
 
 from .bitops import (
     SubsetExtractor,
+    _exact_dtype,
     bits_from_mask,
     cap,
     mask_from_bits,
@@ -118,7 +119,16 @@ class Assignment:
         return cls(tuple(i for i, _ in items), tuple(v for _, v in items))
 
     def extended(self, index: int, value: int) -> "Assignment":
-        return Assignment(self.indices + (index,), self.values + (value,))
+        """This and x_index = value, checked as the constructor would."""
+        if index in self.indices:
+            raise ValueError("assignment indices must be distinct")
+        if index < 1:
+            raise ValueError("assignment indices are 1-based")
+        if value not in (0, 1):
+            raise ValueError("assignment values must be bits")
+        out = object.__new__(Assignment)  # frozen: the fields go in directly
+        out.__dict__.update(indices=self.indices + (index,), values=self.values + (value,))
+        return out
 
     # cached: the masks are read once per atom by matches()
     @cached_property
@@ -398,8 +408,8 @@ class TestFunction:
         points with bit pos clear."""
         n, den = self.n, self.den
         big = max(den, *map(abs, self.nums))
-        # int64 only where no step, at most 2 * big, can overflow it
-        vals = np.array(self.nums, dtype=np.int64 if big < 1 << 62 else object)
+        # no value or step between two values exceeds 2 * big
+        vals = np.array(self.nums, dtype=_exact_dtype(2 * big))
         bad = np.zeros((1 << n, n), dtype=bool)
         for pos in range(n):
             pairs = vals.reshape(-1, 2, 1 << pos)

@@ -3,7 +3,9 @@ measures.
 
 ``FAMILIES`` is the one grammar of family specs, for the CLI and the
 catalog: a name maps to its builder, then one ``(ARG, parser)`` pair per
-``:``-part after the name.  ``parse_family`` and ``FAMILY_HELP`` read it.
+``:``-part after the name.  ``parse_family`` and ``FAMILY_HELP`` read it;
+a wrong number of parts, or a part its parser refuses, is a ValueError
+that names the family's form.
 
 The catalog spans the dependence spectrum: NAND measures (NR but not
 stochastic covering), independent products, the anti-correlated and
@@ -57,9 +59,14 @@ def parse_family(spec: str) -> ExplicitMeasure:
     if name not in FAMILIES:
         raise ValueError(f"unknown family {name!r}; {FAMILY_HELP}")
     builder, *args = FAMILIES[name]
+    wrong_form = ValueError(f"family {name} is written {_form(name)}; {FAMILY_HELP}")
     if len(parts) != len(args):
-        raise ValueError(f"family {name} is written {_form(name)}; {FAMILY_HELP}")
-    return builder(*(parse(part) for (_, parse), part in zip(args, parts)))
+        raise wrong_form
+    try:  # a part that is no number; the builder's own errors pass through
+        values = [parse(part) for (_, parse), part in zip(args, parts)]
+    except ValueError:
+        raise wrong_form from None
+    return builder(*values)
 
 
 # the catalog as family specs, in the order zoo() returns it

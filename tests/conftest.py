@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import negdep.dependence as dependence
 from negdep.dependence import check_neg_regression
 from negdep.zoo import zoo
 
@@ -23,6 +24,27 @@ def nr_zoo(the_zoo, nr_verdicts):
     return {
         name: m for name, m in the_zoo.items() if nr_verdicts[name].ok
     }
+
+
+@pytest.fixture
+def record_dense_dtypes(monkeypatch):
+    """Call it to record, from then on, the dtypes that
+    `dependence._dense_weights` lays the weights out in; it returns the
+    set they are added to."""
+
+    def start() -> set:
+        dtypes = set()
+        original = dependence._dense_weights
+
+        def recording(m, power):
+            d, dense = original(m, power)
+            dtypes.add(dense.dtype)
+            return d, dense
+
+        monkeypatch.setattr(dependence, "_dense_weights", recording)
+        return dtypes
+
+    return start
 
 
 @pytest.fixture

@@ -11,8 +11,10 @@ certificates and every counter the memos do not change must agree.
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import negdep.bitops as bitops
 import negdep.dependence as dependence
 from negdep.bitops import indices_of, subsets_lex
 from negdep.dependence import Verdict, check_cna, check_neg_association
@@ -114,12 +116,16 @@ INPUTS = _inputs()
 
 
 @pytest.fixture(params=["int64", "object"])
-def arrays(request, monkeypatch):
-    # a limit of 0 sends every measure down the object-dtype path that
-    # denominators above 2^20 take
+def arrays(request, monkeypatch, record_dense_dtypes):
+    # a bound of 0 sends every measure down the object-dtype path that
+    # denominators above isqrt(2^63 - 1) take; the dtypes the weights
+    # were laid out in show that it did
+    dtypes = record_dense_dtypes()
     if request.param == "object":
-        monkeypatch.setattr(dependence, "_NUMPY_DENOM_LIMIT", 0)
-    return request.param
+        monkeypatch.setattr(bitops, "_INT64_MAX", 0)
+    yield request.param
+    if request.param == "object":
+        assert dtypes == {np.dtype(object)}
 
 
 def test_inputs_cover_large_denominators_repeats_and_both_verdicts():

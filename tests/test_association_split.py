@@ -8,8 +8,9 @@ Python, packing the bits of both sides with a bit loop.  Running
 the oracle in place of `_na_violation` must give the same verdict, the
 same certificate and the same `work` counters, memo counters included,
 on the catalog, on seeded measures (many failing deep in the scan), and
-on conditioned sums whose common denominator exceeds 2^20 (where the
-arrays hold Python integers) and 2^63.
+on random measures whose common denominator exceeds 2^20 (int64 arrays)
+and on conditioned sums whose denominator exceeds isqrt(2^63 - 1) (where
+the arrays hold Python integers) and 2^63.
 """
 
 import random
@@ -28,6 +29,8 @@ from negdep.upsets import (
     upset_matrix,
 )
 from negdep.zoo import random_measure, zoo
+
+INT64_MAX = (1 << 63) - 1
 
 
 def _pack(key, mask):
@@ -48,7 +51,7 @@ def oracle_na_violation(m, held):
     full = (1 << n) - 1
     work = {"bipartitions": 0, "upsets_tested": 0, "closures": 0,
             "repeated_joints_skipped": 0}
-    dtype = np.int64 if d <= dependence._NUMPY_DENOM_LIMIT else object
+    dtype = np.int64 if d * d <= INT64_MAX else object
     for imask in range(1, full):
         if not imask & 1:
             continue

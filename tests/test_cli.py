@@ -19,7 +19,7 @@ from negdep.cli import (
 )
 from negdep.bitops import cap
 from negdep.dependence import CHECKER_CAPS, check_neg_association
-from negdep.errors import TooLarge
+from negdep.errors import NegdepError, TooLarge
 from negdep.measure import ExplicitMeasure, family_anti_pair, family_nand
 from negdep.zoo import FAMILIES
 
@@ -82,14 +82,47 @@ def test_family_help_is_printed_from_the_table():
     assert parse_family.__module__ == "negdep.zoo"
 
 
-@pytest.mark.parametrize("spec, name", WRONG_PART_COUNTS)
-def test_wrong_part_count_names_the_form(capsys, spec, name):
+# a part its parser refuses: no number, no rational, a zero denominator
+BAD_PARTS = [
+    ("nand:x", "nand"),
+    ("nand:", "nand"),
+    ("independent:1/2,abc", "independent"),
+    ("independent:1/0", "independent"),
+    ("condsum:1/2,1/2:1:y", "condsum"),
+    ("balls_bins:2:1.5", "balls_bins"),
+    ("hadamard:four", "hadamard"),
+]
+
+
+def _assert_names_the_form(capsys, spec, name):
     message = f"family {name} is written {FORMS[name]}; {FAMILY_HELP_LITERAL}"
     with pytest.raises(ValueError) as exc_info:
         parse_family(spec)
     assert str(exc_info.value) == message
     for argv in (["check", "--family", spec, "--notions", "nc"], ["family", "--spec", spec]):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("spec, name", WRONG_PART_COUNTS)
+def test_wrong_part_count_names_the_form(capsys, spec, name):
+    _assert_names_the_form(capsys, spec, name)
+
+
+@pytest.mark.parametrize("spec, name", BAD_PARTS)
+def test_part_that_is_no_number_names_the_form(capsys, spec, name):
+    _assert_names_the_form(capsys, spec, name)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [("hadamard:3", "order must be a power of two, at least 2"),
+     ("independent:3/2", "probabilities must lie in [0, 1]")],
+)
+def test_builder_errors_keep_their_message(capsys, spec, message):
+    with pytest.raises(NegdepError) as exc_info:
+        parse_family(spec)
+    assert str(exc_info.value) == message
+    assert run(capsys, "family", "--spec", spec) == (2, "", f"error: {message}\n")
 
 
 def test_parse_function_grammar():
@@ -492,11 +525,10 @@ def test_tail_grid_zero_denominator_is_value_error():
     "argv",
     [
         ("check", "--file", "{file}", "--notions", "nc"),
-        ("check", "--family", "independent:1/0", "--notions", "nc"),
         ("tail", "--family", "nand:3", "--f", "sum", "--grid", "0:1/0:2"),
         ("tail", "--family", "nand:3", "--f", "constant:1/0"),
     ],
-    ids=["measure-file", "family", "grid", "function"],
+    ids=["measure-file", "grid", "function"],
 )
 def test_zero_denominator_exit_two(capsys, tmp_path, argv):
     path = tmp_path / "m.json"

@@ -23,11 +23,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from negdep.bitops import indices_of
+from negdep.bitops import _exact_dtype, indices_of
 from negdep.coupling import up_closure, up_steps
 from negdep.dependence import (
-    _INT64_MAX,
-    _exact_dtype,
     Notion,
     NotionReport,
     Verdict,
@@ -138,7 +136,7 @@ def test_seeded_reports_equal_the_loop_on_both_sides_and_both_dtypes():
     reports, dtypes = [], set()
     for m in _seeded():
         reports.append(_same(m))
-        dtypes.add(_exact_dtype(m.scaled_weights()[0] ** m.n, _INT64_MAX))
+        dtypes.add(_exact_dtype(m.scaled_weights()[0] ** m.n))
     sides = [r["certificate"]["side"] for r in reports if r["certificate"]]
     assert len(reports) >= 200 and dtypes == {np.int64, object}
     assert "ones" in sides and "zeros" in sides
@@ -156,7 +154,7 @@ def test_ties_between_the_sides_go_to_ones():
 def test_object_path_above_the_int64_bound_equals_the_loop():
     verdicts = set()
     for m in OBJECT_PATH:
-        assert _exact_dtype(m.scaled_weights()[0] ** m.n, _INT64_MAX) is object
+        assert _exact_dtype(m.scaled_weights()[0] ** m.n) is object
         verdicts.add(_same(m)["verdict"])
     assert verdicts == {"Holds", "Fails"}
 

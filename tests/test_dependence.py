@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import negdep.bitops as bitops
 import negdep.dependence as dependence
 from negdep.bitops import mask_from_bits
 from negdep.coupling import is_down_closed
@@ -31,6 +32,7 @@ from negdep.measure import (
     ExplicitMeasure,
     family_anti_pair,
     family_balls_bins,
+    family_conditioned_sum,
     family_hadamard,
     family_independent,
     family_nand,
@@ -227,19 +229,107 @@ def _small_measures():
 
 
 @pytest.mark.parametrize("checker", [check_neg_association, check_cna])
-def test_na_python_int_path_matches_int64_path(checker, monkeypatch):
-    # a limit of 0 forces the object-dtype arrays (and closures for every
-    # up-set row) that measures with denominators above 2^20 take
+def test_na_python_int_path_matches_int64_path(checker, monkeypatch, record_dense_dtypes):
+    # a bound of 0 forces the object-dtype arrays (and closures for every
+    # up-set row) that measures with denominators above isqrt(2^63 - 1) take
     measures = _small_measures()
     fast = [checker(m) for m in measures]
-    monkeypatch.setattr(dependence, "_NUMPY_DENOM_LIMIT", 0)
+    dtypes = record_dense_dtypes()
+    monkeypatch.setattr(bitops, "_INT64_MAX", 0)
     slow = [checker(m) for m in measures]
+    assert dtypes == {np.dtype(object)}
     for a, b in zip(fast, slow):
         assert (a.verdict, a.certificate) == (b.verdict, b.certificate)
         # "closures" counts how B was maximized, which is what differs
         assert {k: v for k, v in a.work_stats.items() if k != "closures"} == {
             k: v for k, v in b.work_stats.items() if k != "closures"
         }
+
+
+# the largest D with D^2 <= 2^63 - 1: NA's int64 bound
+NA_INT64_DENOMINATOR = 3_037_000_499
+
+
+def _na_reports(m):
+    return [check_neg_association(m).to_json(), check_cna(m).to_json()]
+
+
+def _but_closures(docs):
+    """Reports without the count of closures, which is what differs
+    between the product path and the closure path."""
+    return [{**doc, "work": {k: v for k, v in doc["work"].items() if k != "closures"}}
+            for doc in docs]
+
+
+def _forced_object_reports(m, monkeypatch):
+    """Both reports with every array on Python ints, so every up-set row
+    of A is maximized by a closure."""
+    with monkeypatch.context() as patch:
+        patch.setattr(bitops, "_INT64_MAX", 0)
+        return _na_reports(m)
+
+
+@pytest.mark.parametrize("offset, dtype", [(0, "int64"), (1, "object")])
+@pytest.mark.parametrize(
+    "heavy, verdict",
+    [(0b01, "Holds"), (0b00, "Fails")],
+    ids=["x1-heavy", "x1-rare"],
+)
+def test_na_int64_exactly_up_to_the_square_bound(
+    offset, dtype, heavy, verdict, monkeypatch, record_dense_dtypes
+):
+    # one atom of weight D - 2 puts d * joint_a and wa * wl within 2D of D^2;
+    # the other two atoms are {x2 = 1} and {x1 = x2 = 1}.  At x1 = 1 the
+    # measure holds; at the origin it fails with Cov[X1, X2] = (D - 2) / D^2
+    d = NA_INT64_DENOMINATOR + offset
+    assert (d * d <= bitops._INT64_MAX) is (offset == 0)
+    m = ExplicitMeasure._from_weights(2, {heavy: d - 2, 0b10: 1, 0b11: 1})
+    assert m.scaled_weights()[0] == d
+    dtypes = record_dense_dtypes()
+    got = _na_reports(m)
+    assert dtypes == {np.dtype(dtype)}
+    assert [doc["verdict"] for doc in got] == [verdict, verdict]
+    if verdict == "Fails":
+        assert got[0]["certificate"]["covariance"] == str(Fraction(d - 2, d * d))
+    assert _but_closures(got) == _but_closures(_forced_object_reports(m, monkeypatch))
+
+
+def _large_failing(n, rng):
+    """A measure with 2^20 < D <= isqrt(2^63 - 1) that often fails NA or
+    CNA: weights up to 2^26 on a random support, or a conditioned sum
+    scaled past 2^21 with one atom nudged.  Draws again while D, in
+    lowest terms, is out of that range."""
+    while True:
+        if rng.random() < 0.5:
+            weights = {x: rng.randint(1, 1 << 26) for x in range(1 << n) if rng.random() < 0.7}
+        else:
+            probs = [Fraction(rng.randint(1, 6), 7) for _ in range(n)]
+            d, base = family_conditioned_sum(probs, 1, rng.randint(2, n - 1)).scaled_weights()
+            scale = (1 << 21) // d + 1
+            weights = {x: scale * w for x, w in base.items()}
+            weights[rng.choice(sorted(weights))] += rng.choice((-1, 1)) * rng.randint(1, scale - 1)
+        m = ExplicitMeasure._from_weights(n, weights) if weights else None
+        if m is not None and 1 << 20 < m.scaled_weights()[0] <= NA_INT64_DENOMINATOR:
+            return m
+
+
+def test_na_product_path_matches_closures_above_two_to_the_twenty(
+    monkeypatch, record_dense_dtypes
+):
+    # the int64 product over B against one closure per up-set row of A, on
+    # seeded measures that the old 2^20 limit sent down the closure path
+    rng = random.Random(17)
+    measures = [_large_failing(3 + trial % 3, rng) for trial in range(60)]
+    dtypes = record_dense_dtypes()
+    reports = [_na_reports(m) for m in measures]
+    assert dtypes == {np.dtype(np.int64)}
+    verdicts = []
+    for m, got in zip(measures, reports):
+        assert _but_closures(got) == _but_closures(_forced_object_reports(m, monkeypatch))
+        assert got[0]["work"]["closures"] == 0
+        verdicts.append((got[0]["verdict"], got[1]["verdict"]))
+    assert verdicts.count(("Fails", "Fails")) >= 10
+    assert verdicts.count(("Holds", "Fails")) >= 5
 
 
 # -- conditional negative association ---------------------------------------
@@ -576,7 +666,7 @@ def test_rayleigh_scan_matches_fraction_oracle(
 ):
     if force_object:
         # no bound fits under 0, so every chunk takes the object path
-        monkeypatch.setattr(dependence, "_INT64_MAX", 0)
+        monkeypatch.setattr(bitops, "_INT64_MAX", 0)
     for m, grid, expect in rayleigh_cases:
         assert rayleigh_falsify(m, grid).to_json() == expect
 
@@ -607,8 +697,8 @@ def test_rayleigh_int64_only_below_the_bound(denominator, dtype, monkeypatch):
     original = dependence._exact_dtype
     chosen = []
 
-    def recording(bound, limit):
-        chosen.append(original(bound, limit))
+    def recording(bound):
+        chosen.append(original(bound))
         return chosen[-1]
 
     monkeypatch.setattr(dependence, "_exact_dtype", recording)

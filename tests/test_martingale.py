@@ -139,8 +139,15 @@ def test_skeleton_picks_match_the_lemma_entries(m):
             entry = next(e for e in rep.entries if e.index == node.pick)
             assert node.pick_deterministic == entry.deterministic
             if order is None:
-                assert node.pick == rep.chosen.index
-                assert node.pick_influence == entry.influence_sum
+                # the skeleton's integer rule against the lemma's Fractions:
+                # the first index that is deterministic or has influence <= 1
+                first = next(
+                    e for e in rep.entries if e.deterministic or e.influence_sum <= 1
+                )
+                assert first.quantity >= 0 and rep.satisfied[0] == first.index
+                assert node.pick == first.index == rep.chosen.index
+                assert node.pick_influence == first.influence_sum == rep.chosen.influence_sum
+                assert rep.chosen.deterministic == first.deterministic
             else:
                 assert node.pick_influence is None
             stack += [c for c in (node.child0, node.child1) if c is not None]

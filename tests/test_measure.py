@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -114,8 +115,21 @@ def test_assignment_extended():
     a = Assignment.of({1: 1}).extended(3, 0)
     assert a.indices == (1, 3)
     assert a.values == (1, 0)
-    with pytest.raises(ValueError):
-        a.extended(1, 0)
+    assert a == Assignment((1, 3), (1, 0)) and hash(a) == hash(Assignment((1, 3), (1, 0)))
+    assert (a.index_mask, a.value_mask) == (0b101, 0b001)
+    # each bad extension raises the constructor's message for the same tuple
+    messages = set()
+    for index, value in [(1, 0), (3, 1), (0, 1), (-2, 0), (2, 2), (2, -1), (3, 7)]:
+        with pytest.raises(ValueError) as built:
+            Assignment(a.indices + (index,), a.values + (value,))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(built.value))}$"):
+            a.extended(index, value)
+        messages.add(str(built.value))
+    assert messages == {
+        "assignment indices must be distinct",
+        "assignment indices are 1-based",
+        "assignment values must be bits",
+    }
 
 
 # -- construction and validation --------------------------------------------
