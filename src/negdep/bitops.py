@@ -1,4 +1,5 @@
-"""Bitmask helpers shared across the toolkit.
+"""Bitmask helpers shared across the toolkit, and ``SubsetExtractor``,
+the one split of a measure by a block of coordinates.
 
 Convention: variable ``i`` (1-based) occupies bit ``i - 1`` of an integer
 mask and character ``i - 1`` of the serialized bitstring, which is written
@@ -9,8 +10,7 @@ variables is ``(1 << n) - 1``.
 from __future__ import annotations
 
 import os
-from functools import cached_property, lru_cache
-from typing import Callable
+from functools import lru_cache
 
 import numpy as np
 
@@ -106,46 +106,20 @@ def covering_steps(width: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class SubsetExtractor:
-    """Constant-time extraction of the bits selected by a fixed mask.
-
-    ``extract(m)`` returns the selected bits of ``m`` packed densely, in
-    ascending position order (position j of the packed value is the j-th
-    smallest selected position).  It reads two half-width lookup tables,
-    built on its first use, so an extractor that only splits builds none.
-    """
+    """The one primitive that splits a measure by a block of coordinates:
+    conditionals, marginals and every checker that reads conditional laws
+    take rows of a ``split``."""
 
     def __init__(self, selector: int, n: int):
         self.selector = selector
         self.n = n
         self.width = selector.bit_count()
 
-    @staticmethod
-    def _build_table(sel: int, width: int) -> list[int]:
-        # doubling: the values with bit pos set repeat those below 1 << pos,
-        # with the next packed bit set when pos is selected
-        table = [0]
-        for pos in range(width):
-            bit = 1 << (sel & ((1 << pos) - 1)).bit_count() if sel >> pos & 1 else 0
-            table += [packed | bit for packed in table]
-        return table
-
-    @cached_property
-    def extract(self) -> Callable[[int], int]:
-        half = max(1, self.n // 2)
-        low = (1 << half) - 1
-        lo = self._build_table(self.selector & low, half)
-        hi = self._build_table(self.selector >> half, self.n - half)
-        shift = (self.selector & low).bit_count()
-
-        def extract(mask: int) -> int:
-            return lo[mask & low] | hi[mask >> half] << shift
-
-        return extract
-
     def split(self, dense: np.ndarray) -> np.ndarray:
         """A length-``2^n`` array indexed by mask, as a new
-        ``(2^width, 2^(n - width))`` matrix: entry ``mask`` goes to row
-        ``extract(mask)`` and to the column its other bits pack to."""
+        ``(2^width, 2^(n - width))`` matrix: entry ``mask`` goes to the row
+        its selected bits pack to and the column its other bits pack to
+        (bit j of a packed value is the j-th smallest position packed)."""
         n = self.n
         # axis k of the (2,) * n view is bit n - 1 - k; a stable sort puts the
         # selected axes first, so each packed index keeps its highest bit first

@@ -51,14 +51,11 @@ ZERO = Fraction(0)
 
 
 def _dense_weights(m: ExplicitMeasure, power: int) -> tuple[int, np.ndarray]:
-    """The common denominator D and the integer weights as a length-2^n
-    array indexed by atom, int64 while D ** power, the caller's proven
-    bound on the values it makes from them, fits."""
-    d, w = m.scaled_weights()
-    dtype = _exact_dtype(d ** power)
-    dense = np.zeros(1 << m.n, dtype=dtype)
-    dense[list(w)] = np.array(list(w.values()), dtype=dtype)
-    return d, dense
+    """The common denominator D and the measure's read-only dense view of
+    its weights, copied to Python ints only when D ** power, the caller's
+    proven bound on the values it makes from them, overflows int64."""
+    d = m.scaled_weights()[0]
+    return d, m.dense().astype(_exact_dtype(d ** power), copy=False)
 
 
 # The enumeration cap of each capped checker, by its `--notions` key.
@@ -215,17 +212,18 @@ def upset_indicator_cov(
     m: ExplicitMeasure, I, A_masks, J, B_masks
 ) -> Fraction:
     """Exact Cov[1_A(X_I), 1_B(X_J)] for up-sets given as packed masks
-    (bit t of a packed mask is the t-th smallest index of the block)."""
+    (bit t of a packed mask is the t-th smallest index of the block).
+
+    The reference that NA certificates are checked against: it packs each
+    atom's bits with its own loop, sharing nothing with `split`."""
     I = sorted(I)
     J = sorted(J)
-    exI = SubsetExtractor(sum(1 << (i - 1) for i in I), m.n)
-    exJ = SubsetExtractor(sum(1 << (j - 1) for j in J), m.n)
     A = set(A_masks)
     B = set(B_masks)
     pa = pb = pab = ZERO
     for key, p in m.items():
-        ina = exI.extract(key) in A
-        inb = exJ.extract(key) in B
+        ina = sum(1 << t for t, i in enumerate(I) if key >> (i - 1) & 1) in A
+        inb = sum(1 << t for t, j in enumerate(J) if key >> (j - 1) & 1) in B
         if ina:
             pa += p
             if inb:

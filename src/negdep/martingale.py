@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .bitops import bits_from_mask, cap
+from .bitops import bits_from_mask, cap, indices_of
 from .errors import (
     DimensionMismatch,
     IntervalViolation,
@@ -48,16 +48,15 @@ class PickResult:
             raise ValueError("non-deterministic pick must carry its influence sum")
 
 
-def _conditional_atoms(m: ExplicitMeasure, revealed: Assignment):
-    """Integer-weighted atoms matching the assignment, and their total."""
-    if revealed.index_mask >> m.n:
-        raise DimensionMismatch("assignment index out of range")
-    _, w = m.scaled_weights()
-    atoms = [(k, v) for k, v in sorted(w.items()) if revealed.matches(k)]
-    total = sum(v for _, v in atoms)
-    if total == 0:
+def _conditional(m: ExplicitMeasure, revealed: Assignment):
+    """The law given `revealed` and the original labels of its variables
+    (the pick rule does not change when the weights are scaled)."""
+    unrevealed = ((1 << m.n) - 1) & ~revealed.index_mask
+    if unrevealed:
+        return m.condition(revealed), indices_of(unrevealed)
+    if m.prob_of_assignment(revealed) == 0:
         raise ZeroProbabilityEvent("conditioning event has probability 0")
-    return atoms, total
+    raise NoEligibleIndex("every variable is already revealed")
 
 
 def _influence_terms(atoms, bit: int, others_mask: int):
@@ -76,16 +75,9 @@ def _influence_terms(atoms, bit: int, others_mask: int):
     return w1, total - w1, s1, s0
 
 
-def _unrevealed(n: int, revealed_mask: int) -> list[int]:
-    unrevealed = [i for i in range(1, n + 1) if not revealed_mask >> (i - 1) & 1]
-    if not unrevealed:
-        raise NoEligibleIndex("every variable is already revealed")
-    return unrevealed
-
-
 def _pick_from_atoms(atoms, n: int, revealed_mask: int) -> PickResult:
     full_unrevealed = ((1 << n) - 1) & ~revealed_mask
-    for i in _unrevealed(n, revealed_mask):
+    for i in indices_of(full_unrevealed):
         bit = 1 << (i - 1)
         w1, w0, s1, s0 = _influence_terms(atoms, bit, full_unrevealed & ~bit)
         if w1 == 0 or w0 == 0:
@@ -103,8 +95,9 @@ def pick_index(m: ExplicitMeasure, revealed: Assignment) -> PickResult:
     """The minimum unrevealed index that is deterministic given the
     assignment or whose influence sum
     sum_l (E[X_l | ., Xi=0] - E[X_l | ., Xi=1]) is at most 1."""
-    atoms, _ = _conditional_atoms(m, revealed)
-    return _pick_from_atoms(atoms, m.n, revealed.index_mask)
+    law, labels = _conditional(m, revealed)
+    pick = _pick_from_atoms(law.scaled_weights()[1].items(), law.n, 0)
+    return PickResult(labels[pick.index - 1], pick.deterministic, pick.influence_sum)
 
 
 @dataclass(frozen=True)
@@ -156,13 +149,14 @@ def verify_pick_lemma(m: ExplicitMeasure, revealed: Assignment) -> PickLemmaRepo
     the conditional sum is nonnegative); LemmaViolated means the
     implementation or the input measure is broken.
     """
-    atoms, total = _conditional_atoms(m, revealed)
-    full_unrevealed = ((1 << m.n) - 1) & ~revealed.index_mask
+    law, labels = _conditional(m, revealed)
+    total, weights = law.scaled_weights()
+    atoms = weights.items()
     entries = []
     satisfied = []
-    for i in _unrevealed(m.n, revealed.index_mask):
-        bit = 1 << (i - 1)
-        w1, w0, s1, s0 = _influence_terms(atoms, bit, full_unrevealed & ~bit)
+    for t, i in enumerate(labels):
+        bit = 1 << t
+        w1, w0, s1, s0 = _influence_terms(atoms, bit, ((1 << law.n) - 1) & ~bit)
         pi = Fraction(w1, total)
         variance = pi * (1 - pi)
         # s0 + s1 is the weighted count of ones among the other variables

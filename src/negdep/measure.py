@@ -2,7 +2,10 @@
 
 A measure is stored as integer weights over one common denominator;
 masses enter and leave as `fractions.Fraction`, and nothing in this
-module touches floating point.  Atoms are keyed internally by integer
+module touches floating point.  A conditional is a row of one split
+(`bitops.SubsetExtractor.split`) of the measure's cached dense view of
+its weights, the probability of the condition that row's sum, and a
+marginal the row sums of another.  Atoms are keyed internally by integer
 masks (variable i is bit i-1, so the leftmost character of the
 serialized bitstring is x1).
 """
@@ -66,7 +69,10 @@ def format_ratio(a: int, b: int) -> str:
 
 def parse_ratio(p) -> tuple[int, int]:
     """parse_rational(p) as (num, den > 0), maybe not in lowest terms: plain
-    ASCII "a/b" and "a" are read by int, all else by parse_rational."""
+    ASCII "a/b" and "a" are read by int, all else by parse_rational; a
+    boolean, which JSON true and false load as, is MalformedMeasure."""
+    if isinstance(p, bool):
+        raise MalformedMeasure(f"mass {json.dumps(p)} is a boolean, not a rational")
     if isinstance(p, str) and p.isascii():
         num, slash, den = p.partition("/")
         if num.isdigit() and (den.isdigit() or not slash) and (d := int(den or 1)):
@@ -137,11 +143,7 @@ class Assignment:
 
     @cached_property
     def value_mask(self) -> int:
-        mask = 0
-        for i, v in zip(self.indices, self.values):
-            if v:
-                mask |= 1 << (i - 1)
-        return mask
+        return mask_of_indices(i for i, v in zip(self.indices, self.values) if v)
 
     def matches(self, atom_mask: int) -> bool:
         return atom_mask & self.index_mask == self.value_mask
@@ -160,14 +162,16 @@ class ExplicitMeasure:
     positive integer weights with sum exactly D and no common factor with
     D, so P[x] = weight(x) / D.  Zero-mass atoms are not stored and every
     key fits in n bits.  Fractions are made only on the way out (items,
-    prob, atoms); to_json formats the integers.  Instances are immutable.
+    prob, atoms); to_json formats the integers.  Instances are immutable;
+    the dense view of the weights is built on first use and kept.
     """
 
-    __slots__ = ("n", "_denom", "_weights")
+    __slots__ = ("n", "_denom", "_weights", "_dense")
 
     def __init__(self, n: int, mass: dict[int, Fraction]):
         core = self.from_atoms(n, mass.items())
         self.n, self._denom, self._weights = n, core._denom, core._weights
+        self._dense = None
 
     @classmethod
     def _from_weights(cls, n: int, weights: dict[int, int]) -> "ExplicitMeasure":
@@ -182,6 +186,7 @@ class ExplicitMeasure:
         m.n = n
         m._denom = sum(weights.values())
         m._weights = weights
+        m._dense = None
         return m
 
     # -- construction -----------------------------------------------------
@@ -240,6 +245,17 @@ class ExplicitMeasure:
         mutate it."""
         return self._denom, self._weights
 
+    def dense(self) -> np.ndarray:
+        """The weights as a read-only array of length 2^n indexed by atom,
+        built once: int64 while D fits, Python ints above."""
+        if self._dense is None:
+            dtype = _exact_dtype(self._denom)
+            dense = np.zeros(1 << self.n, dtype=dtype)
+            dense[list(self._weights)] = np.array(list(self._weights.values()), dtype=dtype)
+            dense.flags.writeable = False
+            self._dense = dense
+        return self._dense
+
     def __eq__(self, other):
         return (
             isinstance(other, ExplicitMeasure)
@@ -256,19 +272,14 @@ class ExplicitMeasure:
 
     # -- operations --------------------------------------------------------
 
-    def _repacked(self, keep: int, on: Assignment) -> dict[int, int]:
-        """Integer weights of the atoms matching ``on``, keyed by their
-        bits on the mask ``keep`` packed in ascending position order."""
+    def _row(self, on: Assignment) -> np.ndarray:
+        """The weights of the atoms matching ``on``, indexed by their other
+        bits packed in ascending position order: row ``on.values`` of the
+        split by ``on.index_mask``."""
         if on.index_mask >> self.n:
             raise DimensionMismatch("assignment index out of range")
-        extract = SubsetExtractor(keep, self.n).extract
-        index_mask, value_mask = on.index_mask, on.value_mask
-        out: dict[int, int] = {}
-        for key, w in self._weights.items():
-            if key & index_mask == value_mask:
-                reduced = extract(key)
-                out[reduced] = out.get(reduced, 0) + w
-        return out
+        split = SubsetExtractor(on.index_mask, self.n).split(self.dense())
+        return split[sum(v << t for t, (_, v) in enumerate(sorted(zip(on.indices, on.values))))]
 
     def condition(self, on: Assignment) -> "ExplicitMeasure":
         """Conditional law of the unassigned variables given ``on``.
@@ -277,20 +288,17 @@ class ExplicitMeasure:
         re-labeled 1..n-|on| ascending.  Raises ZeroProbabilityEvent when
         the conditioning event has mass 0.
         """
-        keep = ((1 << self.n) - 1) & ~on.index_mask
-        weights = self._repacked(keep, on)
-        if not weights:
+        row = self._row(on)
+        cols = np.flatnonzero(row)
+        if not cols.size:
             raise ZeroProbabilityEvent(f"event {on.to_json()} has probability 0")
-        if not keep:
+        if len(on.indices) == self.n:
             raise ValueError("conditioning on every variable leaves nothing")
-        return self._from_weights(keep.bit_count(), weights)
+        weights = dict(zip(cols.tolist(), row[cols].tolist()))
+        return self._from_weights(self.n - len(on.indices), weights)
 
     def prob_of_assignment(self, on: Assignment) -> Fraction:
-        if on.index_mask >> self.n:
-            raise DimensionMismatch("assignment index out of range")
-        index_mask, value_mask = on.index_mask, on.value_mask
-        hit = sum(w for key, w in self._weights.items() if key & index_mask == value_mask)
-        return Fraction(hit, self._denom)
+        return Fraction(int(self._row(on).sum()), self._denom)
 
     def marginal(self, subset) -> "ExplicitMeasure":
         """Exact pushforward onto the given coordinates (ascending order)."""
@@ -299,8 +307,10 @@ class ExplicitMeasure:
             raise EmptySubset("marginal over the empty index set")
         if subset[0] < 1 or subset[-1] > self.n:
             raise DimensionMismatch("marginal index out of range")
-        weights = self._repacked(mask_of_indices(subset), Assignment.empty())
-        return self._from_weights(len(subset), weights)
+        extractor = SubsetExtractor(mask_of_indices(subset), self.n)
+        sums = extractor.split(self.dense()).sum(axis=1)
+        rows = np.flatnonzero(sums)
+        return self._from_weights(len(subset), dict(zip(rows.tolist(), sums[rows].tolist())))
 
     def expectation(self, f: "TestFunction") -> Fraction:
         if f.n != self.n:

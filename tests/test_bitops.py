@@ -98,12 +98,19 @@ def test_subsets_lex_nonempty_complete():
     assert 0 not in masks
 
 
+def _row_of(ex, mask):
+    """The row of ex's split that the point ``mask`` lands in."""
+    dense = np.zeros(1 << ex.n, dtype=np.int64)
+    dense[mask] = 1
+    return int(np.flatnonzero(ex.split(dense).any(axis=1))[0])
+
+
 def test_subset_extractor_packs_densely():
     ex = SubsetExtractor(0b101, 3)  # select variables 1 and 3
-    assert ex.extract(0b111) == 0b11
-    assert ex.extract(0b100) == 0b10
-    assert ex.extract(0b010) == 0b00
-    assert ex.extract(0b001) == 0b01
+    assert _row_of(ex, 0b111) == 0b11
+    assert _row_of(ex, 0b100) == 0b10
+    assert _row_of(ex, 0b010) == 0b00
+    assert _row_of(ex, 0b001) == 0b01
 
 
 def test_subset_extractor_matches_naive():
@@ -115,11 +122,11 @@ def test_subset_extractor_matches_naive():
         for t, i in enumerate(chosen):
             if mask >> (i - 1) & 1:
                 packed |= 1 << t
-        assert ex.extract(mask) == packed
+        assert _row_of(ex, mask) == packed
 
 
 def _bit_loop_table(sel, width):
-    """The extraction table built bit by bit, as the doubling build replaced."""
+    """The packed selected bits of every width-bit value, bit by bit."""
     table = []
     for value in range(1 << width):
         packed = 0
@@ -134,7 +141,7 @@ def _bit_loop_table(sel, width):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_doubled_tables_and_array_extraction(n):
+def test_split_matches_bit_loop(n):
     full = (1 << n) - 1
     # distinct entries, once in int64 and once as Python ints beyond 2^63
     arrays = [np.arange(1, 2 + full, dtype=np.int64) * 7,
@@ -150,24 +157,6 @@ def test_doubled_tables_and_array_extraction(n):
             assert got.dtype == dense.dtype
             assert got.shape == expected.shape
             assert got.tolist() == expected.tolist()
-        # extract after a split, through the half-width tables it builds
-        assert [ex.extract(mask) for mask in range(1 << n)] == rows
-
-
-def test_split_builds_no_extract_table(monkeypatch):
-    built = []
-    build = SubsetExtractor._build_table
-
-    def counted(sel, width):
-        built.append(width)
-        return build(sel, width)
-
-    monkeypatch.setattr(SubsetExtractor, "_build_table", staticmethod(counted))
-    ex = SubsetExtractor(0b01011, 5)
-    ex.split(np.arange(32))
-    assert built == []
-    assert [ex.extract(0b11111), ex.extract(0b01000)] == [0b111, 0b100]
-    assert built == [2, 3]  # the two half tables, once
 
 
 @pytest.mark.parametrize("n", range(1, 9))

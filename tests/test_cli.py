@@ -201,6 +201,16 @@ def test_check_boolean_n_exit_two(capsys, tmp_path):
     assert err.startswith("error:") and 'integer "n"' in err
 
 
+@pytest.mark.parametrize("p", [True, False])
+def test_check_boolean_mass_exit_two(capsys, tmp_path, p):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 1, "atoms": [{"x": "1", "p": p}, {"x": "0", "p": "1"}]}))
+    code, out, err = run(capsys, "check", "--file", str(path), "--notions", "nc")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "is a boolean, not a rational" in err
+
+
 @pytest.mark.parametrize("n", ["2", " 2", 2.0])
 def test_check_n_that_is_no_json_integer_exit_two(capsys, tmp_path, n):
     path = tmp_path / "m.json"

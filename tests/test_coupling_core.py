@@ -15,7 +15,7 @@ import pytest
 
 from negdep.bitops import bits_from_mask, is_submask
 from negdep.coupling import Coupling, build_monotone_coupling
-from negdep.errors import DimensionMismatch, DominanceFails
+from negdep.errors import DimensionMismatch, DominanceFails, MalformedMeasure
 from negdep.measure import Assignment, ExplicitMeasure, family_conditioned_sum, family_nand
 from negdep.zoo import random_measure
 
@@ -208,6 +208,18 @@ def test_from_json_reads_other_spellings_and_keeps_zero_pairs():
         Coupling.from_json(doc).validate()
     doc["pairs"][-1]["p"] = "1/0"
     with pytest.raises(ValueError, match="zero denominator"):
+        Coupling.from_json(doc)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_from_json_refuses_a_boolean_mass(flag):
+    doc = COUPLINGS[0].to_json()
+    doc["pairs"].append({"x": doc["pairs"][0]["x"], "y": doc["pairs"][0]["y"], "p": flag})
+    with pytest.raises(MalformedMeasure, match="is a boolean, not a rational"):
+        Coupling.from_json(doc)
+    doc["pairs"].pop()
+    doc["lower"]["atoms"][0]["p"] = flag
+    with pytest.raises(MalformedMeasure, match="is a boolean, not a rational"):
         Coupling.from_json(doc)
 
 

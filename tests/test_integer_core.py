@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 
 from negdep.measure import (
@@ -56,7 +57,22 @@ def _large_denominator_products():
     return out
 
 
-MEASURES = list(zoo().items()) + _random_measures() + _large_denominator_products()
+def _view_dtype_extremes():
+    """A measure whose denominator exceeds 2^63, so its dense view holds
+    Python ints, and a sparse one at the width cap."""
+    rng = random.Random(64)
+    huge = {x: rng.randint(1, 1 << 70) for x in range(1 << 7) if rng.random() < 0.5}
+    sparse = {rng.randrange(1 << 20): rng.randint(1, 9) for _ in range(48)}
+    return [
+        ("huge_denominator_7", ExplicitMeasure._from_weights(7, huge)),
+        ("sparse_20", ExplicitMeasure._from_weights(20, sparse)),
+    ]
+
+
+MEASURES = (
+    list(zoo().items()) + _random_measures() + _large_denominator_products()
+    + _view_dtype_extremes()
+)
 
 
 def masses(m: ExplicitMeasure) -> dict[int, Fraction]:
@@ -92,8 +108,9 @@ def brute_marginal(mass, subset):
 
 def assignments(n: int, rng: random.Random):
     """Every assignment for n <= 4; otherwise every one on at most two
-    indices plus a few seeded larger ones."""
-    sizes = range(n + 1) if n <= 4 else range(3)
+    indices (one above n = 8, where each query splits 2^n weights) plus a
+    few seeded larger ones."""
+    sizes = range(n + 1) if n <= 4 else range(3) if n <= 8 else range(2)
     for size in sizes:
         for indices in itertools.combinations(range(1, n + 1), size):
             for values in itertools.product((0, 1), repeat=size):
@@ -112,13 +129,16 @@ def test_queries_match_fraction_brute_force(name, m):
     rng = random.Random(name)
     for on in assignments(m.n, rng):
         total, expected = brute_condition(mass, m.n, on)
-        assert m.prob_of_assignment(on) == total
+        # the same event with its indices listed in descending order
+        backwards = Assignment(on.indices[::-1], on.values[::-1])
+        assert m.prob_of_assignment(on) == m.prob_of_assignment(backwards) == total
         if total == 0 or len(on.indices) == m.n:
             continue
         cond = m.condition(on)
         assert cond.n == m.n - len(on.indices)
         assert masses(cond) == expected
         assert_canonical(cond)
+        assert m.condition(backwards) == cond
     for size in (1, 2, m.n - 1, m.n):
         if size < 1:
             continue
@@ -133,12 +153,25 @@ def test_queries_match_fraction_brute_force(name, m):
         for pos in range(m.n)
     ]
     assert m.mean_vector() == means
+    if m.n > 8:  # the function oracles below build 2^n values each
+        return
     functions = [sum_function(m.n), xor_function(m.n)]
     functions += [random_lipschitz(m.n, random.Random(s), monotone=s % 2 == 1) for s in range(3)]
     for f in functions:
         assert m.expectation(f) == sum(
             (p * f.values[x] for x, p in mass.items()), Fraction(0)
         )
+
+
+def test_dense_view_is_read_only_in_the_exact_dtype():
+    for name, m in _view_dtype_extremes() + _large_denominator_products():
+        dense = m.dense()
+        assert dense is m.dense()
+        assert not dense.flags.writeable
+        assert dense.shape == (1 << m.n,)
+        d, w = m.scaled_weights()
+        assert dense.dtype == (object if d > (1 << 63) - 1 else np.int64), name
+        assert {x: int(dense[x]) for x in np.flatnonzero(dense).tolist()} == w
 
 
 def test_large_denominator_products_exceed_two_to_the_twenty():

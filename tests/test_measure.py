@@ -288,6 +288,8 @@ def test_from_json_rejects_bad_mass():
         {"n": "2", "atoms": [{"x": "10", "p": "1"}]},     # n is a JSON integer
         {"n": " 2", "atoms": [{"x": "10", "p": "1"}]},
         {"n": 2.0, "atoms": [{"x": "10", "p": "1"}]},
+        {"n": 1, "atoms": [{"x": "1", "p": True}]},      # a mass is no boolean
+        {"n": 1, "atoms": [{"x": "0", "p": False}, {"x": "1", "p": "1"}]},
     ],
 )
 def test_from_json_rejects_malformed_documents(doc):

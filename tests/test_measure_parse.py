@@ -15,7 +15,7 @@ from math import lcm
 import pytest
 
 from negdep.bitops import bits_from_mask, cap
-from negdep.errors import BadWidth, MassNotOne, NegativeMass, TooLarge
+from negdep.errors import BadWidth, MalformedMeasure, MassNotOne, NegativeMass, TooLarge
 from negdep.measure import (
     ExplicitMeasure,
     format_ratio,
@@ -128,6 +128,12 @@ def complement(p):
 
 @pytest.mark.parametrize("p", MASSES, ids=repr)
 def test_one_mass_in_every_position(p):
+    if isinstance(p, bool):
+        # the frozen reader read JSON true as 1; a boolean is no rational
+        for atoms in ([("1", p)], [("0", p), ("1", "1/2")], [(0, "1/2"), (1, p)]):
+            with pytest.raises(MalformedMeasure, match="is a boolean, not a rational"):
+                ExplicitMeasure.from_atoms(1, atoms)
+        return
     assert_same(1, [("1", p)])
     assert_same(1, [("0", p), ("1", complement(p))])
     assert_same(2, [("01", complement(p)), ("10", p)])
@@ -257,6 +263,10 @@ def test_parse_ratio_is_parse_rational_as_a_pair():
     texts += [f"{rng.randrange(10 ** 9)}/{rng.randrange(1, 10 ** 9)}" for _ in range(200)]
     texts += [str(rng.randrange(10 ** 30)) for _ in range(50)]
     for text in texts:
+        if isinstance(text, bool):
+            with pytest.raises(MalformedMeasure):
+                parse_ratio(text)
+            continue
         try:
             want = parse_rational(text)
         except ValueError as exc:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from negdep.bitops import SubsetExtractor, bits_from_mask, indices_of, subsets_lex
+from negdep.bitops import bits_from_mask, indices_of, subsets_lex
 from negdep.coupling import covering_cut, down_set_certificate, transport
 from negdep.dependence import Verdict, check_neg_regression, check_stochastic_covering
 from negdep.measure import (
@@ -33,16 +33,20 @@ from test_dependence import recheck_nr_certificate
 MEMO_COUNTERS = ("flows_run", "repeated_laws_skipped")
 
 
+def _packed(key, block_mask):
+    """The bits of key on block_mask, packed in ascending position order."""
+    return sum(1 << t for t, i in enumerate(indices_of(block_mask)) if key >> (i - 1) & 1)
+
+
 def _raw_buckets(m, cond_mask):
     """{a: {free pattern: weight}} and {a: total}, weights as stored."""
     n = m.n
     _, w = m.scaled_weights()
-    exc = SubsetExtractor(cond_mask, n)
-    exf = SubsetExtractor(((1 << n) - 1) ^ cond_mask, n)
+    free_mask = ((1 << n) - 1) ^ cond_mask
     buckets, totals = {}, {}
     for key, weight in w.items():
-        a = exc.extract(key)
-        buckets.setdefault(a, {})[exf.extract(key)] = weight
+        a = _packed(key, cond_mask)
+        buckets.setdefault(a, {})[_packed(key, free_mask)] = weight
         totals[a] = totals.get(a, 0) + weight
     return buckets, totals
 
@@ -337,11 +341,11 @@ def test_lemma_on_the_oracle_inputs_nand_and_conditioned_sums():
 def _positive_assignments(cond_mask, n):
     """For each support of {0,1}^n, as a bitmask over the points, the
     bitmask of the assignments on cond_mask that it makes positive."""
-    ex = SubsetExtractor(cond_mask, n)
+    packed = [_packed(x, cond_mask) for x in range(1 << n)]
     masks = [0] * (1 << (1 << n))
     for support in range(1, len(masks)):
         low = support & -support
-        masks[support] = masks[support ^ low] | 1 << ex.extract(low.bit_length() - 1)
+        masks[support] = masks[support ^ low] | 1 << packed[low.bit_length() - 1]
     return masks
 
 
