@@ -5,201 +5,30 @@ hierarchy of negative-dependence notions with certificates, builds
 monotone couplings via max-flow with min-cut certificates on failure,
 constructs adaptive bounded-difference martingale trees, and compares
 concentration bounds against exactly enumerated tails.
+
+The package exports each module's ``__all__``, and nothing else.
 """
 
 __version__ = "0.1.0"
 
-from .bitops import bits_from_mask, cap, mask_from_bits
-from .concentration import (
-    REL_TOL,
-    TailReport,
-    TailRow,
-    TailSide,
-    chain_exponential_moment,
-    default_t_grid,
-    exact_tail,
-    node_exponential_moment,
-    theorem_bound,
-    verify_theorem,
-)
-from .coupling import (
-    Coupling,
-    DominanceCertificate,
-    DominanceResult,
-    InfeasibilityCut,
-    build_monotone_coupling,
-    check_dominance,
-    coupling_displacement,
-    covering_cut,
-    down_set_certificate,
-)
-from .dependence import (
-    GeneratingPolynomial,
-    Notion,
-    NotionReport,
-    NOTION_IMPLICATIONS,
-    Verdict,
-    check_cna,
-    check_cylinder,
-    check_neg_association,
-    check_neg_regression,
-    check_pairwise_nc,
-    check_stochastic_covering,
-    covariance,
-    default_rayleigh_grid,
-    rayleigh_falsify,
-    upset_indicator_cov,
-)
-from .errors import (
-    BadWidth,
-    DimensionMismatch,
-    DominanceFails,
-    EmptyConditioningEvent,
-    EmptySubset,
-    IntervalViolation,
-    InvalidTestFunction,
-    LemmaViolated,
-    MalformedMeasure,
-    MassNotOne,
-    NegativeMass,
-    NegdepError,
-    NodeIsLeaf,
-    NoEligibleIndex,
-    TooLarge,
-    ZeroProbabilityEvent,
-)
-from .martingale import (
-    MartingaleTree,
-    PickLemmaReport,
-    PickResult,
-    Skeleton,
-    TreeNode,
-    build_adaptive_tree,
-    build_skeleton,
-    fixed_order_tree,
-    max_step,
-    pick_index,
-    root_step,
-    verify_pick_lemma,
-)
-from .measure import (
-    Assignment,
-    ExplicitMeasure,
-    TestFunction,
-    constant_function,
-    family_anti_pair,
-    family_balls_bins,
-    family_conditioned_sum,
-    family_hadamard,
-    family_independent,
-    family_nand,
-    family_pos_pair,
-    new_explicit,
-    parse_rational,
-    format_rational,
-    random_lipschitz,
-    sum_function,
-    xor_function,
-)
-from .upsets import ENUMERABLE_DIM, is_up_closed, nontrivial_upsets, upset_members
-from .zoo import random_measure, zoo
+from . import bitops, concentration, coupling, dependence, errors, martingale, measure, upsets, zoo
+from .bitops import *
+from .concentration import *
+from .coupling import *
+from .dependence import *
+from .errors import *
+from .martingale import *
+from .measure import *
+from .upsets import *
 
-__all__ = [
-    "__version__",
-    "bits_from_mask",
-    "cap",
-    "mask_from_bits",
-    # measure
-    "Assignment",
-    "ExplicitMeasure",
-    "TestFunction",
-    "new_explicit",
-    "parse_rational",
-    "format_rational",
-    "sum_function",
-    "constant_function",
-    "xor_function",
-    "random_lipschitz",
-    "family_nand",
-    "family_independent",
-    "family_conditioned_sum",
-    "family_balls_bins",
-    "family_hadamard",
-    "family_anti_pair",
-    "family_pos_pair",
-    # dependence
-    "Notion",
-    "Verdict",
-    "NotionReport",
-    "NOTION_IMPLICATIONS",
-    "GeneratingPolynomial",
-    "covariance",
-    "upset_indicator_cov",
-    "check_pairwise_nc",
-    "check_cylinder",
-    "check_neg_association",
-    "check_neg_regression",
-    "check_cna",
-    "check_stochastic_covering",
-    "rayleigh_falsify",
-    "default_rayleigh_grid",
-    # coupling
-    "Coupling",
-    "DominanceCertificate",
-    "InfeasibilityCut",
-    "DominanceResult",
-    "down_set_certificate",
-    "covering_cut",
-    "check_dominance",
-    "build_monotone_coupling",
-    "coupling_displacement",
-    # martingale
-    "PickResult",
-    "PickLemmaReport",
-    "pick_index",
-    "verify_pick_lemma",
-    "Skeleton",
-    "TreeNode",
-    "MartingaleTree",
-    "build_skeleton",
-    "build_adaptive_tree",
-    "fixed_order_tree",
-    "max_step",
-    "root_step",
-    # concentration
-    "REL_TOL",
-    "TailSide",
-    "TailRow",
-    "TailReport",
-    "theorem_bound",
-    "exact_tail",
-    "default_t_grid",
-    "verify_theorem",
-    "node_exponential_moment",
-    "chain_exponential_moment",
-    # upsets
-    "ENUMERABLE_DIM",
-    "nontrivial_upsets",
-    "upset_members",
-    "is_up_closed",
-    # zoo
-    "zoo",
-    "random_measure",
-    # errors
-    "NegdepError",
-    "BadWidth",
-    "NegativeMass",
-    "MassNotOne",
-    "MalformedMeasure",
-    "ZeroProbabilityEvent",
-    "EmptySubset",
-    "EmptyConditioningEvent",
-    "DimensionMismatch",
-    "TooLarge",
-    "InvalidTestFunction",
-    "NoEligibleIndex",
-    "LemmaViolated",
-    "IntervalViolation",
-    "DominanceFails",
-    "NodeIsLeaf",
-]
+__all__ = ["__version__"]
+__all__ += bitops.__all__
+__all__ += concentration.__all__
+__all__ += coupling.__all__
+__all__ += dependence.__all__
+__all__ += errors.__all__
+__all__ += martingale.__all__
+__all__ += measure.__all__
+__all__ += upsets.__all__
+__all__ += zoo.__all__
+from .zoo import *  # last: the catalog function zoo replaces the module zoo

@@ -25,6 +25,7 @@ _DEFAULT_CAPS = {
     "cna": 8,
     "neg_regression": 10,
     "stochastic_covering": 10,
+    "rayleigh": 10,
     "tree": 12,
 }
 
@@ -126,3 +127,6 @@ class SubsetExtractor:
         axes = sorted(range(n), key=lambda k: not self.selector >> (n - 1 - k) & 1)
         # a copy even when the order is the identity and the transpose a view
         return dense.reshape((2,) * n).transpose(axes).copy().reshape(1 << self.width, -1)
+
+
+__all__ = ["bits_from_mask", "cap", "mask_from_bits"]

@@ -18,19 +18,10 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .bitops import cap
+from .bitops import _DEFAULT_CAPS, cap
 from .concentration import verify_theorem
 from .coupling import build_monotone_coupling
-from .dependence import (
-    check_cna,
-    check_cylinder,
-    check_neg_association,
-    check_neg_regression,
-    check_pairwise_nc,
-    check_stochastic_covering,
-    rayleigh_falsify,
-    refuse_over_cap,
-)
+from .dependence import NOTION_RUNNERS, check_neg_regression, refuse_over_cap
 from .errors import DominanceFails, IntervalViolation, NegdepError, TooLarge
 from .martingale import (
     build_adaptive_tree,
@@ -50,17 +41,6 @@ from .measure import (
 )
 from .zoo import FAMILY_HELP, parse_family
 
-# The one checker registry: --notions keys, in the order "all" runs them.
-NOTION_RUNNERS = {
-    "nc": check_pairwise_nc,
-    "cyl": check_cylinder,
-    "na": check_neg_association,
-    "nr": check_neg_regression,
-    "cna": check_cna,
-    "sc": check_stochastic_covering,
-    "rayleigh": rayleigh_falsify,
-}
-
 F_HELP = (
     "test function: sum | constant[:v] | xor | random:SEED[:monotone]"
 )
@@ -70,17 +50,32 @@ F_HELP = (
 MAX_GRID_POINTS = 10_000
 
 
+def _converted(convert, text: str, wrong_form: str):
+    """convert(text), where a text that is no number is a ValueError with
+    the message wrong_form, which names the form the text belongs to; a
+    zero denominator keeps parse_rational's own message."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        if isinstance(exc.__context__, ZeroDivisionError):
+            raise
+        raise ValueError(wrong_form) from None
+
+
 def parse_function(spec: str, n: int) -> TestFunction:
     name, *args = spec.split(":")
+    wrong_form = f"bad test function {spec!r}; {F_HELP}"
     if name == "sum" and not args:
         return sum_function(n)
     if name == "constant" and len(args) <= 1:
-        return constant_function(n, parse_rational(args[0]) if args else 0)
+        value = _converted(parse_rational, args[0], wrong_form) if args else 0
+        return constant_function(n, value)
     if name == "xor" and not args:
         return xor_function(n)
     if name == "random" and args and args[1:] in ([], ["monotone"]):
-        return random_lipschitz(n, random.Random(int(args[0])), monotone=len(args) == 2)
-    raise ValueError(f"bad test function {spec!r}; {F_HELP}")
+        seed = _converted(int, args[0], wrong_form)
+        return random_lipschitz(n, random.Random(seed), monotone=len(args) == 2)
+    raise ValueError(wrong_form)
 
 
 def _load_measure(args) -> ExplicitMeasure:
@@ -164,18 +159,18 @@ def cmd_martingale(args) -> int:
         raise TooLarge(f"n={m.n} exceeds the tree cap {cap('tree')}")
     f = parse_function(args.f, m.n)
     order_spec = args.order
+    wrong_form = f"unknown order {order_spec!r}; use adaptive, fixed, or fixed:i,j,..."
     try:
         if order_spec == "adaptive":
             tree = build_adaptive_tree(m, f)
         elif order_spec == "fixed":
             tree = fixed_order_tree(m, f)
         elif order_spec.startswith("fixed:"):
-            perm = [int(tok) for tok in order_spec[len("fixed:"):].split(",")]
+            tokens = order_spec[len("fixed:"):].split(",")
+            perm = [_converted(int, tok, wrong_form) for tok in tokens]
             tree = fixed_order_tree(m, f, perm)
         else:
-            raise ValueError(
-                f"unknown order {order_spec!r}; use adaptive, fixed, or fixed:i,j,..."
-            )
+            raise ValueError(wrong_form)
     except IntervalViolation as exc:
         doc = {"verdict": "IntervalViolation", "message": str(exc)}
         if exc.node is not None:
@@ -205,9 +200,10 @@ def cmd_martingale(args) -> int:
 
 
 def _parse_grid(spec: str) -> list[Fraction]:
+    wrong_form = f"grid {spec!r} is not of the form LO:STEP:HI"
     if len(parts := spec.split(":")) != 3:
-        raise ValueError(f"grid {spec!r} is not of the form LO:STEP:HI")
-    lo, step, hi = map(parse_rational, parts)
+        raise ValueError(wrong_form)
+    lo, step, hi = (_converted(parse_rational, part, wrong_form) for part in parts)
     if step <= 0:
         raise ValueError("grid step must be positive")
     count = max(0, (hi - lo) // step + 1)
@@ -263,8 +259,8 @@ def cmd_tail(args) -> int:
 
 def cmd_counterexample(args) -> int:
     n = args.n
-    if not 3 <= n <= 12:
-        raise ValueError(f"n must be between 3 and 12, got {n}")
+    if not 3 <= n <= cap("tree"):
+        raise ValueError(f"n must be between 3 and {cap('tree')}, got {n}")
     m = family_nand(n)
     f = sum_function(n)
     nr = _nr_gate(m)
@@ -388,7 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
         "counterexample",
         help="reproduce the fixed-vs-adaptive ordering separation on NAND",
     )
-    p.add_argument("n", type=int, help="number of variables, 3..12")
+    p.add_argument(
+        "n", type=int,
+        help=f"number of variables, from 3 to the tree cap ({_DEFAULT_CAPS['tree']} by default)",
+    )
     add_output(p, ["text", "json"])
     p.set_defaults(func=cmd_counterexample)
 

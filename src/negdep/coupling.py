@@ -668,12 +668,6 @@ def coupling_displacement(c: Coupling) -> Fraction:
 
 
 __all__ = [
-    "Dinic",
-    "up_steps",
-    "transport",
-    "TransportResult",
-    "up_closure",
-    "is_down_closed",
     "DominanceCertificate",
     "InfeasibilityCut",
     "down_set_certificate",

@@ -58,18 +58,6 @@ def _dense_weights(m: ExplicitMeasure, power: int) -> tuple[int, np.ndarray]:
     return d, m.dense().astype(_exact_dtype(d ** power), copy=False)
 
 
-# The enumeration cap of each capped checker, by its `--notions` key.
-CHECKER_CAPS = {"cyl": "cylinder", "na": "neg_association", "cna": "cna",
-                "nr": "neg_regression", "sc": "stochastic_covering"}
-
-
-def refuse_over_cap(key: str, n: int) -> None:
-    """Raise TooLarge when n exceeds the cap of the checker `key` names."""
-    name = CHECKER_CAPS.get(key)
-    if name is not None and n > cap(name):
-        raise TooLarge(f"n={n} exceeds the {name} cap {cap(name)}")
-
-
 class Notion(str, Enum):
     PAIRWISE_NC = "PairwiseNC"
     CYLINDER = "CylinderDep"
@@ -651,9 +639,12 @@ def rayleigh_falsify(m: ExplicitMeasure, grid=None) -> NotionReport:
     scanned in grid order, pairs in lexicographic order, in chunks of
     1, 2, 4, ... points, so an early violation costs little; a point of
     the wrong length raises DimensionMismatch when the scan reaches it.
+    The default grid is refused above the rayleigh cap; a grid the caller
+    passes is the caller's own bound.
     """
     n = m.n
     if grid is None:
+        refuse_over_cap("rayleigh", n)
         if n <= _LATTICE_MAX_N:
             ones = (1,) * n
             points = len(_LATTICE) ** n
@@ -712,7 +703,7 @@ def rayleigh_falsify(m: ExplicitMeasure, grid=None) -> NotionReport:
 
 
 # ---------------------------------------------------------------------------
-# Hierarchy
+# Hierarchy, registry and caps
 # ---------------------------------------------------------------------------
 
 
@@ -725,6 +716,30 @@ NOTION_IMPLICATIONS = [
     (Notion.CNA, Notion.NEG_ASSOCIATION),
     (Notion.CNA, Notion.NEG_REGRESSION),
 ]
+
+
+# The one checker registry: --notions keys, in the order "all" runs them.
+NOTION_RUNNERS = {
+    "nc": check_pairwise_nc,
+    "cyl": check_cylinder,
+    "na": check_neg_association,
+    "nr": check_neg_regression,
+    "cna": check_cna,
+    "sc": check_stochastic_covering,
+    "rayleigh": rayleigh_falsify,
+}
+
+# The enumeration cap of each capped checker, by its `--notions` key.
+CHECKER_CAPS = {"cyl": "cylinder", "na": "neg_association", "cna": "cna",
+                "nr": "neg_regression", "sc": "stochastic_covering",
+                "rayleigh": "rayleigh"}
+
+
+def refuse_over_cap(key: str, n: int) -> None:
+    """Raise TooLarge when n exceeds the cap of the checker `key` names."""
+    name = CHECKER_CAPS.get(key)
+    if name is not None and n > cap(name):
+        raise TooLarge(f"n={n} exceeds the {name} cap {cap(name)}")
 
 
 __all__ = [
@@ -740,8 +755,6 @@ __all__ = [
     "check_cna",
     "check_neg_regression",
     "check_stochastic_covering",
-    "CHECKER_CAPS",
-    "refuse_over_cap",
     "default_rayleigh_grid",
     "rayleigh_falsify",
     "NOTION_IMPLICATIONS",

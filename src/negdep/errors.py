@@ -87,3 +87,11 @@ class DominanceFails(NegdepError):
 
 class NodeIsLeaf(NegdepError):
     """An exponential-moment query was made at a leaf node."""
+
+
+__all__ = [
+    "NegdepError", "BadWidth", "NegativeMass", "MassNotOne", "MalformedMeasure",
+    "ZeroProbabilityEvent", "EmptySubset", "EmptyConditioningEvent",
+    "DimensionMismatch", "TooLarge", "InvalidTestFunction", "NoEligibleIndex",
+    "LemmaViolated", "IntervalViolation", "DominanceFails", "NodeIsLeaf",
+]

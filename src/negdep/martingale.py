@@ -522,12 +522,10 @@ def root_step(tree: MartingaleTree) -> Fraction:
 
 __all__ = [
     "PickResult",
-    "PickLemmaEntry",
     "PickLemmaReport",
     "pick_index",
     "verify_pick_lemma",
     "Skeleton",
-    "SkeletonNode",
     "build_skeleton",
     "TreeNode",
     "MartingaleTree",

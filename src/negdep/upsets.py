@@ -101,10 +101,7 @@ def max_weight_upset(weights, d: int) -> tuple[int, tuple[int, ...]]:
 
 __all__ = [
     "ENUMERABLE_DIM",
-    "upset_bitmasks",
     "nontrivial_upsets",
-    "upset_matrix",
     "upset_members",
     "is_up_closed",
-    "max_weight_upset",
 ]

@@ -105,4 +105,4 @@ def random_measure(
     )
 
 
-__all__ = ["zoo", "random_measure", "parse_family", "FAMILIES", "FAMILY_HELP", "CATALOG"]
+__all__ = ["zoo", "random_measure"]

@@ -18,7 +18,13 @@ from negdep.cli import (
     parse_function,
 )
 from negdep.bitops import cap
-from negdep.dependence import CHECKER_CAPS, check_neg_association
+from negdep.dependence import (
+    CHECKER_CAPS,
+    Notion,
+    NotionReport,
+    Verdict,
+    check_neg_association,
+)
 from negdep.errors import NegdepError, TooLarge
 from negdep.measure import ExplicitMeasure, family_anti_pair, family_nand
 from negdep.zoo import FAMILIES
@@ -266,7 +272,7 @@ def test_check_refuses_an_over_cap_notion_before_any_checker_runs(capsys, monkey
     assert "association cap" in err
 
 
-@pytest.mark.parametrize("key", ["na", "cna", "nr", "sc"])
+@pytest.mark.parametrize("key", ["na", "cna", "nr", "sc", "rayleigh"])
 def test_check_refuses_one_over_cap_notion_with_its_cap(capsys, monkeypatch, key):
     name = CHECKER_CAPS[key]
     n = cap(name) + 1
@@ -446,6 +452,25 @@ def test_martingale_custom_order(capsys):
     assert json.loads(out)["order"] == [3, 2, 1]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("martingale", "--f", "random:x"), f"bad test function 'random:x'; {F_HELP}"),
+    (("martingale", "--f", "constant:abc"), f"bad test function 'constant:abc'; {F_HELP}"),
+    (("martingale", "--order", "fixed:x"),
+     "unknown order 'fixed:x'; use adaptive, fixed, or fixed:i,j,..."),
+    (("martingale", "--order", "fixed:"),
+     "unknown order 'fixed:'; use adaptive, fixed, or fixed:i,j,..."),
+    (("martingale", "--order", "bogus"),
+     "unknown order 'bogus'; use adaptive, fixed, or fixed:i,j,..."),
+    (("tail", "--grid", "0:1/4:x"), "grid '0:1/4:x' is not of the form LO:STEP:HI"),
+    # the builders' own refusals keep their text
+    (("martingale", "--order", "fixed:1,1,2"), "order must be a permutation of 1..n"),
+    (("tail", "--grid", "0:0:1"), "grid step must be positive"),
+])
+def test_spec_part_that_does_not_parse_names_its_form(capsys, argv, message):
+    code, out, err = run(capsys, argv[0], "--family", "nand:3", *argv[1:])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_martingale_interval_violation_exit_one(capsys):
     code, out, _ = run(capsys, "martingale", "--family", "pos_pair", "--f", "sum")
     assert code == 1
@@ -586,6 +611,34 @@ def test_counterexample_out_of_range(capsys):
         assert "between 3 and 12" in err
 
 
+def test_counterexample_refuses_above_the_overridden_tree_cap(capsys, monkeypatch):
+    def never(n):
+        raise AssertionError("the measure was built")
+
+    monkeypatch.setenv("NEGDEP_MAX_N", "13")
+    monkeypatch.setattr(cli, "family_nand", never)
+    code, out, err = run(capsys, "counterexample", "14")
+    assert (code, out) == (2, "")
+    assert err == "error: n must be between 3 and 13, got 14\n"
+
+
+def test_counterexample_runs_up_to_the_overridden_tree_cap(capsys, monkeypatch):
+    checked = []
+
+    def holds(m):  # the NR check at n = 13 is slow; the trees are not
+        checked.append(m.n)
+        return NotionReport(Notion.NEG_REGRESSION, Verdict.HOLDS, None)
+
+    monkeypatch.setenv("NEGDEP_MAX_N", "13")
+    monkeypatch.setattr(cli, "check_neg_regression", holds)
+    code, out, _ = run(capsys, "counterexample", "13", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert checked == [13]
+    assert (doc["n"], doc["nr"], doc["separated"]) == (13, "Holds", True)
+    assert Fraction(doc["fixed_first_step"]) == 5 + Fraction(1, 2 ** 12)
+
+
 def test_counterexample_skips_nr_above_cap(capsys, monkeypatch):
     # keep it fast: n=11 builds 2^11-leaf trees but skips the NR check
     code, out, _ = run(capsys, "counterexample", "11")
@@ -639,9 +692,13 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc_info.value.code == 0
     assert capsys.readouterr().out.strip() == __version__
+    # the version is written once: the package metadata reads __version__
     pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
-    declared = re.search(r'^version = "([^"]+)"', pyproject, re.MULTILINE)
-    assert declared.group(1) == __version__
+    assert not re.search(r"^version = \"", pyproject, re.MULTILINE)
+    assert re.search(r'^dynamic = \["version"\]$', pyproject, re.MULTILINE)
+    assert re.search(
+        r'^version = \{attr = "negdep.__version__"\}$', pyproject, re.MULTILINE
+    )
 
 
 class _ClosedPipe:

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -100,6 +101,8 @@ def test_exact_tail_binomial():
 def test_exact_tail_dimension_check():
     with pytest.raises(DimensionMismatch):
         exact_tail(family_nand(3), sum_function(4), Fraction(1), TailSide.Upper)
+    with pytest.raises(DimensionMismatch):
+        verify_theorem(family_nand(3), sum_function(4))
 
 
 def test_upper_tail_non_increasing_in_t():
@@ -176,6 +179,13 @@ def test_report_serialization():
     )
     assert len(csv_text.splitlines()) == 3
 
+
+def test_report_files_read_back_as_the_serializations(tmp_path):
+    rep = verify_theorem(family_nand(3), sum_function(3), [0, HALF])
+    rep.save_json(tmp_path / "tail.json")
+    rep.save_csv(tmp_path / "tail.csv")
+    assert json.loads((tmp_path / "tail.json").read_text()) == rep.to_json()
+    assert (tmp_path / "tail.csv").read_text() == rep.to_csv()
 
 def test_verdict_failure_identifies_row():
     # a deliberately absurd grid cannot fail for a true bound, so force a

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -76,6 +77,8 @@ def test_dominance_delta_pair_fails_with_down_set():
 def test_dominance_requires_same_width():
     with pytest.raises(DimensionMismatch):
         check_dominance(delta(1, "1"), delta(2, "11"))
+    with pytest.raises(DimensionMismatch):
+        build_monotone_coupling(delta(1, "0"), delta(2, "00"))
 
 
 def brute_force_dominates(lower, upper):
@@ -203,6 +206,23 @@ def test_covering_failure_carries_hall_cut():
     assert doc["kind"] == "covering_cut"
     assert doc["block"] == ["00"]
 
+
+def test_tampered_certificates_fail_their_checks():
+    lower, upper = delta(2, "11"), delta(2, "00")
+    with pytest.raises(DominanceFails) as exc_info:
+        build_monotone_coupling(lower, upper)
+    cert = exc_info.value.certificate
+    assert cert.check(lower, upper)
+    # {11} is no down-set: 01 and 10 lie below 11 and are missing
+    assert not dataclasses.replace(cert, down_set=(0b11,)).check(lower, upper)
+    assert not dataclasses.replace(cert, lower_mass=HALF).check(lower, upper)
+    with pytest.raises(DominanceFails) as exc_info:
+        build_monotone_coupling(upper, lower, covering_mode=True)
+    cut = exc_info.value.certificate
+    assert cut.check(upper, lower)
+    # 11 is two steps above 00, so it is no covering neighbour of the block
+    assert not dataclasses.replace(cut, neighborhood=(0b11,)).check(upper, lower)
+    assert not dataclasses.replace(cut, upper_mass=HALF).check(upper, lower)
 
 def test_plain_coupling_succeeds_where_covering_fails():
     c = build_monotone_coupling(delta(2, "00"), delta(2, "11"))

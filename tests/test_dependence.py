@@ -206,11 +206,14 @@ CAPPED_CHECKERS = {
     "cna": check_cna,
     "nr": check_neg_regression,
     "sc": check_stochastic_covering,
+    "rayleigh": rayleigh_falsify,
 }
 
 
 def test_every_capped_checker_is_in_the_cap_table():
     assert set(CAPPED_CHECKERS) == set(CHECKER_CAPS)
+    for key, checker in CAPPED_CHECKERS.items():
+        assert dependence.NOTION_RUNNERS[key] is checker
 
 
 @pytest.mark.parametrize("key", sorted(CAPPED_CHECKERS))
@@ -220,6 +223,13 @@ def test_capped_checker_refuses_with_the_cap_table_message(key, monkeypatch):
     with pytest.raises(TooLarge) as refusal:
         CAPPED_CHECKERS[key](m)
     assert str(refusal.value) == f"n=5 exceeds the {CHECKER_CAPS[key]} cap 4"
+
+
+def test_rayleigh_cap_bounds_only_the_default_grid(monkeypatch):
+    m = family_nand(5)
+    monkeypatch.setenv("NEGDEP_MAX_N", "4")
+    rep = rayleigh_falsify(m, grid=[(1,) * 5])
+    assert rep.work_stats == {"points": 1, "evaluations": 10}
 
 
 def _small_measures():

@@ -13,6 +13,7 @@ from negdep.errors import (
 )
 from negdep.martingale import (
     MartingaleTree,
+    PickResult,
     build_adaptive_tree,
     build_skeleton,
     fixed_order_tree,
@@ -66,6 +67,12 @@ def test_pick_requires_unrevealed_variable():
     m = family_anti_pair()
     with pytest.raises(NoEligibleIndex):
         pick_index(m, Assignment.of({1: 1, 2: 0}))
+
+
+def test_non_deterministic_pick_needs_its_influence_sum():
+    assert PickResult(1, True, None).influence_sum is None
+    with pytest.raises(ValueError, match="influence sum"):
+        PickResult(1, False, None)
 
 
 def test_pick_on_zero_probability_event():

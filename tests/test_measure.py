@@ -9,6 +9,7 @@ from negdep.errors import (
     BadWidth,
     DimensionMismatch,
     EmptyConditioningEvent,
+    EmptySubset,
     InvalidTestFunction,
     MalformedMeasure,
     MassNotOne,
@@ -103,6 +104,11 @@ def test_assignment_basics():
     assert Assignment.empty().matches(0)
 
 
+def test_assignment_lengths_must_agree():
+    with pytest.raises(ValueError, match="length mismatch"):
+        Assignment((1, 2), (1,))
+
+
 def test_assignment_masks_cached_outside_equality():
     a = Assignment.of({3: 1, 1: 0})
     b = Assignment.of({3: 1, 1: 0})
@@ -190,6 +196,8 @@ def test_expectation_and_mean():
     means = m.mean_vector()
     assert means[0] == Fraction(7, 8)
     assert means[1:] == [HALF, HALF, HALF]
+    with pytest.raises(DimensionMismatch):
+        m.expectation(sum_function(3))
 
 
 def test_marginal():
@@ -207,6 +215,8 @@ def test_marginal_rejects_bad_subset():
         family_nand(3).marginal([0])
     with pytest.raises(DimensionMismatch):
         family_nand(3).marginal([4])
+    with pytest.raises(EmptySubset):
+        family_nand(3).marginal([])
 
 
 def test_condition_relabels_ascending():
@@ -216,6 +226,8 @@ def test_condition_relabels_ascending():
     assert c.prob("11") == 1  # remaining variables are the old 2 and 3
     with pytest.raises(ZeroProbabilityEvent):
         m.condition(Assignment.of({1: 0, 2: 0}))
+    with pytest.raises(ValueError, match="every variable"):
+        m.condition(Assignment.of({1: 1, 2: 0, 3: 1}))
 
 
 def test_condition_no_op():
@@ -321,6 +333,11 @@ def test_constant_function():
     assert f.declared_monotone
 
 
+def test_function_needs_one_value_per_point():
+    with pytest.raises(BadWidth, match="need 4 values"):
+        TestFunction(2, [0, 1, 1])
+
+
 def test_lipschitz_violation_rejected():
     with pytest.raises(InvalidTestFunction):
         TestFunction(2, [0, 2, 0, 0], name="jump")
@@ -412,6 +429,16 @@ def test_family_nand_mean():
     for n in range(2, 8):
         m = family_nand(n)
         assert m.mean_vector()[0] == 1 - Fraction(1, 2 ** (n - 1))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: family_nand(1),
+    lambda: family_independent([]),
+    lambda: family_balls_bins(0, 2),
+], ids=["nand1", "independent-empty", "balls-bins-no-balls"])
+def test_family_refuses_an_empty_shape(build):
+    with pytest.raises(BadWidth):
+        build()
 
 
 def test_family_pairs():

@@ -23,6 +23,11 @@ def test_upset_counts_match_dedekind(d):
     assert len(upset_bitmasks(d)) == DEDEKIND[d]
 
 
+def test_negative_dimension_refused():
+    with pytest.raises(ValueError, match="nonnegative"):
+        upset_bitmasks(-1)
+
+
 def test_enumerable_dim_bound():
     assert ENUMERABLE_DIM == 5
     with pytest.raises(TooLarge):
