@@ -259,6 +259,8 @@ def cmd_tail(args) -> int:
 
 def cmd_counterexample(args) -> int:
     n = args.n
+    if cap("tree") < 3:
+        raise ValueError(f"counterexample needs n >= 3, but the tree cap is {cap('tree')}")
     if not 3 <= n <= cap("tree"):
         raise ValueError(f"n must be between 3 and {cap('tree')}, got {n}")
     m = family_nand(n)

@@ -58,6 +58,23 @@ def _dense_weights(m: ExplicitMeasure, power: int) -> tuple[int, np.ndarray]:
     return d, m.dense().astype(_exact_dtype(d ** power), copy=False)
 
 
+def _orbit_firsts(m: ExplicitMeasure, masks, work: dict, weight=lambda mask: 1):
+    """Yield the masks in order but skip, adding its weight to
+    ``work["symmetric_skipped"]``, each with the class counts of one yielded
+    before; m's symmetry classes are built when a second mask is asked for."""
+    masks = iter(masks)
+    for first in masks:  # one round: the inner loop takes the other masks
+        yield first
+        classes = m.symmetry_classes()
+        seen = {tuple((first & c).bit_count() for c in classes)}
+        for mask in masks:
+            if (key := tuple((mask & c).bit_count() for c in classes)) in seen:
+                work["symmetric_skipped"] += weight(mask)
+            else:
+                seen.add(key)
+                yield mask
+
+
 class Notion(str, Enum):
     PAIRWISE_NC = "PairwiseNC"
     CYLINDER = "CylinderDep"
@@ -323,17 +340,24 @@ def check_neg_association(m: ExplicitMeasure) -> NotionReport:
 
 def check_cna(m: ExplicitMeasure) -> NotionReport:
     """Holds iff the measure and all of its positive-probability partial
-    conditionals are negatively associated."""
+    conditionals are negatively associated.  K runs in `subsets_lex` order,
+    and a K, then a pattern of ones on K, with the class counts of one
+    visited is skipped (`_orbit_firsts`): a swap that preserves the measure
+    maps its conditionals onto the visited one's.  Skips count patterns."""
     refuse_over_cap("cna", m.n)
-    work = {"conditionings_checked": 0, "bipartitions": 0,
-            "repeated_laws_skipped": 0, "repeated_joints_skipped": 0}
+    work = dict.fromkeys(("conditionings_checked", "bipartitions", "repeated_laws_skipped",
+                          "repeated_joints_skipped", "symmetric_skipped"), 0)
     held_laws: set[ExplicitMeasure] = set()
     held_joints: set = set()
-    ks = [()] + [indices_of(s) for s in subsets_lex(m.n) if s.bit_count() <= m.n - 2]
-    for k_indices in ks:
+    ks = (0, *(s for s in subsets_lex(m.n) if s.bit_count() <= m.n - 2))
+    for k_mask in _orbit_firsts(m, ks, work, lambda k: 1 << k.bit_count()):
+        k_indices = indices_of(k_mask)
         klen = len(k_indices)
-        for pattern in range(1 << klen):
-            values = tuple(pattern >> t & 1 for t in range(klen))
+        # the ones of each pattern of K, in ascending order of the pattern
+        ones = (sum(1 << (i - 1) for t, i in enumerate(k_indices) if p >> t & 1)
+                for p in range(1 << klen))
+        for one_mask in _orbit_firsts(m, ones, work):
+            values = tuple(one_mask >> (i - 1) & 1 for i in k_indices)
             asg = Assignment(k_indices, values)
             if klen:
                 if m.prob_of_assignment(asg) == 0:
@@ -380,21 +404,24 @@ def _first_failing_cover(m: ExplicitMeasure, covering: bool):
     weight) over its row's support and the row sum, built only for
     unequal pairs.
 
+    A swap of coordinates preserving the measure maps the pairs on J onto
+    those on its image, verdicts kept, so a set with the class counts of one
+    visited, the first of its orbit in `subsets_lex`, is skipped.
+
     Returns (failure, work), failure None or (J mask, a, b, law given b,
     law given a, the failed TransportResult).
     """
     n = m.n
     work = dict.fromkeys((
         "conditioning_sets", "pairs_checked", "flows_run", "equal_laws_skipped",
-        "repeated_laws_skipped",
+        "repeated_laws_skipped", "symmetric_skipped",
     ), 0)
     ids: dict[tuple, int] = {}
     feasible: set[tuple[int, int]] = set()
     _, dense = _dense_weights(m, 1)  # no weight, gcd or row sum exceeds D
-    for cond_mask in subsets_lex(n):
+    proper = (s for s in subsets_lex(n) if s.bit_count() < n)
+    for cond_mask in _orbit_firsts(m, proper, work):
         width = cond_mask.bit_count()
-        if width == n:
-            continue
         work["conditioning_sets"] += 1
         split = SubsetExtractor(cond_mask, n).split(dense)
         g = np.gcd.reduce(split, axis=1)
@@ -452,7 +479,9 @@ def check_neg_regression(m: ExplicitMeasure) -> NotionReport:
     {x_m = 1} keeps P[x_m = 1 | c_t] from rising along it.  So if b_m = 1,
     every c_t extended by x_m = 1 is positive; if a_m = 0, every c_t
     extended by x_m = 0 is, and when b_m = 1 one last step raises x_m.
-    Each distinct pair of laws gets one flow per call.
+    Each distinct pair of laws gets one flow per call.  A set skipped as
+    the image of one visited under a swap that preserves the measure
+    holds, so every proper prefix of J still holds when J is reached.
     """
     n = m.n
     refuse_over_cap("nr", n)

@@ -163,15 +163,15 @@ class ExplicitMeasure:
     D, so P[x] = weight(x) / D.  Zero-mass atoms are not stored and every
     key fits in n bits.  Fractions are made only on the way out (items,
     prob, atoms); to_json formats the integers.  Instances are immutable;
-    the dense view of the weights is built on first use and kept.
+    the dense view and the symmetry classes are built on first use and kept.
     """
 
-    __slots__ = ("n", "_denom", "_weights", "_dense")
+    __slots__ = ("n", "_denom", "_weights", "_dense", "_classes")
 
     def __init__(self, n: int, mass: dict[int, Fraction]):
         core = self.from_atoms(n, mass.items())
         self.n, self._denom, self._weights = n, core._denom, core._weights
-        self._dense = None
+        self._dense = self._classes = None
 
     @classmethod
     def _from_weights(cls, n: int, weights: dict[int, int]) -> "ExplicitMeasure":
@@ -186,7 +186,7 @@ class ExplicitMeasure:
         m.n = n
         m._denom = sum(weights.values())
         m._weights = weights
-        m._dense = None
+        m._dense = m._classes = None
         return m
 
     # -- construction -----------------------------------------------------
@@ -255,6 +255,24 @@ class ExplicitMeasure:
             dense.flags.writeable = False
             self._dense = dense
         return self._dense
+
+    def symmetry_classes(self) -> tuple[int, ...]:
+        """Masks of the classes of coordinates whose pairwise swaps leave
+        the measure unchanged, by lowest member; built once.  As (i k) is
+        (i j)(j k)(i j), each coordinate is tested against one member of
+        each class, by swapping their axes of the dense view."""
+        if self._classes is None:
+            n, classes = self.n, []
+            cube = self.dense().reshape((2,) * n)  # bit i is axis n - 1 - i
+            for i in range(n):
+                for k, c in enumerate(classes):
+                    if np.array_equal(cube, cube.swapaxes(n - 1 - i, n - c.bit_length())):
+                        classes[k] |= 1 << i
+                        break
+                else:
+                    classes.append(1 << i)
+            self._classes = tuple(classes)
+        return self._classes
 
     def __eq__(self, other):
         return (

@@ -4,8 +4,11 @@
 `_na_violation` skips a bipartition whose joint weight matrix it has
 already seen hold.  The oracles below run the same scan with nothing
 remembered: the CNA oracle calls `_na_violation` on every positive
-conditional, and neither oracle ever skips a bipartition.  Verdicts,
-certificates and every counter the memos do not change must agree.
+conditional, and neither oracle ever skips a bipartition.  Like
+`check_cna`, the CNA oracle skips each conditioning with the same counts
+of K and of its ones in every symmetry class (`test_symmetry.oracle_classes`)
+as one scanned before.  Verdicts, certificates and every counter the memos
+do not change must agree.
 """
 
 import random
@@ -26,6 +29,8 @@ from negdep.measure import (
 )
 from negdep.zoo import random_measure, zoo
 
+from test_symmetry import class_counts, oracle_classes
+
 
 class _Forgetful(set):
     """A `held` set that never remembers a bipartition."""
@@ -42,16 +47,20 @@ def oracle_na(m):
     return cert, work
 
 
-def oracle_cna(m):
-    """CNA by scanning every positive conditional in full.
+def oracle_cna(m, classes):
+    """CNA by scanning every positive conditional in full, but for those
+    (K, values) with the same counts of K and of its ones in each class of
+    `classes` as one scanned before; with singleton classes none is left.
 
     Also returns what the law memo should report: how many conditionals
     repeat a law seen earlier, and the bipartitions of the first
     occurrences only.
     """
     n = m.n
-    work = {"conditionings_checked": 0, "bipartitions": 0, "repeated_laws_skipped": 0}
+    work = {"conditionings_checked": 0, "bipartitions": 0, "repeated_laws_skipped": 0,
+            "symmetric_skipped": 0}
     seen = []
+    orbits = set()
     ks = [()]
     if n >= 2:
         ks += [indices_of(s) for s in subsets_lex(n) if s.bit_count() <= n - 2]
@@ -59,6 +68,11 @@ def oracle_cna(m):
         for pattern in range(1 << len(k_indices)):
             values = tuple(pattern >> t & 1 for t in range(len(k_indices)))
             asg = Assignment(k_indices, values)
+            key = class_counts(asg.index_mask, classes), class_counts(asg.value_mask, classes)
+            if key in orbits:
+                work["symmetric_skipped"] += 1
+                continue
+            orbits.add(key)
             if k_indices and m.prob_of_assignment(asg) == 0:
                 continue
             sub = m.condition(asg) if k_indices else m
@@ -159,7 +173,7 @@ def test_na_matches_oracle(name, arrays):
 def test_cna_matches_oracle(name, arrays):
     m = INPUTS[name]
     rep = check_cna(m)
-    cert, work = oracle_cna(m)
+    cert, work = oracle_cna(m, oracle_classes(m))
     assert rep.verdict is (Verdict.HOLDS if cert is None else Verdict.FAILS)
     assert rep.certificate == cert
     got = dict(rep.work_stats)

@@ -622,6 +622,14 @@ def test_counterexample_refuses_above_the_overridden_tree_cap(capsys, monkeypatc
     assert err == "error: n must be between 3 and 13, got 14\n"
 
 
+@pytest.mark.parametrize("cap_value, n", [("2", "3"), ("0", "5"), ("2", "2")])
+def test_counterexample_names_a_tree_cap_below_3(capsys, monkeypatch, cap_value, n):
+    monkeypatch.setenv("NEGDEP_MAX_N", cap_value)
+    code, out, err = run(capsys, "counterexample", n)
+    assert (code, out) == (2, "")
+    assert err == f"error: counterexample needs n >= 3, but the tree cap is {cap_value}\n"
+
+
 def test_counterexample_runs_up_to_the_overridden_tree_cap(capsys, monkeypatch):
     checked = []
 

@@ -5,11 +5,13 @@ against a frozen per-atom oracle.
 one dense matrix, divides each row by its gcd and marks equal laws for all
 covering pairs at once; it builds law tuples only for unequal pairs.  The
 oracle below is the earlier design, frozen: it buckets the atoms one by one
-in Python (`_buckets_for`) and walks every covering pair.  Both must return
-the same failure (J, a, b and the two laws), the same minimal cut of the
-failed transport and the same `work` counters, including on an early exit,
-and on measures whose common denominator exceeds 2^63, where the split
-holds Python integers.
+in Python (`_buckets_for`) and walks every covering pair.  It is given the
+symmetry classes that `test_symmetry.oracle_classes` finds and skips, as
+the checker does, each J with the class counts of a J visited before.
+Both must return the same failure (J, a, b and the two laws), the same
+minimal cut of the failed transport and the same `work` counters,
+including on an early exit, and on measures whose common denominator
+exceeds 2^63, where the split holds Python integers.
 """
 
 import math
@@ -23,6 +25,8 @@ from negdep.coupling import transport
 from negdep.dependence import _first_failing_cover
 from negdep.measure import ExplicitMeasure, family_conditioned_sum, family_nand
 from negdep.zoo import random_measure, zoo
+
+from test_symmetry import class_counts, oracle_classes
 
 
 def _pack(key, mask):
@@ -57,18 +61,25 @@ def _buckets_for(m, cond_mask):
     return laws
 
 
-def oracle_first_failing_cover(m, covering):
-    """The scan over per-atom buckets, pair by pair, as it was frozen."""
+def oracle_first_failing_cover(m, covering, classes):
+    """The scan over per-atom buckets, pair by pair, as it was frozen,
+    skipping each J with the same count in every class of `classes` as a
+    J visited before; with singleton classes it skips nothing."""
     n = m.n
     work = dict.fromkeys((
         "conditioning_sets", "pairs_checked", "flows_run", "equal_laws_skipped",
-        "repeated_laws_skipped",
+        "repeated_laws_skipped", "symmetric_skipped",
     ), 0)
     feasible = set()
+    seen = set()
     for cond_mask in subsets_lex(n):
         width = cond_mask.bit_count()
         if width == n:
             continue
+        if (key := class_counts(cond_mask, classes)) in seen:
+            work["symmetric_skipped"] += 1
+            continue
+        seen.add(key)
         work["conditioning_sets"] += 1
         laws = _buckets_for(m, cond_mask)
         for a in sorted(laws):
@@ -97,7 +108,7 @@ def _assert_same_scan(m):
     deep = 0
     for covering in (False, True):
         failure, work = _first_failing_cover(m, covering)
-        expected, expected_work = oracle_first_failing_cover(m, covering)
+        expected, expected_work = oracle_first_failing_cover(m, covering, oracle_classes(m))
         assert work == expected_work
         assert list(work) == list(expected_work)
         assert all(type(count) is int for count in work.values())

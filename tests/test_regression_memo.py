@@ -5,8 +5,10 @@ pair of conditional laws once per call.  The oracle below runs one
 transport per examined pair, decides equal laws by cross-multiplying the
 raw bucket weights, and, for negative regression, also examines every
 distant pair of positive assignments that no chain of positive covering
-steps joins; verdicts, certificates and all other work counters must
-agree.  That the distant pairs never decide is the lemma in
+steps joins.  Like the checkers, it skips each conditioning set with the
+same count in every symmetry class (`test_symmetry.oracle_classes`) as a
+set visited before.  Verdicts, certificates and all other work counters
+must agree.  That the distant pairs never decide is the lemma in
 `check_neg_regression`'s docstring, tested here without the library.
 """
 
@@ -27,6 +29,7 @@ from negdep.measure import (
 from negdep.zoo import random_measure, zoo
 
 from test_cover_scan import _buckets_for
+from test_symmetry import class_counts, oracle_classes
 from test_dependence import recheck_nr_certificate
 
 # counters that the per-call memo changes on purpose
@@ -79,12 +82,13 @@ def _unchained(positive, width):
     return pairs
 
 
-def oracle_nr(m):
-    """Negative regression with one transport per examined pair."""
+def oracle_nr(m, classes):
+    """Negative regression with one transport per examined pair, on the
+    conditioning sets whose counts in `classes` were not seen before."""
     n = m.n
-    work = dict.fromkeys(
-        ("conditioning_sets", "pairs_checked", "flows_run", "equal_laws_skipped"), 0
-    )
+    work = dict.fromkeys(("conditioning_sets", "pairs_checked", "flows_run",
+                          "equal_laws_skipped", "symmetric_skipped"), 0)
+    seen = set()
     if n < 2:
         return Verdict.HOLDS, None, work
 
@@ -112,6 +116,10 @@ def oracle_nr(m):
         jl = cond_mask.bit_count()
         if jl == n:
             continue
+        if (key := class_counts(cond_mask, classes)) in seen:
+            work["symmetric_skipped"] += 1
+            continue
+        seen.add(key)
         j_indices = indices_of(cond_mask)
         work["conditioning_sets"] += 1
         buckets, totals = _raw_buckets(m, cond_mask)
@@ -127,18 +135,23 @@ def oracle_nr(m):
     return Verdict.HOLDS, None, work
 
 
-def oracle_sc(m):
-    """Stochastic covering with one covering transport per examined pair."""
+def oracle_sc(m, classes):
+    """Stochastic covering with one covering transport per examined pair,
+    on the conditioning sets whose counts in `classes` were not seen before."""
     n = m.n
-    work = dict.fromkeys(
-        ("conditioning_sets", "pairs_checked", "flows_run", "equal_laws_skipped"), 0
-    )
+    work = dict.fromkeys(("conditioning_sets", "pairs_checked", "flows_run",
+                          "equal_laws_skipped", "symmetric_skipped"), 0)
+    seen = set()
     if n < 2:
         return Verdict.HOLDS, None, work
     for cond_mask in subsets_lex(n):
         il = cond_mask.bit_count()
         if il == n:
             continue
+        if (key := class_counts(cond_mask, classes)) in seen:
+            work["symmetric_skipped"] += 1
+            continue
+        seen.add(key)
         i_indices = indices_of(cond_mask)
         work["conditioning_sets"] += 1
         buckets, totals = _raw_buckets(m, cond_mask)
@@ -213,7 +226,7 @@ def _assert_counters_match(got, work):
 def test_nr_matches_oracle(name):
     m = INPUTS[name]
     rep = check_neg_regression(m)
-    verdict, cert, work = oracle_nr(m)
+    verdict, cert, work = oracle_nr(m, oracle_classes(m))
     assert rep.verdict is verdict
     assert rep.certificate == cert
     _assert_counters_match(rep.work_stats, work)
@@ -225,7 +238,7 @@ def test_nr_matches_oracle(name):
 def test_sc_matches_oracle(name):
     m = INPUTS[name]
     rep = check_stochastic_covering(m)
-    verdict, cert, work = oracle_sc(m)
+    verdict, cert, work = oracle_sc(m, oracle_classes(m))
     assert rep.verdict is verdict
     assert rep.certificate == cert
     _assert_counters_match(rep.work_stats, work)
@@ -234,7 +247,7 @@ def test_sc_matches_oracle(name):
 def test_memo_runs_one_flow_per_distinct_pair_of_laws():
     work = check_neg_regression(family_nand(7)).work_stats
     assert work["flows_run"] == 16
-    assert work["repeated_laws_skipped"] == 425
+    assert work["repeated_laws_skipped"] == 26
 
 
 def test_canonical_laws_divide_out_the_bucket_gcd():
@@ -378,7 +391,7 @@ def test_nr_broken_chain_in_lexicographic_order(m, j_indices):
     # a proper prefix of the unchained pair's J fails a covering pair first
     assert sum(1 << (j - 1) for j in j_indices) in _unchained_sets(m)
     rep = check_neg_regression(m)
-    verdict, cert, _ = oracle_nr(m)
+    verdict, cert, _ = oracle_nr(m, oracle_classes(m))
     assert rep.verdict is verdict is Verdict.FAILS
     assert rep.certificate == cert
     assert len(cert["J"]) < len(j_indices) and cert["J"] == j_indices[: len(cert["J"])]
