@@ -4,9 +4,12 @@ The bound e^{-t^2/(2n)} (e^{-2t^2/n} for monotone f) is compared against
 exactly enumerated tail probabilities, and the exponential-moment
 induction behind it is checked node by node on the martingale tree.
 
-Exponents are computed as exact rationals and converted to IEEE double
-only inside the final exp; inequality assertions carry a relative
-tolerance of 1e-12 to absorb that rounding.
+Tails compare f's integer numerators with the integer thresholds
+ceil((mu + t) * den) and floor((mu - t) * den).  Each bound's exponent
+is one int / int division, which rounds correctly as float(Fraction)
+does; inequality assertions carry a relative tolerance of 1e-12 to
+absorb that rounding.  Moment terms are computed once per tree node and
+once per tree, on first use.
 """
 
 from __future__ import annotations
@@ -38,13 +41,22 @@ def theorem_bound(n: int, t: Fraction, monotone: bool) -> float:
     if n < 1:
         raise ValueError("n must be at least 1")
     t = Fraction(t)
-    if t < 0:
+    p, q = t.numerator, t.denominator
+    if p < 0:
         raise ValueError("t must be nonnegative")
+    # one int / int division, rounded correctly as float(Fraction) is
     if monotone:
-        exponent = Fraction(-2) * t * t / n
-    else:
-        exponent = -t * t / (2 * n)
-    return math.exp(float(exponent))
+        return math.exp(-2 * p * p / (n * q * q))
+    return math.exp(-p * p / (2 * n * q * q))
+
+
+def _thresholds(mu: Fraction, t: Fraction, den: int) -> tuple[int, int]:
+    """ceil((mu + t) * den) and floor((mu - t) * den): an integer
+    numerator v has v / den >= mu + t exactly when v reaches the first,
+    and v / den <= mu - t exactly when v stays at or below the second."""
+    q = mu.denominator * t.denominator
+    a, b = mu.numerator * t.denominator, t.numerator * mu.denominator
+    return -(-(a + b) * den // q), (a - b) * den // q
 
 
 def exact_tail(
@@ -56,16 +68,13 @@ def exact_tail(
         raise DimensionMismatch(
             f"function on {f.n} variables, measure on {m.n}"
         )
-    t = Fraction(t)
-    mu = m.expectation(f)
+    upper, lower = _thresholds(m.expectation(f), Fraction(t), f.den)
     total, weights = m.scaled_weights()
     nums = f.nums
     if side is TailSide.Upper:
-        threshold = (mu + t) * f.den
-        hit = sum(w for x, w in weights.items() if nums[x] >= threshold)
+        hit = sum(w for x, w in weights.items() if nums[x] >= upper)
     else:
-        threshold = (mu - t) * f.den
-        hit = sum(w for x, w in weights.items() if nums[x] <= threshold)
+        hit = sum(w for x, w in weights.items() if nums[x] <= lower)
     return Fraction(hit, total)
 
 
@@ -142,10 +151,6 @@ def default_t_grid(f: TestFunction) -> list[Fraction]:
     return [Fraction(k, 4) for k in range(kmax + 1)]
 
 
-def _within(exact: Fraction, bound: float) -> bool:
-    return float(exact) <= bound * (1 + REL_TOL)
-
-
 def verify_theorem(
     m: ExplicitMeasure, f: TestFunction, t_grid=None
 ) -> TailReport:
@@ -166,7 +171,8 @@ def verify_theorem(
     mu = m.expectation(f)
 
     # Sorted numerators with prefix weights make each tail a binary
-    # search instead of a fresh support scan; results equal exact_tail's.
+    # search on integer thresholds instead of a fresh support scan;
+    # results equal exact_tail's.
     total, weights = m.scaled_weights()
     nums, den = f.nums, f.den
     by_value: dict[int, int] = {}
@@ -178,25 +184,21 @@ def verify_theorem(
     for v in values:
         prefix.append(prefix[-1] + by_value[v])
 
-    def upper_tail(threshold: Fraction) -> Fraction:
-        return Fraction(total - prefix[bisect_left(values, threshold * den)], total)
-
-    def lower_tail(threshold: Fraction) -> Fraction:
-        return Fraction(prefix[bisect_right(values, threshold * den)], total)
-
     rows = []
     verdict = True
     for t in t_grid:
-        upper = upper_tail(mu + t)
-        lower = lower_tail(mu - t)
+        hi, lo = _thresholds(mu, t, den)
+        upper = total - prefix[bisect_left(values, hi)]
+        lower = prefix[bisect_right(values, lo)]
         bound = theorem_bound(m.n, t, False)
         mono = theorem_bound(m.n, t, True) if f.declared_monotone else None
-        worst = max(upper, lower)
-        passed = _within(worst, bound)
+        worst = max(upper, lower) / total  # rounded as float(Fraction) is
+        passed = worst <= bound * (1 + REL_TOL)
         if mono is not None:
-            passed = passed and _within(worst, mono)
+            passed = passed and worst <= mono * (1 + REL_TOL)
         verdict = verdict and passed
-        rows.append(TailRow(t, upper, lower, bound, mono, passed))
+        rows.append(TailRow(t, Fraction(upper, total), Fraction(lower, total),
+                            bound, mono, passed))
     return TailReport(m.n, mu, rows, verdict)
 
 
@@ -206,27 +208,19 @@ def node_exponential_moment(
     """E[e^{lam * (next increment)} | node].  Forced branches contribute
     the trivial moment 1; the Hoeffding contract bounds the result by
     e^{lam^2 (beta-alpha)^2 / 8} up to rounding."""
-    if node.is_leaf:
-        raise NodeIsLeaf(f"node {node.assignment.to_json()} has no increment")
-    c0, c1 = node.child0, node.child1
-    if c0 is None or c1 is None:
+    terms = node._branch_terms()
+    if not terms:
+        if node.is_leaf:
+            raise NodeIsLeaf(f"node {node.assignment.to_json()} has no increment")
         return 1.0
-    # int / int true division rounds correctly, as float(Fraction) does
-    w, s, den = node.w, node.s, node.den
-    d0 = (c0.s * w - s * c0.w) / (den * c0.w * w)
-    d1 = (c1.s * w - s * c1.w) / (den * c1.w * w)
-    return c0.w / w * math.exp(lam * d0) + c1.w / w * math.exp(lam * d1)
+    p0, d0, p1, d1 = terms
+    return p0 * math.exp(lam * d0) + p1 * math.exp(lam * d1)
 
 
 def chain_exponential_moment(tree: MartingaleTree, lam: float) -> float:
     """E[e^{lam * (Y_final - Y_0)}] summed over leaves; equals the atom
     sum of mass(x) e^{lam (f(x) - mu)} up to rounding."""
-    root = tree.root
-    w, s, den = root.w, root.s, root.den
-    return sum(
-        leaf.w / w * math.exp(lam * ((leaf.s * w - s * leaf.w) / (den * leaf.w * w)))
-        for leaf in tree.leaves()
-    )
+    return sum(p * math.exp(lam * d) for p, d in tree._leaf_terms)
 
 
 __all__ = [

@@ -29,15 +29,16 @@ path decomposition; on the bipartite network that returns the arc flows.
 
 ``Dinic`` keeps its edges in flat lists and finds each phase's blocking
 flow with one walk that holds its path as edge ids.  At the sink it
-pushes the bottleneck (at most 2^200) and resumes at the tail of the
-first saturated edge, which is where a walk restarted at the source
-would arrive: the edges before it keep capacity and their iterators.  A
-dead end stays dead for the phase (only arcs back toward the source gain
-capacity), and the BFS stops once the sink has its level, as nodes that
-far out are dead ends; run to the end, the same BFS gives the residual
-side of the cut.  So every flow, cut and coupling depends only on the
-order in which edges were added.  Up-closures are the complements of
-down-closures of the complemented seeds, one walk for both.
+pushes the path's smallest capacity in one step, which saturates at
+least one edge, and resumes at the tail of the first saturated edge,
+which is where a walk restarted at the source would arrive: the edges
+before it keep capacity and their iterators.  A dead end stays dead for
+the phase (only arcs back toward the source gain capacity), and the BFS
+stops once the sink has its level, as nodes that far out are dead ends;
+run to the end, the same BFS gives the residual side of the cut.  So
+every flow, cut and coupling depends only on the order in which edges
+were added.  Up-closures are the complements of down-closures of the
+complemented seeds, one walk for both.
 """
 
 from __future__ import annotations
@@ -122,8 +123,8 @@ class Dinic:
                 it[u] = i
                 path.append(e)
                 u = head[e]
-                while u == t:  # again along the same path if nothing saturates
-                    pushed = min(1 << 200, *map(cap.__getitem__, path))
+                if u == t:
+                    pushed = min(map(cap.__getitem__, path))
                     total += pushed
                     for e in path:
                         cap[e] -= pushed

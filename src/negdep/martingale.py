@@ -17,8 +17,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Optional
 
 from .bitops import bits_from_mask, cap, indices_of
@@ -282,6 +283,17 @@ class TreeNode(SkeletonNode):
 
     s: int
     den: int
+    _terms: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    def _branch_terms(self) -> tuple:
+        """Each branch's probability and increment y_c - y as floats,
+        (p0, d0, p1, d1), or () at leaves and forced branches; computed on
+        first use and kept."""
+        if self._terms is None:
+            c0, c1 = self.child0, self.child1
+            forced = c0 is None or c1 is None
+            self._terms = () if forced else (*_step(self, c0), *_step(self, c1))
+        return self._terms
 
     @property
     def is_leaf(self) -> bool:
@@ -343,6 +355,11 @@ class MartingaleTree:
 
     def leaves(self) -> Iterator[TreeNode]:
         return (node for node in self.nodes() if node.is_leaf)
+
+    @cached_property
+    def _leaf_terms(self) -> list[tuple[float, float]]:
+        """(p, d) of every leaf in preorder: its probability and Y_final - Y_0."""
+        return [_step(self.root, leaf) for leaf in self.leaves()]
 
     # -- serialization ----------------------------------------------------
 
@@ -418,6 +435,13 @@ class MartingaleTree:
     def save_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(self.to_csv())
+
+
+def _step(node: TreeNode, below: TreeNode) -> tuple[float, float]:
+    """Pr[below | node] and y_below - y as floats.  int / int true division
+    rounds correctly, as float(Fraction) does."""
+    w, s, v = node.w, node.s, below.w
+    return v / w, (below.s * w - s * v) / (node.den * v * w)
 
 
 def _annotate(

@@ -535,6 +535,11 @@ def test_tail_bad_grid(capsys):
     assert code == 2
 
 
+def test_tail_grid_with_a_negative_t_exit_two_without_a_traceback(capsys):
+    code, out, err = run(capsys, "tail", "--family", "nand:3", "--grid=-1:1:1")
+    assert (code, out, err) == (2, "", "error: t must be nonnegative\n")
+
+
 @pytest.mark.parametrize("grid", ["1:1", "1", "0:1:2:3", ""])
 def test_tail_grid_without_three_parts_exit_two_naming_the_form(capsys, grid):
     code, out, err = run(capsys, "tail", "--family", "nand:4", "--grid", grid)

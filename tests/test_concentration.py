@@ -63,6 +63,14 @@ def test_bound_validation():
         theorem_bound(3, Fraction(-1), False)
 
 
+def test_verify_rejects_a_negative_t():
+    m, f = family_nand(3), sum_function(3)
+    with pytest.raises(ValueError, match="^t must be nonnegative$"):
+        verify_theorem(m, f, [Fraction(-1)])
+    with pytest.raises(ValueError, match="^t must be nonnegative$"):
+        verify_theorem(m, f, [Fraction(0), Fraction(-1, 3), Fraction(1)])
+
+
 # -- exact tails -------------------------------------------------------------
 
 

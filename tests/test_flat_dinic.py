@@ -10,8 +10,8 @@ the same residual-reachable set (the source side of the minimal minimum
 cut).  The networks are the ones the library builds: cube and bipartite
 transports in plain and covering mode, captured from ``transport``;
 max-weight closures captured from ``upsets.max_weight_upset``, some with
-weights above 2^200 so that an augmenting path is capped by the push
-limit rather than by an edge; and seeded random graphs.
+weights above 2^200, where the recursive engine's push limit caps a path
+that the flat engine saturates in one push; and seeded random graphs.
 """
 
 import random
@@ -199,7 +199,8 @@ def test_transport_networks_match_the_recursive_engine(monkeypatch, covering):
 def _closure_weights(d, rng, huge):
     weights = []
     for _ in range(1 << d):
-        # at most 2^203, so a path capped at 2^200 is taken a few times, not 2^30
+        # at most 2^203, so the recursive engine, which caps a push at
+        # 2^200, takes a path a few times, not 2^30
         scale = 1 << rng.choice((3, 40, 201, 203)) if huge else 9
         weights.append(rng.randrange(-scale, scale))
     return weights
@@ -220,12 +221,39 @@ def test_closure_networks_match_the_recursive_engine(monkeypatch, huge):
 
 
 def test_push_limit_caps_a_path_of_huge_capacities():
-    # every arc carries more than 2^200, so each path takes 2^200 at a time
-    # until the last push saturates the sink arc
+    # every arc carries more than 2^200: the recursive engine takes 2^200
+    # at a time until its last push saturates the sink arc, and the flat
+    # engine pushes the path's smallest capacity once; the flows agree
     big = (1 << 200) * 3 + 5
     edges = [(0, 2, big + 7), (2, 3, big * 2), (3, 1, big)]
     value, flows, side = assert_same(4, edges, 0, 1)
     assert value == big and flows == [big] * 3 and side == {0, 2, 3}
+
+
+# One push per path, not one per 2^200 of its smallest capacity: with
+# capacities near 2^261 a capped push would take about 2^61 steps.
+
+
+def test_a_one_point_transport_with_totals_above_2_130_returns_at_once():
+    a, b = (1 << 130) + 3, (1 << 131) + 5
+    res = transport([(0, a)], a, [(1, b)], b)
+    assert res.feasible and res.flow_value == res.target == a * b
+
+
+def test_a_closure_with_weights_near_2_261_returns_at_once():
+    d, big = 3, 1 << 261
+    weights = [(big + p) * (-1) ** p.bit_count() for p in range(1 << d)]
+    upsets_of_cube = [
+        members for members in range(1 << (1 << d))
+        if all(members >> (p | 1 << i) & 1
+               for p in range(1 << d) if members >> p & 1 for i in range(d))
+    ]
+    best = max(
+        sum(w for p, w in enumerate(weights) if members >> p & 1)
+        for members in upsets_of_cube
+    )
+    value, chosen = upsets.max_weight_upset(weights, d)
+    assert value == best == sum(weights[p] for p in chosen) > big
 
 
 @pytest.mark.parametrize("seed", range(40))
