@@ -39,6 +39,13 @@ def _exact_dtype(bound: int):
     return np.int64 if bound <= _INT64_MAX else object
 
 
+def _limb_width(terms: int, factor: int) -> int:
+    """The widest L with terms * (2^L - 1) * factor <= the largest int64:
+    a sum of `terms` products of an L-bit limb by a value of size at most
+    `factor` then fits int64.  0 when no width does."""
+    return (_INT64_MAX // (terms * factor) + 1).bit_length() - 1
+
+
 def cap(name: str) -> int:
     """Enumeration cap for the named operation family."""
     override = os.environ.get(_ENV_CAP)

@@ -33,8 +33,8 @@ from typing import Optional
 import numpy as np
 
 from .bitops import (
-    SubsetExtractor, _exact_dtype, bits_from_mask, cap, covering_steps, indices_of,
-    subsets_lex,
+    SubsetExtractor, _exact_dtype, _limb_width, bits_from_mask, cap, covering_steps,
+    indices_of, subsets_lex,
 )
 from .coupling import covering_cut, down_set_certificate, transport
 from .errors import DimensionMismatch, TooLarge
@@ -579,6 +579,8 @@ _LATTICE_MAX_N = 5
 _SAMPLE_POINTS = 1000
 # elements in one temporary array of the Rayleigh scan
 _SCAN_ELEMENTS = 1 << 12
+_ONE_HOT = np.eye(4, dtype=bool)  # row x_i + 2 x_j: the (x_i, x_j) class
+_CLASS_BITS = np.array([1, 2])
 
 
 def _sampled_points(n: int, seed: int):
@@ -621,37 +623,56 @@ def _take(points, size: int):
     return nums, dens, None
 
 
-def _rayleigh_deltas(bits, weights, d: int, nums, dens, pairs):
-    """Delta' = G'10 G'01 - G'00 G'11 for each point (rows) and pair
-    (columns) of one chunk.
+def _class_table(bits, pairs, weights, width, shifts):
+    """(pairs, atoms, 4 * limbs): each atom's limbs (w >> shift) & (2^width - 1)
+    on int64 in the columns of its (x_i, x_j) class of each pair; width 0
+    keeps whole weights on Python ints.  A single limb is the whole weight."""
+    limbs = ([[x >> s & (1 << width) - 1 for s in shifts] for x in weights]
+             if shifts[1:] else weights)
+    w = np.array(limbs, dtype=object if width == 0 else np.int64).reshape(len(weights), -1)
+    onehot = _ONE_HOT[_CLASS_BITS @ bits[pairs, 0]]
+    return (onehot[..., None] * w[:, None, :]).reshape(len(pairs), len(weights), -1)
 
-    Every G' is at most D * M^(n-2) in absolute value, M the largest
-    |p_l| or q_l in the chunk, so |Delta'| <= 2 (D M^(n-2))^2, the bound
-    that picks the dtype.
+
+def _rayleigh_deltas(bits, pairs, keep, weights, d: int, nums, dens, tables: dict):
+    """Delta' = G'10 G'01 - G'00 G'11 for each point (rows) and pair
+    (columns) of one chunk: one gather and one product give every pair's
+    leave-two-out products, and one batched matrix product per block of
+    atoms every class sum.
+
+    Each leave-two-out product is at most M^(n-2), M the largest |p_l| or
+    q_l in the chunk, and the weights sum to D, so every G' is at most
+    D M^(n-2) and |Delta'| <= 2 (D M^(n-2))^2.  Below 2^63 all runs on
+    int64.  Above it the weights are cut into the widest limbs whose class
+    sums still fit int64 (`bitops._limb_width`), and Python ints appear only
+    where the limbs are combined and in Delta'.  Where no limb fits, all
+    runs on Python ints.  `tables` keeps the class tables of up to
+    `_SCAN_ELEMENTS` atoms for the next chunks, by limb width; no limb is
+    wider than D, so chunks with one limb share one table.
     """
-    n = bits.shape[1]
-    big = max(
-        max(map(abs, itertools.chain.from_iterable(nums))),
-        max(itertools.chain.from_iterable(dens)),
-    )
-    dtype = _exact_dtype(2 * (d * big ** (n - 2)) ** 2)
-    num = np.array(nums, dtype=dtype)[:, None, :]
-    den = np.array(dens, dtype=dtype)[:, None, :]
-    w = np.array(weights, dtype=dtype)
-    g = np.zeros((len(nums), len(pairs), 4), dtype=dtype)
-    rows = np.arange(len(nums))[:, None]
-    first = [i for i, _, _ in pairs]
-    second = [j for _, j, _ in pairs]
-    block = max(1, _SCAN_ELEMENTS // (len(nums) * n))
-    for lo in range(0, len(w), block):
-        atoms = bits[lo : lo + block]
-        factors = np.where(atoms, num, den)  # p_l where x_l = 1, else q_l
-        # row k: the (x_i, x_j) class of each atom for pair k
-        classes = (atoms[:, first] + 2 * atoms[:, second]).T
-        for k, (_, _, keep) in enumerate(pairs):
-            terms = factors[:, :, keep].prod(axis=2) * w[lo : lo + block]
-            np.add.at(g[:, k], (rows, classes[k]), terms)  # one add per term
-    return g[..., 1] * g[..., 2] - g[..., 0] * g[..., 3]
+    n = bits.shape[0]
+    # M^(n-2), but M itself at n = 2, where the factors must still fit
+    big = max(map(abs, itertools.chain(*nums, *dens))) ** max(n - 2, 1)
+    one_pass = _exact_dtype(2 * (d * big) ** 2) is np.int64
+    width = d.bit_length() if one_pass else min(_limb_width(len(weights), big), d.bit_length())
+    shifts = range(0, d.bit_length(), width) if width else (0,)
+    if (whole := len(weights) <= _SCAN_ELEMENTS) and width not in tables:
+        tables[width] = _class_table(bits, pairs, weights, width, shifts)
+    dtype = object if width == 0 else np.int64
+    # factors[l, point, atom]: p_l where the atom has x_l = 1, else q_l
+    factors = np.where(bits, np.array(nums, dtype=dtype).T[:, :, None],
+                       np.array(dens, dtype=dtype).T[:, :, None])
+    block = max(1, _SCAN_ELEMENTS // (len(nums) * max(n - 2, 1)))
+    for lo in range(0, len(weights), block):
+        part = slice(lo, lo + block)
+        table = (tables[width][:, part] if whole
+                 else _class_table(bits[..., part], pairs, weights[part], width, shifts))
+        terms = factors[keep, :, part].prod(axis=1) @ table
+        g = g + terms if lo else terms
+    if not one_pass:  # limb k counts 2^(k * width), per (pair, point, class)
+        scales = np.array([1 << s for s in shifts], dtype=object)
+        g = g.reshape(*g.shape[:2], 4, -1).astype(object) @ scales
+    return (g[..., 1] * g[..., 2] - g[..., 0] * g[..., 3]).T
 
 
 def rayleigh_falsify(m: ExplicitMeasure, grid=None) -> NotionReport:
@@ -668,6 +689,8 @@ def rayleigh_falsify(m: ExplicitMeasure, grid=None) -> NotionReport:
     scanned in grid order, pairs in lexicographic order, in chunks of
     1, 2, 4, ... points, so an early violation costs little; a point of
     the wrong length raises DimensionMismatch when the scan reaches it.
+    Each chunk takes a fixed handful of numpy calls, on int64 or int64
+    weight limbs wherever `_rayleigh_deltas` proves that they fit.
     The default grid is refused above the rayleigh cap; a grid the caller
     passes is the caller's own bound.
     """
@@ -685,26 +708,26 @@ def rayleigh_falsify(m: ExplicitMeasure, grid=None) -> NotionReport:
         points = len(grid)
         source = _integer_points(grid, n)
     d, w = m.scaled_weights()
-    bits = np.array([[key >> l & 1 for l in range(n)] for key in w], dtype=bool)
+    # bits[l, 0, atom]: the atom's x_l
+    bits = np.array([[[key >> l & 1 for key in w]] for l in range(n)], dtype=bool)
     weights = list(w.values())
-    pairs = [
-        (i, j, [l for l in range(n) if l != i and l != j])
-        for i, j in itertools.combinations(range(n), 2)
-    ]
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = np.array([[l for l in range(n) if l not in p] for p in pairs], dtype=np.intp)
+    tables = {}
     cap = max(1, _SCAN_ELEMENTS // (len(w) * n))
     evaluations = 0
     size = 1
     while True:
         nums, dens, error = _take(source, size)
         if nums and pairs:
-            deltas = _rayleigh_deltas(bits, weights, d, nums, dens, pairs)
+            deltas = _rayleigh_deltas(bits, pairs, keep, weights, d, nums, dens, tables)
             hits = np.flatnonzero(deltas < 0)
             if hits.size:
                 first = int(hits[0])
                 row, col = divmod(first, len(pairs))
-                i, j, keep = pairs[col]
+                i, j = pairs[col]
                 z = zip(nums[row], dens[row])
-                scale = d * math.prod(dens[row][l] for l in keep)
+                scale = d * math.prod(dens[row][l] for l in keep[col])
                 cert = {
                     "i": i + 1,
                     "j": j + 1,

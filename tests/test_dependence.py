@@ -687,13 +687,34 @@ def test_rayleigh_cases_cover_both_verdicts(rayleigh_cases):
     assert verdicts.count("NoViolationFound") >= 10
 
 
-@pytest.mark.parametrize(
-    "denominator, dtype", [((1 << 30) - 1, "int64"), ((1 << 30) + 1, "object")]
-)
-def test_rayleigh_int64_only_below_the_bound(denominator, dtype, monkeypatch):
+def _record_scan(monkeypatch):
+    """Record each class table the scan builds as (width, dtype, limbs) and
+    the dtype of each chunk's Delta'."""
+    tables, deltas = [], []
+    build, scan = dependence._class_table, dependence._rayleigh_deltas
+
+    def class_table(bits, pairs, weights, width, shifts):
+        table = build(bits, pairs, weights, width, shifts)
+        tables.append((width, table.dtype.name, table.shape[2] // 4))
+        return table
+
+    def rayleigh_deltas(*args):
+        out = scan(*args)
+        deltas.append(out.dtype.name)
+        return out
+
+    monkeypatch.setattr(dependence, "_class_table", class_table)
+    monkeypatch.setattr(dependence, "_rayleigh_deltas", rayleigh_deltas)
+    return tables, deltas
+
+
+@pytest.mark.parametrize("denominator", [(1 << 30) - 1, (1 << 30) + 1])
+def test_rayleigh_int64_only_below_the_bound(denominator, monkeypatch):
     # at n = 3 on the lattice (M = 2) the bound is 2 (D * 2)^2, so D = 2^30 - 1
-    # is the largest denominator on int64; G'10 = G'01 = D - 1 at z = (2, 2, 2)
-    # makes |Delta'| about 2^60, close to the bound
+    # is the largest denominator of one int64 pass; G'10 = G'01 = D - 1 at
+    # z = (2, 2, 2) makes |Delta'| about 2^60, close to the bound.  Above it
+    # the class sums still run on int64, in one limb wide enough for D, and
+    # only Delta' takes Python ints.
     tiny = Fraction(1, denominator)
     m = ExplicitMeasure.from_atoms(
         3,
@@ -704,16 +725,93 @@ def test_rayleigh_int64_only_below_the_bound(denominator, dtype, monkeypatch):
         ],
     )
     assert m.scaled_weights()[0] == denominator
-    original = dependence._exact_dtype
-    chosen = []
-
-    def recording(bound):
-        chosen.append(original(bound))
-        return chosen[-1]
-
-    monkeypatch.setattr(dependence, "_exact_dtype", recording)
+    tables, deltas = _record_scan(monkeypatch)
     assert rayleigh_falsify(m).to_json() == _oracle_rayleigh(m)
-    assert chosen and {np.dtype(t).name for t in chosen} == {dtype}
+    # one limb as wide as D either way; only Delta' tells the passes apart
+    width = denominator.bit_length()
+    assert tables == [(width, "int64", 1)]
+    assert set(deltas) == {"int64" if denominator < 1 << 30 else "object"}
+
+
+def _probs(rng, n, bits):
+    """n probabilities over distinct denominators of the given bit length."""
+    dens = rng.sample(range(1 << (bits - 1), 1 << bits), n)
+    return [Fraction(rng.randint(1, q - 1), q) for q in dens]
+
+
+def _big_grid(rng, n, size):
+    """Points whose numerators lie within 99 of +-2^20."""
+    return [
+        tuple(
+            Fraction(rng.choice((-1, 1)) * ((1 << 20) - rng.randint(0, 99)), rng.randint(1, 7))
+            for _ in range(n)
+        )
+        for _ in range(size)
+    ]
+
+
+@pytest.fixture(scope="module")
+def limb_cases():
+    """(measure, grid or None, oracle report, "limbs" or "object") where D
+    or the coordinates push the scan past one int64 pass: seeded products
+    and conditioned sums at n = 4..7 with D in (2^31, 2^62) and above 2^64,
+    numerators near 2^20, and a support whose lowest limbs are all ones."""
+    rng = random.Random(2024)
+    cases = []
+    for n in range(4, 8):
+        for bits, low, high in [(56 // n + 1, 31, 62), (80 // n + 1, 64, 200)]:
+            probs = _probs(rng, n, bits)
+            product = family_independent(probs)
+            narrow = family_conditioned_sum(probs, 1, 2)  # strongly Rayleigh
+            wide = family_conditioned_sum(probs, 1, n - 1)  # refuted early
+            for m in [product, narrow, wide, family_conditioned_sum(probs, 2, n - 1)]:
+                assert low < m.scaled_weights()[0].bit_length() <= high
+                cases.append((m, _user_grid(rng, n, 6), "limbs"))
+            # full scans of the default grid only at n = 4: the oracle takes
+            # seconds above
+            for m in [wide] + ([product, narrow] if n == 4 else []):
+                cases.append((m, None, "limbs"))
+        # numerators near 2^20: narrow limbs at n = 4, no limb at all above
+        m = family_conditioned_sum(_probs(rng, n, 72 // n + 1), 1, n - 1)
+        cases.append((m, _big_grid(rng, n, 6), "limbs" if n == 4 else "object"))
+    # at z = (1, ..., 1) nine atoms of class (x1, x2) = (1, 1) each add an
+    # all-ones lowest limb, so one bit more of limb width overflows int64
+    full = (1 << 61) - 1
+    atoms = [(0, full - 1)] + [(0b11 | rest << 2, full) for rest in range(9)]
+    m = ExplicitMeasure._from_weights(6, dict(atoms))
+    cases.append((m, [(1,) * 6], "limbs"))
+    # at n = 2 no coordinate enters a product, but the factors are still built
+    cases.append((family_pos_pair(), [(Fraction(1 << 70, 3), -(1 << 80))], "object"))
+    return [(m, grid, _oracle_rayleigh(m, grid), path) for m, grid, path in cases]
+
+
+def test_rayleigh_limbs_match_fraction_oracle(limb_cases, monkeypatch):
+    tables, deltas = _record_scan(monkeypatch)
+    for m, grid, expect, path in limb_cases:
+        first = len(tables)
+        deltas.clear()
+        assert rayleigh_falsify(m, grid).to_json() == expect
+        assert set(deltas) == {"object"}
+        built = tables[first:]
+        if path == "limbs":
+            assert built and all(width and dtype == "int64" for width, dtype, _ in built)
+        else:
+            assert {width for width, _, _ in built} == {0}
+    # several narrow limbs somewhere
+    assert max(limbs for _, _, limbs in tables) >= 4
+    assert min(width for width, _, _ in tables if width) < 20
+    verdicts = [expect["verdict"] for _, _, expect, _ in limb_cases]
+    assert verdicts.count("ViolationFound") >= 10
+    assert verdicts.count("NoViolationFound") >= 10
+
+
+def test_rayleigh_atom_blocks_match_fraction_oracle(rayleigh_cases, limb_cases, monkeypatch):
+    # with 16 elements per temporary every point is its own chunk, the atoms
+    # come in blocks of a few, and a measure of more than 16 atoms builds
+    # the class table of each block afresh
+    monkeypatch.setattr(dependence, "_SCAN_ELEMENTS", 16)
+    for m, grid, expect, *_ in rayleigh_cases + limb_cases:
+        assert rayleigh_falsify(m, grid).to_json() == expect
 
 
 # -- hierarchy ---------------------------------------------------------------
