@@ -44,10 +44,11 @@ def theorem_bound(n: int, t: Fraction, monotone: bool) -> float:
     p, q = t.numerator, t.denominator
     if p < 0:
         raise ValueError("t must be nonnegative")
-    # one int / int division, rounded correctly as float(Fraction) is
-    if monotone:
-        return math.exp(-2 * p * p / (n * q * q))
-    return math.exp(-p * p / (2 * n * q * q))
+    # one int / int division, rounded correctly as float(Fraction) is; a
+    # quotient past 800 is not computed, as e^(-800) is already 0.0 and
+    # t^2/n may pass the float range
+    num, den = (2 * p * p, n * q * q) if monotone else (p * p, 2 * n * q * q)
+    return 0.0 if num > 800 * den else math.exp(-num / den)
 
 
 def _thresholds(mu: Fraction, t: Fraction, den: int) -> tuple[int, int]:

@@ -13,11 +13,14 @@ modes solve one max-flow from the lower atoms to the upper atoms.
 - Subset mode routes through the Hasse diagram of the cube, on the region
   R = (up(supp lower) & down(supp upper)) | supp lower: source -> x,
   infinite arcs p -> p | e_i inside R, y -> sink.  The cube's dimension
-  is the bit length of the OR of all keys.  That network is used only
-  when it has fewer arcs than |supp lower| * |supp upper|; otherwise
-  (sparse supports in a large cube) the bipartite network of all pairs
-  x <= y is built instead, and the walk over down(supp upper) stops as
-  soon as it passes that many points.
+  is the bit length of the OR of all keys.  One walk pops each point p
+  of R once from a heap seeded with supp lower and lists its steps inside
+  down(supp upper) | supp lower; every step is above p, and larger for a
+  larger i, so points and arcs come out sorted.  That network is used
+  only when it has fewer arcs than |supp lower| * |supp upper|: the walk
+  stops once it lists that many arcs, and the closure down(supp upper)
+  once it passes that many points.  Otherwise (sparse supports in a
+  large cube) the bipartite network of all pairs x <= y is built.
 - Covering mode keeps the bipartite network: each lower atom x is joined
   to the upper atoms x and x | e_j, in upper order.
 
@@ -43,6 +46,7 @@ complemented seeds, one walk for both.
 
 from __future__ import annotations
 
+import heapq
 import json
 import operator
 from dataclasses import dataclass, field
@@ -142,12 +146,6 @@ class Dinic:
         return {v for v, lv in enumerate(self._levels(s, -1)) if lv >= 0}
 
 
-def _admissible(x: int, y: int, covering: bool) -> bool:
-    if x & ~y:
-        return False
-    return not covering or (x ^ y).bit_count() <= 1
-
-
 def up_steps(p: int, members, d: int) -> list[int]:
     """The points p | e_i of ``members`` above p, i ascending: p's arcs in
     the Hasse diagram of {0,1}^d."""
@@ -175,31 +173,28 @@ def _down_closure(seeds, budget: int) -> Optional[set[int]]:
 
 def _cube_network(lower_keys, upper_keys, d: int):
     """(points, arcs) of the Hasse network on the region
-    R = (up(lower) & down(upper)) | lower, points ascending; None unless
-    it has fewer arcs than the |lower|*|upper| of the bipartite scan.
-    Both passes stop as soon as they have seen that many arcs."""
+    R = (up(lower) & down(upper)) | lower, both sorted, from one ascending
+    walk; None once it lists the |lower|*|upper| arcs of the bipartite
+    scan."""
     budget = len(lower_keys) * len(upper_keys)
-    down = _down_closure(upper_keys, budget)
-    if down is None:
+    members = _down_closure(upper_keys, budget)
+    if members is None:
         return None
+    members.update(lower_keys)
     region = set(lower_keys)
-    stack = [x for x in region if x in down]
-    seen = 0  # each point is popped once, and each step it finds is an arc
-    while stack:
-        above = up_steps(stack.pop(), down, d)
-        seen += len(above)
-        if seen >= budget:
+    heap = sorted(region)
+    points, arcs = [], []
+    while heap:
+        p = heapq.heappop(heap)
+        points.append(p)
+        above = up_steps(p, members, d)
+        arcs += [(p, q) for q in above]
+        if len(arcs) >= budget:
             return None
         for q in above:
             if q not in region:
                 region.add(q)
-                stack.append(q)
-    points = sorted(region)
-    arcs = []
-    for p in points:
-        arcs += [(p, q) for q in up_steps(p, region, d)]
-        if len(arcs) >= budget:
-            return None
+                heapq.heappush(heap, q)
     return points, arcs
 
 
@@ -207,12 +202,8 @@ def _bipartite_arcs(lower_keys, upper_keys, covering: bool, d: int):
     """Index pairs (i, j) with lower_keys[i] <= upper_keys[j] (and within
     one raised coordinate when covering), in (i, then j) order."""
     if not covering:
-        return [
-            (i, j)
-            for i, x in enumerate(lower_keys)
-            for j, y in enumerate(upper_keys)
-            if _admissible(x, y, covering=False)
-        ]
+        return [(i, j) for i, x in enumerate(lower_keys)
+                for j, y in enumerate(upper_keys) if not x & ~y]
     index = {y: j for j, y in enumerate(upper_keys)}
     return [
         (i, j)
@@ -414,11 +405,8 @@ class InfeasibilityCut:
 
     def check(self, lower: ExplicitMeasure, upper: ExplicitMeasure) -> bool:
         block = set(self.block)
-        hood = {
-            y
-            for y, _ in upper.items()
-            if any(_admissible(x, y, covering=True) for x in block)
-        }
+        hood = {y for y, _ in upper.items()
+                if any(is_submask(x, y) and (x ^ y).bit_count() <= 1 for x in block)}
         if hood != set(self.neighborhood):
             return False
         lm = sum((p for k, p in lower.items() if k in block), ZERO)

@@ -28,6 +28,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -583,20 +584,36 @@ _ONE_HOT = np.eye(4, dtype=bool)  # row x_i + 2 x_j: the (x_i, x_j) class
 _CLASS_BITS = np.array([1, 2])
 
 
+@lru_cache(maxsize=16)
+def _draws(n: int, seed: int) -> tuple[list, random.Random]:
+    """The sampled points drawn so far for (n, seed), and their rng."""
+    return [], random.Random(seed)
+
+
 def _sampled_points(n: int, seed: int):
-    """The seeded default grid for n > 5, as (numerators, denominators)."""
-    rng = random.Random(seed)
-    for _ in range(_SAMPLE_POINTS):
-        point = [(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(n)]
-        yield tuple(p for p, _ in point), tuple(q for _, q in point)
+    """The seeded default grid for n > 5, as (numerators, denominators),
+    each point drawn once per (n, seed), when a scan first reads it."""
+    drawn, rng = _draws(n, seed)
+    for k in range(_SAMPLE_POINTS):
+        if k == len(drawn):
+            point = [(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(n)]
+            drawn.append(tuple(zip(*point)))
+        yield drawn[k]
+
+
+def _default_points(n: int, seed: int = 0):
+    """The default grid's size and its points as (numerators,
+    denominators), the one source of the scan and of the grid below."""
+    if n <= _LATTICE_MAX_N:
+        ones = (1,) * n
+        return len(_LATTICE) ** n, ((p, ones) for p in itertools.product(_LATTICE, repeat=n))
+    return _SAMPLE_POINTS, _sampled_points(n, seed)
 
 
 def default_rayleigh_grid(n: int, seed: int = 0) -> list[tuple]:
-    """The documented default: the integer grid {-2..2}^n for n <= 5,
-    otherwise 1000 seeded pseudo-random rational points."""
-    if n <= _LATTICE_MAX_N:
-        return list(itertools.product(_LATTICE, repeat=n))
-    return [tuple(map(Fraction, p, q)) for p, q in _sampled_points(n, seed)]
+    """The default grid as tuples of Fractions: the integer grid {-2..2}^n
+    for n <= 5, otherwise 1000 seeded pseudo-random rational points."""
+    return [tuple(map(Fraction, p, q)) for p, q in _default_points(n, seed)[1]]
 
 
 def _integer_points(grid, n: int):
@@ -697,16 +714,9 @@ def rayleigh_falsify(m: ExplicitMeasure, grid=None) -> NotionReport:
     n = m.n
     if grid is None:
         refuse_over_cap("rayleigh", n)
-        if n <= _LATTICE_MAX_N:
-            ones = (1,) * n
-            points = len(_LATTICE) ** n
-            source = ((p, ones) for p in itertools.product(_LATTICE, repeat=n))
-        else:
-            points = _SAMPLE_POINTS
-            source = _sampled_points(n, seed=0)
+        points, source = _default_points(n)
     else:
-        points = len(grid)
-        source = _integer_points(grid, n)
+        points, source = len(grid), _integer_points(grid, n)
     d, w = m.scaled_weights()
     # bits[l, 0, atom]: the atom's x_l
     bits = np.array([[[key >> l & 1 for key in w]] for l in range(n)], dtype=bool)

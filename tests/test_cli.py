@@ -540,6 +540,15 @@ def test_tail_grid_with_a_negative_t_exit_two_without_a_traceback(capsys):
     assert (code, out, err) == (2, "", "error: t must be nonnegative\n")
 
 
+def test_tail_grid_past_the_float_range_bounds_at_zero(capsys):
+    # at t = 1e200, t^2/n is past the largest float: the bound is e^(-huge)
+    code, out, err = run(capsys, "tail", "--family", "nand:3",
+                         "--grid", "0:1e200:1e200", "--format", "json")
+    assert (code, err) == (0, "")
+    row = json.loads(out)["rows"][-1]
+    assert (row["bound"], row["monotone_bound"], row["pass"]) == (0.0, 0.0, True)
+
+
 @pytest.mark.parametrize("grid", ["1:1", "1", "0:1:2:3", ""])
 def test_tail_grid_without_three_parts_exit_two_naming_the_form(capsys, grid):
     code, out, err = run(capsys, "tail", "--family", "nand:4", "--grid", grid)

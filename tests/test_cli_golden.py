@@ -14,7 +14,9 @@ are advisory because n is above the negative regression cap.  The
 checker inputs are `nand:8`, conditioned sums whose denominators exceed
 2^20 and 2^63, and a measure (golden/nr_fails_late.json) that
 fails both notions on its sixteenth conditioning set, so that the `work`
-counters of an early exit and the certificates are pinned too.  Negative
+counters of an early exit and the certificates are pinned too; both
+notions also run on a conditioned sum of eight variables whose common
+denominator is near 2^128, so its transports carry capacities near 2^256.  Negative
 association and CNA run on those inputs, on every catalog measure and on
 a seeded perturbed conditioned sum (golden/cna_fails_late.json) that
 holds NA and fails CNA on its 216th conditional.
@@ -67,6 +69,13 @@ CHECK_INPUTS = [
     ["--family", "condsum:1/2003,2/2011,500/2017,7/2027,1000/2029,3/2039,11/2053:2:5"],  # D > 2^63
     ["--file", "tests/golden/nr_fails_late.json"],
 ]
+# a conditioned sum with D near 2^128, whose flows carry capacities near
+# 2^256; checked for NR and SC only
+WIDE_CHECK = [
+    "--family",
+    "condsum:9973/65521,19946/65519,29919/65497,39892/65479,49865/65449,"
+    "59838/65447,4374/65437,14361/65423:1:7",
+]
 # the catalog of negdep.zoo, as family specs
 CATALOG = [
     *(f"nand:{n}" for n in range(3, 9)),
@@ -112,6 +121,7 @@ def cases() -> list[list[str]]:
         out.append(["tail", "--family", "nand:11", "--format", fmt])
     for source in CHECK_INPUTS:
         out.append(["check", *source, "--notions", "nr,sc", "--format", "json"])
+    out.append(["check", *WIDE_CHECK, "--notions", "nr,sc", "--format", "json"])
     for source in ASSOCIATION_INPUTS:
         out.append(["check", *source, "--notions", "na,cna", "--format", "json"])
     # 11 and 12 run at the tree cap with negative regression skipped

@@ -63,6 +63,22 @@ def test_bound_validation():
         theorem_bound(3, Fraction(-1), False)
 
 
+def test_bound_past_the_float_range_is_zero():
+    # t^2/n above the largest float, where the int / int exponent overflows
+    for monotone in (False, True):
+        assert theorem_bound(3, Fraction(10**200), monotone) == 0.0
+        assert theorem_bound(1, Fraction(10**155), monotone) == 0.0
+        assert theorem_bound(1, Fraction(10**200 + 1, 10**46), monotone) == 0.0
+    # around where e^(-x) reaches 0.0, the bound is still e^(-x) bit for bit
+    for k in range(1900, 2100):
+        assert theorem_bound(1, Fraction(k, 50), False) == math.exp(-k * k / 5000)
+        assert theorem_bound(1, Fraction(k, 100), True) == math.exp(-k * k / 5000)
+    # huge terms whose ratio fits still take the one correctly rounded division
+    t = Fraction(10**400 + 1, 10**400)
+    assert theorem_bound(3, t, False) == math.exp(-float(t * t / 6))
+    assert theorem_bound(3, t, True) == math.exp(-float(2 * t * t / 3))
+
+
 def test_verify_rejects_a_negative_t():
     m, f = family_nand(3), sum_function(3)
     with pytest.raises(ValueError, match="^t must be nonnegative$"):

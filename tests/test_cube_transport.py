@@ -9,20 +9,29 @@ oracle (Strassen; Picard-Queyranne), and covering mode, which keeps the
 bipartite network, must also return the oracle's flows.  Plain couplings
 come from a path decomposition of a different flow: they must pass
 ``Coupling.validate`` and repeat exactly.
+
+``frozen_cube_network`` is a frozen copy of the two-pass builder of the
+Hasse network; the one ascending walk must return the same points and
+arcs, or the same None, and list each region point's steps once.
 """
 
+import operator
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 import negdep.coupling as coupling
 from negdep.coupling import (
     Dinic,
+    _down_closure,
     _sorted_scaled,
     build_monotone_coupling,
     check_dominance,
     transport,
+    up_closure,
+    up_steps,
 )
 from negdep.errors import DominanceFails
 from negdep.measure import Assignment, family_conditioned_sum, family_nand, new_explicit
@@ -222,3 +231,100 @@ def test_cube_network_stops_listing_arcs_at_the_budget(monkeypatch):
     assert res.feasible
     assert res.network == "bipartite" and res.edges == 16
     assert len(listed) < 16 + 4  # at most one point's steps past the budget
+
+
+def frozen_cube_network(lower_keys, upper_keys, d):
+    """The two-pass builder that the one ascending walk replaced, frozen:
+    a first walk over down(upper) from the lower atoms inside it, which
+    counts the steps it finds, then every sorted point's steps inside the
+    region, each pass with its own budget test."""
+    budget = len(lower_keys) * len(upper_keys)
+    down = _down_closure(upper_keys, budget)
+    if down is None:
+        return None
+    region = set(lower_keys)
+    stack = [x for x in region if x in down]
+    seen = 0
+    while stack:
+        above = up_steps(stack.pop(), down, d)
+        seen += len(above)
+        if seen >= budget:
+            return None
+        for q in above:
+            if q not in region:
+                region.add(q)
+                stack.append(q)
+    points = sorted(region)
+    arcs = []
+    for p in points:
+        arcs += [(p, q) for q in up_steps(p, region, d)]
+        if len(arcs) >= budget:
+            return None
+    return points, arcs
+
+
+def _region_arcs(lower, upper, d):
+    """The arc count of the Hasse network on R, with no budget, and
+    down(upper)."""
+    down = _down_closure(upper, 1 << d)
+    region = set(lower) | (down & up_closure(lower, d))
+    return sum(len(up_steps(p, region, d)) for p in region), down
+
+
+def _differential_cases():
+    """Seeded supports in dimensions 1..9, sparse to dense, and beside
+    each one whose |lower| * |upper| can be made to meet its arc count A
+    by adding atoms of down(upper) to upper (which leaves R alone), that
+    support padded to a budget of exactly A and, where it divides, A + 1.
+    Each case comes with A and down(upper)."""
+    rng = random.Random(2323)
+    out = []
+    for k in range(4100):
+        size = 1 << (1 + k % 9)
+        counts = (1, 2, 3, size // 4 + 1, rng.randint(1, size), size)
+        lower, upper = (rng.sample(range(size), min(size, rng.choice(counts))) for _ in range(2))
+        arcs, down = _region_arcs(lower, upper, size.bit_length() - 1)
+        out.append((lower, upper, arcs, down))
+        spare = sorted(down - set(upper))
+        for target in (arcs, arcs + 1):
+            extra, rest = divmod(target - len(lower) * len(upper), len(lower))
+            if not rest and 0 <= extra <= len(spare):
+                out.append((lower, upper + rng.sample(spare, extra), arcs, down))
+    return out
+
+
+def test_one_walk_builds_the_network_of_the_two_pass_builder(monkeypatch):
+    popped = []
+    steps = coupling.up_steps
+
+    def spy(p, members, d):
+        popped.append(p)
+        return steps(p, members, d)
+
+    monkeypatch.setattr(coupling, "up_steps", spy)
+    seen = {"cases": 0, "networks": 0, "outside_down": 0, "arcs_outside_down": 0,
+            "at_budget": 0, "under_budget": 0}
+    dims = set()
+    for lower, upper, arcs, down in _differential_cases():
+        d = reduce(operator.or_, lower + upper).bit_length()
+        dims.add(d)
+        popped.clear()
+        built = coupling._cube_network(lower, upper, d)
+        assert built == frozen_cube_network(lower, upper, d)
+        assert len(popped) == len(set(popped))  # each point's steps listed once
+        budget = len(lower) * len(upper)
+        seen["cases"] += 1
+        seen["at_budget"] += arcs == budget
+        if built is None:
+            continue
+        points, hasse = built
+        assert popped == points  # one call per region point, ascending
+        seen["networks"] += 1
+        seen["under_budget"] += arcs + 1 == budget
+        outside = set(lower) - down
+        seen["outside_down"] += bool(outside)
+        seen["arcs_outside_down"] += any(p in outside and q in outside for p, q in hasse)
+    assert dims >= set(range(1, 10))
+    assert seen["cases"] >= 5000
+    assert seen["networks"] >= 1000
+    assert min(seen.values()) >= 50, seen

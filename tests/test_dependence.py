@@ -566,6 +566,37 @@ def test_default_grid_large_n_keeps_its_points():
         assert default_rayleigh_grid(n) == expect
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_default_grid_is_the_grid_the_scan_reads(monkeypatch, n):
+    scanned = []
+    deltas = dependence._rayleigh_deltas
+
+    def spy(bits, pairs, keep, weights, d, nums, dens, tables):
+        scanned.extend(zip(nums, dens))
+        return deltas(bits, pairs, keep, weights, d, nums, dens, tables)
+
+    monkeypatch.setattr(dependence, "_rayleigh_deltas", spy)
+    # a product measure is strongly Rayleigh, so the scan reads every point
+    rep = rayleigh_falsify(family_independent([Fraction(1, 3)] * n))
+    assert rep.verdict is Verdict.NO_VIOLATION_FOUND
+    assert [tuple(map(Fraction, p, q)) for p, q in scanned] == default_rayleigh_grid(n)
+
+
+def test_sampled_grid_is_drawn_once_per_n_and_seed(monkeypatch):
+    dependence._draws.cache_clear()
+    head = list(itertools.islice(dependence._sampled_points(6, 0), 3))
+    full = default_rayleigh_grid(6)  # draws on from the fourth point
+    assert [tuple(map(Fraction, p, q)) for p, q in head] == full[:3]
+
+    def draw_again(*args):
+        raise AssertionError("a kept point was drawn again")
+
+    monkeypatch.setattr(random.Random, "randint", draw_again)
+    assert default_rayleigh_grid(6) == full
+    rep = rayleigh_falsify(family_independent([Fraction(1, 3)] * 6))
+    assert rep.work_stats == {"points": 1000, "evaluations": 15000}
+
+
 def test_rayleigh_empty_grid():
     rep = rayleigh_falsify(family_pos_pair(), grid=[])
     assert rep.verdict is Verdict.NO_VIOLATION_FOUND
