@@ -113,6 +113,19 @@ def covering_steps(width: int) -> tuple[np.ndarray, np.ndarray]:
     return a[a != b], b[a != b]
 
 
+@lru_cache(maxsize=1 << 12)
+def _merged_axes(selector: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The shape viewing a length-``2^n`` array with each run of bit axes that
+    stay adjacent in a split by ``selector`` as one axis, and its transpose."""
+    # axis k of the (2,) * n view is bit n - 1 - k; a stable sort puts the
+    # selected axes first, so each packed index keeps its highest bit first
+    axes = sorted(range(n), key=lambda k: not selector >> (n - 1 - k) & 1)
+    place = {k: at for at, k in enumerate(axes)}
+    starts = [k for k in range(n) if k == 0 or place[k] != place[k - 1] + 1]
+    shape = tuple(1 << (end - k) for k, end in zip(starts, starts[1:] + [n]))
+    return shape, tuple(sorted(range(len(starts)), key=lambda run: place[starts[run]]))
+
+
 class SubsetExtractor:
     """The one primitive that splits a measure by a block of coordinates:
     conditionals, marginals and every checker that reads conditional laws
@@ -122,18 +135,15 @@ class SubsetExtractor:
         self.selector = selector
         self.n = n
         self.width = selector.bit_count()
+        self._shape, self._axes = _merged_axes(selector, n)
 
     def split(self, dense: np.ndarray) -> np.ndarray:
         """A length-``2^n`` array indexed by mask, as a new
         ``(2^width, 2^(n - width))`` matrix: entry ``mask`` goes to the row
         its selected bits pack to and the column its other bits pack to
         (bit j of a packed value is the j-th smallest position packed)."""
-        n = self.n
-        # axis k of the (2,) * n view is bit n - 1 - k; a stable sort puts the
-        # selected axes first, so each packed index keeps its highest bit first
-        axes = sorted(range(n), key=lambda k: not self.selector >> (n - 1 - k) & 1)
         # a copy even when the order is the identity and the transpose a view
-        return dense.reshape((2,) * n).transpose(axes).copy().reshape(1 << self.width, -1)
+        return dense.reshape(self._shape).transpose(self._axes).copy().reshape(1 << self.width, -1)
 
 
 __all__ = ["bits_from_mask", "cap", "mask_from_bits"]

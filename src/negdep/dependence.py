@@ -12,9 +12,10 @@ certificate that can be re-verified from the raw measure alone:
   * covering:     (I, a, a') and a Hall-type infeasibility cut.
 
 Arrays are int64 only behind a proven bound on their values: D for
-negative regression and stochastic covering, D^2 for negative
-association and CNA, D^n for the cylinder check; the Rayleigh scan
-bounds each chunk of grid points.
+negative regression and stochastic covering and for the weights that
+negative association and CNA sum, D^2 for their covariances in one pass
+(two 30-bit limbs take them below D = 2^60), D^n for the cylinder
+check; the Rayleigh scan bounds each chunk of grid points.
 
 The strong Rayleigh property only gets a falsifier: a grid search for a
 point with negative Rayleigh difference.  It can refute, never certify.
@@ -49,6 +50,7 @@ from .upsets import (
 )
 
 ZERO = Fraction(0)
+_LIMB = 30  # bits per limb of `_limb_covariances`
 
 
 def _dense_weights(m: ExplicitMeasure, power: int) -> tuple[int, np.ndarray]:
@@ -239,22 +241,37 @@ def upset_indicator_cov(
     return pab - pa * pb
 
 
+def _limb_covariances(d: int, x, wa, wb):
+    """(hi, lo) on int64 with d x - wa wb = hi 2^60 + lo and 0 <= lo < 2^60,
+    for d, x (rows A, columns B), wa (per A) and wb (per B) in [0, 2^60):
+    on 30-bit limbs each product is below 2^60 and each limb sum below 2^62."""
+    mask = (1 << _LIMB) - 1
+    (d1, d0), (x1, x0), (a1, a0), (b1, b0) = (
+        (v >> _LIMB, v & mask) for v in (d, x, wa[:, None], wb))
+    c0 = d0 * x0 - a0 * b0
+    c1 = d1 * x0 - a1 * b0 + d0 * x1 - a0 * b1 + (c0 >> _LIMB)
+    c2 = d1 * x1 - a1 * b1 + (c1 >> _LIMB)
+    return c2, (c1 & mask) << _LIMB | c0 & mask
+
+
 def _na_violation(m: ExplicitMeasure, held: set):
     """First bipartition with positively correlated up-set indicators.
 
     Returns (certificate | None, work).  The scan fixes the smaller side,
     enumerates its nontrivial up-sets A in a deterministic order, and for
     each A maximizes the covariance over up-sets B of the other side,
-    either by an exact int64 matrix product (dimension <= 5) or by a
-    max-weight-closure min-cut (always exact, any dimension).  Each joint
-    weight matrix is one `split` of the dense weights, which hold int64
-    while D^2 fits and Python integers above it; the matrix product over
-    B runs only on int64.
+    either by an exact int64 matrix product (dimension <= 5, D < 2^60) or
+    by a max-weight-closure min-cut (always exact, any dimension); both
+    pick the least maximizing B, as `nontrivial_upsets` order extends
+    inclusion.  Each joint weight matrix is one `split` of the dense
+    weights, which hold int64 while D fits and Python integers above it.
 
     D^2 bounds every value.  An entry of d * joint_a - wa * wl, or its sum
     over any set S of the other side's patterns (a partial sum of the
     product over B), is D x - wa y with y <= D the weight of S, wa <= D
     that of A and 0 <= x <= min(wa, y) that of both: it is in [-D^2, D^2].
+    While D^2 fits int64 the product takes one pass; below D = 2^60 it
+    forms D x - wa y on two limbs; closures take Python ints past D^2.
 
     A bipartition's answer depends only on its joint weight matrix: `held`
     collects the keys (ds, dl, joint) of those that held, and a bipartition
@@ -266,7 +283,8 @@ def _na_violation(m: ExplicitMeasure, held: set):
     full = (1 << n) - 1
     work = {"bipartitions": 0, "upsets_tested": 0, "closures": 0,
             "repeated_joints_skipped": 0}
-    d, dense = _dense_weights(m, 2)
+    d, dense = _dense_weights(m, 1)
+    exact = _exact_dtype(d * d)  # int64 while D^2 fits
     # covariance is symmetric: anchor variable 1 on the I side (odd masks)
     for imask in range(1, full, 2):
         # the smaller side, I on a tie
@@ -282,21 +300,31 @@ def _na_violation(m: ExplicitMeasure, held: set):
         u_small = upset_matrix(ds)
         joint_a = u_small @ joint          # weight of {X_s in A, X_l = b}
         wa = joint_a.sum(axis=1)
-        weights = d * joint_a - wa[:, None] * wl[None, :]
         work["upsets_tested"] += len(u_small)
         found = None  # (row of A, up-set mask of B, covariance times d^2)
         if (
             joint.dtype != object
+            and d < 1 << 2 * _LIMB
             and dl <= ENUMERABLE_DIM
             and len(u_small) * len(nontrivial_upsets(dl)) <= 1 << 22
         ):
-            covs = weights @ upset_matrix(dl).T
-            hits = np.argwhere(covs > 0)
-            if hits.size:
-                row = int(hits[0, 0])
-                col = int(np.argmax(covs[row]))
-                found = row, nontrivial_upsets(dl)[col], int(covs[row, col])
+            u_large = upset_matrix(dl).T
+            if exact is np.int64:
+                covs = (d * joint_a - wa[:, None] * wl[None, :]) @ u_large
+                if (hits := np.argwhere(covs > 0)).size:
+                    row = int(hits[0, 0])
+                    col = int(np.argmax(covs[row]))
+                    found = row, nontrivial_upsets(dl)[col], int(covs[row, col])
+            else:
+                hi, lo = _limb_covariances(d, joint_a @ u_large, wa, wl @ u_large)
+                if (hits := np.argwhere((hi > 0) | (hi == 0) & (lo > 0))).size:
+                    row = int(hits[0, 0])
+                    # the first maximum of hi 2^60 + lo: the first largest lo among the largest hi
+                    col = int(np.argmax(np.where(hi[row] == hi[row].max(), lo[row], -1)))
+                    cov = (int(hi[row, col]) << 2 * _LIMB) + int(lo[row, col])
+                    found = row, nontrivial_upsets(dl)[col], cov
         else:
+            weights = d * joint_a.astype(exact) - wa.astype(exact)[:, None] * wl[None, :]
             for row, row_weights in enumerate(weights):
                 work["closures"] += 1
                 best, chosen = max_weight_upset(list(map(int, row_weights)), dl)

@@ -10,7 +10,8 @@ same certificate and the same `work` counters, memo counters included,
 on the catalog, on seeded measures (many failing deep in the scan), and
 on random measures whose common denominator exceeds 2^20 (int64 arrays)
 and on conditioned sums whose denominator exceeds isqrt(2^63 - 1) (where
-the arrays hold Python integers) and 2^63.
+the product over B runs below 2^60 and closures take Python integers at
+and above it) and 2^63.
 """
 
 import random
@@ -45,7 +46,8 @@ def _pack(key, mask):
 
 def oracle_na_violation(m, held):
     """`_na_violation` with each joint matrix filled atom by atom, as it
-    was frozen."""
+    was frozen; below D = 2^60 but past the int64 bound on D^2 the product
+    over B runs on Python ints."""
     n = m.n
     d, w = m.scaled_weights()
     full = (1 << n) - 1
@@ -78,11 +80,11 @@ def oracle_na_violation(m, held):
         work["upsets_tested"] += len(u_small)
         found = None
         if (
-            dtype is np.int64
+            d < 1 << 60
             and dl <= ENUMERABLE_DIM
             and len(u_small) * len(nontrivial_upsets(dl)) <= 1 << 22
         ):
-            covs = weights @ upset_matrix(dl).T
+            covs = weights @ upset_matrix(dl).T.astype(dtype)
             hits = np.argwhere(covs > 0)
             if hits.size:
                 row = int(hits[0, 0])

@@ -173,6 +173,37 @@ def test_split_returns_a_copy(n):
         assert dense.tolist() == before.tolist()
 
 
+def _frozen_split(selector, n, dense):
+    """`SubsetExtractor.split` as it was before runs of adjacent axes were
+    merged: one transpose of the whole (2,) * n view."""
+    axes = sorted(range(n), key=lambda k: not selector >> (n - 1 - k) & 1)
+    return dense.reshape((2,) * n).transpose(axes).copy().reshape(1 << selector.bit_count(), -1)
+
+
+def _split_selectors(n):
+    """Every selector for n <= 10; at n = 16 the single highest and lowest
+    variables, all but each of them, none, all and 34 seeded selectors."""
+    if n <= 10:
+        return range(1 << n)
+    rng = random.Random(n)
+    full = (1 << n) - 1
+    top = 1 << n - 1
+    return [1, top, full ^ 1, full ^ top, 0, full] + [rng.randrange(full) for _ in range(34)]
+
+
+@pytest.mark.parametrize("n", [*range(11), 16])
+def test_split_matches_the_whole_view_transpose(n):
+    arrays = [np.arange(1 << n, dtype=np.int64) * 3 - 5,
+              np.array([(1 << 70) - mask for mask in range(1 << n)], dtype=object)]
+    for selector in _split_selectors(n):
+        ex = SubsetExtractor(selector, n)
+        for dense in arrays:
+            got, expected = ex.split(dense), _frozen_split(selector, n, dense)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.flags.c_contiguous and not np.shares_memory(got, dense)
+            assert np.array_equal(got, expected)
+
+
 @pytest.mark.parametrize("width", range(1, 7))
 def test_covering_steps_in_a_then_pos_order(width):
     below, above = covering_steps(width)

@@ -1,4 +1,6 @@
 import itertools
+import json
+import math
 import random
 from fractions import Fraction
 
@@ -39,6 +41,7 @@ from negdep.measure import (
     family_pos_pair,
     parse_rational,
 )
+from negdep.upsets import upset_matrix
 from negdep.zoo import random_measure, zoo
 
 HALF = Fraction(1, 2)
@@ -279,26 +282,40 @@ def _forced_object_reports(m, monkeypatch):
         return _na_reports(m)
 
 
-@pytest.mark.parametrize("offset, dtype", [(0, "int64"), (1, "object")])
+# the smallest D at which NA's product leaves its two int64 limbs for closures
+NA_LIMB_DENOMINATOR = 1 << 60
+
+
+@pytest.mark.parametrize(
+    "d, closures",
+    [
+        (NA_INT64_DENOMINATOR, 0),  # one int64 pass
+        (NA_INT64_DENOMINATOR + 1, 0),  # two limbs
+        (NA_LIMB_DENOMINATOR - 1, 0),  # two limbs
+        (NA_LIMB_DENOMINATOR, 1),  # one closure, on Python ints
+    ],
+    ids=["square-bound", "past-square-bound", "limb-bound", "past-limb-bound"],
+)
 @pytest.mark.parametrize(
     "heavy, verdict",
     [(0b01, "Holds"), (0b00, "Fails")],
     ids=["x1-heavy", "x1-rare"],
 )
 def test_na_int64_exactly_up_to_the_square_bound(
-    offset, dtype, heavy, verdict, monkeypatch, record_dense_dtypes
+    d, closures, heavy, verdict, monkeypatch, record_dense_dtypes
 ):
     # one atom of weight D - 2 puts d * joint_a and wa * wl within 2D of D^2;
     # the other two atoms are {x2 = 1} and {x1 = x2 = 1}.  At x1 = 1 the
-    # measure holds; at the origin it fails with Cov[X1, X2] = (D - 2) / D^2
-    d = NA_INT64_DENOMINATOR + offset
-    assert (d * d <= bitops._INT64_MAX) is (offset == 0)
+    # measure holds; at the origin it fails with Cov[X1, X2] = (D - 2) / D^2.
+    # The dense weights are int64 on every path, since D fits
+    assert (d * d <= bitops._INT64_MAX) is (d == NA_INT64_DENOMINATOR)
     m = ExplicitMeasure._from_weights(2, {heavy: d - 2, 0b10: 1, 0b11: 1})
     assert m.scaled_weights()[0] == d
     dtypes = record_dense_dtypes()
     got = _na_reports(m)
-    assert dtypes == {np.dtype(dtype)}
+    assert dtypes == {np.dtype(np.int64)}
     assert [doc["verdict"] for doc in got] == [verdict, verdict]
+    assert got[0]["work"]["closures"] == closures
     if verdict == "Fails":
         assert got[0]["certificate"]["covariance"] == str(Fraction(d - 2, d * d))
     assert _but_closures(got) == _but_closures(_forced_object_reports(m, monkeypatch))
@@ -340,6 +357,85 @@ def test_na_product_path_matches_closures_above_two_to_the_twenty(
         verdicts.append((got[0]["verdict"], got[1]["verdict"]))
     assert verdicts.count(("Fails", "Fails")) >= 10
     assert verdicts.count(("Holds", "Fails")) >= 5
+
+
+def _limb_range_measure(n, kind, rng):
+    """A measure with isqrt(2^63 - 1) < D < 2^60, for NA's two-limb product.
+
+    "product": a product of seeded per-coordinate weights near 2^(59/n) with
+    one atom nudged by 1 to 3, so that every covariance is tiny against D^2
+    and its sign rests on the low limbs and the carries.  "sparse": the same
+    with about 40% of the atoms removed; a pattern of the larger side that
+    no atom takes adds 0 to every B, so several B often tie at the maximum.
+    "condsum": a conditioned sum scaled past 2^40 with one atom nudged,
+    which NA often holds and CNA fails late.  Draws again while D, in
+    lowest terms, is out of range."""
+    while True:
+        if kind == "condsum":
+            probs = [Fraction(rng.randint(1, 6), 7) for _ in range(n)]
+            d, base = family_conditioned_sum(probs, 1, rng.randint(2, n - 1)).scaled_weights()
+            scale = (1 << 40) // d + rng.randint(1, 1 << 10)
+            weights = {x: scale * w for x, w in base.items()}
+            nudge = rng.randint(1, scale - 1)
+        else:
+            size = 1 << 59 // n
+            sides = [(a := rng.randint(1, size - 1), size - a) for _ in range(n)]
+            weights = {x: math.prod(side[x >> i & 1] for i, side in enumerate(sides))
+                       for x in range(1 << n) if kind == "product" or rng.random() < 0.6}
+            nudge = rng.randint(1, 3)
+        if weights:
+            weights[rng.choice(sorted(weights))] += rng.choice((-1, 1)) * nudge
+            m = ExplicitMeasure._from_weights(n, weights)
+            if NA_INT64_DENOMINATOR < m.scaled_weights()[0] < NA_LIMB_DENOMINATOR:
+                return m
+
+
+def _maximizers(m, cert):
+    """How many up-sets B of the certificate's J reach the largest
+    covariance with its A, on Python ints."""
+    d, w = m.scaled_weights()
+    a_points = {mask_from_bits(bits) for bits in cert["A"]}
+
+    def pack(key, block):
+        return sum(1 << t for t, i in enumerate(block) if key >> (i - 1) & 1)
+
+    wa = sum(weight for key, weight in w.items() if pack(key, cert["I"]) in a_points)
+    per_pattern = [0] * (1 << len(cert["J"]))
+    for key, weight in w.items():
+        in_a = pack(key, cert["I"]) in a_points
+        per_pattern[pack(key, cert["J"])] += d * weight * in_a - wa * weight
+    covs = (upset_matrix(len(cert["J"])) @ np.array(per_pattern, dtype=object)).tolist()
+    assert Fraction(max(covs), d * d) == parse_rational(cert["covariance"])
+    return covs.count(max(covs))
+
+
+@pytest.mark.parametrize("kind", ["product", "sparse", "condsum"])
+def test_na_limb_path_matches_closures(kind, monkeypatch, record_dense_dtypes):
+    # the two-limb product over B against one closure per up-set row of A:
+    # the same verdicts and work counts, and certificates equal byte for
+    # byte, also where several B reach the largest covariance
+    rng = random.Random(24)
+    measures = [_limb_range_measure(3 + trial % 4, kind, rng) for trial in range(24)]
+    dtypes = record_dense_dtypes()
+    reports = [_na_reports(m) for m in measures]
+    assert dtypes == {np.dtype(np.int64)}
+    verdicts, ties = [], 0
+    for m, got in zip(measures, reports):
+        expected = _forced_object_reports(m, monkeypatch)
+        assert _but_closures(got) == _but_closures(expected)
+        assert [json.dumps(doc["certificate"]) for doc in got] == [
+            json.dumps(doc["certificate"]) for doc in expected]
+        assert got[0]["work"]["closures"] == 0
+        verdicts.append((got[0]["verdict"], got[1]["verdict"]))
+        if got[0]["certificate"] is not None:
+            ties += _maximizers(m, got[0]["certificate"]) > 1
+    if kind == "condsum":  # whole scans that hold, and CNA failing on a conditional
+        assert verdicts.count(("Holds", "Holds")) >= 10
+        assert verdicts.count(("Holds", "Fails")) >= 5
+    else:
+        assert verdicts.count(("Fails", "Fails")) >= 20
+    if kind == "sparse":
+        assert ties >= 8
 
 
 # -- conditional negative association ---------------------------------------

@@ -23,6 +23,22 @@ def test_upset_counts_match_dedekind(d):
     assert len(upset_bitmasks(d)) == DEDEKIND[d]
 
 
+@pytest.mark.parametrize("d", sorted(DEDEKIND))
+def test_upset_order_extends_inclusion(d):
+    # each up-set comes after every up-set one point smaller, hence after
+    # all of its up-subsets: the first maximum of a product over up-sets in
+    # this order is the least maximizing up-set, as a closure returns it
+    order = {upset: at for at, upset in enumerate(upset_bitmasks(d))}
+    pairs = 0
+    for upset, at in order.items():
+        for p in range(1 << d):
+            smaller = upset & ~(1 << p)
+            if smaller != upset and smaller in order:
+                assert order[smaller] < at
+                pairs += 1
+    assert pairs >= len(order) - 1  # each nonempty up-set has a minimal point
+
+
 def test_negative_dimension_refused():
     with pytest.raises(ValueError, match="nonnegative"):
         upset_bitmasks(-1)
