@@ -127,7 +127,7 @@ def cmd_check(args) -> int:
 
 def cmd_family(args) -> int:
     m = parse_family(args.spec)
-    _emit(json.dumps(m.to_json(), indent=2), args.output)
+    _emit(m.to_text(), args.output)
     return 0
 
 
@@ -149,7 +149,7 @@ def cmd_coupling(args) -> int:
         )
         _emit(text, args.output)
     else:
-        _emit(json.dumps(c.to_json(), indent=2), args.output)
+        _emit(c.to_text(), args.output)
     return 0
 
 

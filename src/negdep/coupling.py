@@ -41,7 +41,8 @@ stops once the sink has its level, as nodes that far out are dead ends;
 run to the end, the same BFS gives the residual side of the cut.  So
 every flow, cut and coupling depends only on the order in which edges
 were added.  Up-closures are the complements of down-closures of the
-complemented seeds, one walk for both.
+complemented seeds, one walk for both.  A coupling's JSON document is
+written as text from the integers (``Coupling.to_text``).
 """
 
 from __future__ import annotations
@@ -52,10 +53,11 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from typing import Iterator, Optional
 
 from .bitops import bits_from_mask, is_submask, mask_from_bits
-from .errors import DimensionMismatch, DominanceFails
+from .errors import BadWidth, DimensionMismatch, DominanceFails, MalformedMeasure
 from .measure import ExplicitMeasure, format_ratio, format_rational
 from .measure import parse_ratio, sum_over_lcm
 
@@ -525,7 +527,8 @@ class Coupling:
     pair (x, y) has mass flows[(x, y)] / scale, scale > 0; ``validate``
     compares the flows' row and column sums with each measure's integer
     weights.  ``mass``, ``pairs()`` and ``displacement()`` build
-    Fractions when read, for the API edge only.
+    Fractions when read, for the API edge only; ``to_text`` writes the
+    JSON document from the integers, and ``to_json`` reads it back.
     """
 
     lower: ExplicitMeasure
@@ -581,35 +584,54 @@ class Coupling:
         )
         return Fraction(raised, self.scale)
 
-    def to_json(self) -> dict:
-        # the order of pairs(), with each pair's bit strings built once
+    def to_text(self) -> str:
+        """The bytes of json.dumps(self.to_json(), indent=2), in one pass
+        over the integers: a row per pair in the order of pairs(), each
+        point's bit string built once, then both measures
+        (`ExplicitMeasure.to_text`)."""
         n, s = self.n, self.scale
-        rows = sorted(
-            (bits_from_mask(x, n), bits_from_mask(y, n), f)
-            for (x, y), f in self.flows.items()
+        bits = {k: bits_from_mask(k, n) for k in set(chain.from_iterable(self.flows))}
+        rows = sorted((bits[x], bits[y], f) for (x, y), f in self.flows.items())
+        pairs = ",\n".join(
+            f'    {{\n      "x": "{x}",\n      "y": "{y}",\n      "p": "{format_ratio(f, s)}"\n    }}'
+            for x, y, f in rows
         )
-        return {
-            "n": n,
-            "covering": self.covering,
-            "pairs": [{"x": x, "y": y, "p": format_ratio(f, s)} for x, y, f in rows],
-            "lower": self.lower.to_json(),
-            "upper": self.upper.to_json(),
-        }
+        return (
+            f'{{\n  "n": {n},\n  "covering": {"true" if self.covering else "false"},\n'
+            f'  "pairs": [\n{pairs}\n  ],\n  "lower": {self.lower.to_text("  ")},\n'
+            f'  "upper": {self.upper.to_text("  ")}\n}}'
+        )
+
+    def to_json(self) -> dict:
+        return json.loads(self.to_text())
 
     @classmethod
     def from_json(cls, doc: dict) -> "Coupling":
-        """Inverse of to_json; repeated pairs are summed."""
-        lower = ExplicitMeasure.from_json(doc["lower"])
-        upper = ExplicitMeasure.from_json(doc["upper"])
+        """Inverse of to_json; repeated pairs are summed.  A document off
+        the schema is MalformedMeasure, and an "n" or a bit string of
+        another width than the measures' is BadWidth."""
+        if not isinstance(doc, dict) or type(doc.get("n")) is not int:
+            raise MalformedMeasure('a coupling is a JSON object with an integer "n"')
+        n, pairs, covering = doc["n"], doc.get("pairs"), doc.get("covering", False)
+        if not isinstance(covering, bool) or not pairs or not isinstance(pairs, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("x"), str) and isinstance(e.get("y"), str)
+            and "p" in e for e in pairs
+        ):
+            raise MalformedMeasure('"covering" must be a boolean and "pairs" a nonempty list'
+                                   ' of {"x": bits, "y": bits, "p": rational} objects')
+        lower = ExplicitMeasure.from_json(doc.get("lower"))
+        upper = ExplicitMeasure.from_json(doc.get("upper"))
+        if {lower.n, upper.n, *(len(e[b]) for e in pairs for b in "xy")} != {n}:
+            raise BadWidth(f"a coupling on {n} variables needs {n}-bit measures and pairs")
         scale, flows = sum_over_lcm([
             ((mask_from_bits(e["x"]), mask_from_bits(e["y"])), *parse_ratio(e["p"]))
-            for e in doc["pairs"]
+            for e in pairs
         ])
-        return cls(lower, upper, flows, scale, covering=bool(doc.get("covering")))
+        return cls(lower, upper, flows, scale, covering)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write(json.dumps(self.to_json(), indent=2) + "\n")
+            fh.write(self.to_text() + "\n")
 
     @classmethod
     def load(cls, path) -> "Coupling":

@@ -374,8 +374,9 @@ def check_cna(m: ExplicitMeasure) -> NotionReport:
     visited is skipped (`_orbit_firsts`): a swap that preserves the measure
     maps its conditionals onto the visited one's.  Skips count patterns."""
     refuse_over_cap("cna", m.n)
-    work = dict.fromkeys(("conditionings_checked", "bipartitions", "repeated_laws_skipped",
-                          "repeated_joints_skipped", "symmetric_skipped"), 0)
+    work = dict.fromkeys(("conditionings_checked", "bipartitions", "closures",
+                          "repeated_laws_skipped", "repeated_joints_skipped",
+                          "symmetric_skipped"), 0)
     held_laws: set[ExplicitMeasure] = set()
     held_joints: set = set()
     ks = (0, *(s for s in subsets_lex(m.n) if s.bit_count() <= m.n - 2))
@@ -400,6 +401,7 @@ def check_cna(m: ExplicitMeasure) -> NotionReport:
                 continue
             cert, inner = _na_violation(sub, held_joints)
             work["bipartitions"] += inner["bipartitions"]
+            work["closures"] += inner["closures"]
             work["repeated_joints_skipped"] += inner["repeated_joints_skipped"]
             if cert is not None:
                 keep = [i for i in range(1, m.n + 1) if i not in k_indices]

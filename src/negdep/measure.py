@@ -7,7 +7,8 @@ module touches floating point.  A conditional is a row of one split
 its weights, the probability of the condition that row's sum, and a
 marginal the row sums of another.  Atoms are keyed internally by integer
 masks (variable i is bit i-1, so the leftmost character of the
-serialized bitstring is x1).
+serialized bitstring is x1).  A measure's JSON document is written as
+text straight from the integers (`ExplicitMeasure.to_text`).
 """
 
 from __future__ import annotations
@@ -162,8 +163,9 @@ class ExplicitMeasure:
     positive integer weights with sum exactly D and no common factor with
     D, so P[x] = weight(x) / D.  Zero-mass atoms are not stored and every
     key fits in n bits.  Fractions are made only on the way out (items,
-    prob, atoms); to_json formats the integers.  Instances are immutable;
-    the dense view and the symmetry classes are built on first use and kept.
+    prob, atoms); to_text writes the JSON document from the integers, and
+    to_json reads it back.  Instances are immutable; the dense view and
+    the symmetry classes are built on first use and kept.
     """
 
     __slots__ = ("n", "_denom", "_weights", "_dense", "_classes")
@@ -349,10 +351,20 @@ class ExplicitMeasure:
 
     # -- serialization -----------------------------------------------------
 
-    def to_json(self) -> dict:
-        n, d = self.n, self._denom
+    def to_text(self, indent: str = "") -> str:
+        """The bytes of json.dumps(self.to_json(), indent=2), each line after
+        the first behind ``indent``, in one pass over the integers: a row per
+        atom, sorted by bit string.  Bit strings and ratios need no
+        escaping, and the atom list is never empty."""
+        n, d, i4, i6 = self.n, self._denom, indent + "    ", indent + "      "
         rows = sorted((bits_from_mask(k, n), w) for k, w in self._weights.items())
-        return {"n": n, "atoms": [{"x": x, "p": format_ratio(w, d)} for x, w in rows]}
+        atoms = ",\n".join(
+            f'{i4}{{\n{i6}"x": "{x}",\n{i6}"p": "{format_ratio(w, d)}"\n{i4}}}' for x, w in rows
+        )
+        return f'{{\n{indent}  "n": {n},\n{indent}  "atoms": [\n{atoms}\n{indent}  ]\n{indent}}}'
+
+    def to_json(self) -> dict:
+        return json.loads(self.to_text())
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExplicitMeasure":
@@ -372,7 +384,7 @@ class ExplicitMeasure:
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write(json.dumps(self.to_json(), indent=2) + "\n")
+            fh.write(self.to_text() + "\n")
 
     @classmethod
     def load(cls, path) -> "ExplicitMeasure":

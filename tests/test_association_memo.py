@@ -57,8 +57,8 @@ def oracle_cna(m, classes):
     occurrences only.
     """
     n = m.n
-    work = {"conditionings_checked": 0, "bipartitions": 0, "repeated_laws_skipped": 0,
-            "symmetric_skipped": 0}
+    work = {"conditionings_checked": 0, "bipartitions": 0, "closures": 0,
+            "repeated_laws_skipped": 0, "symmetric_skipped": 0}
     seen = []
     orbits = set()
     ks = [()]
@@ -86,6 +86,7 @@ def oracle_cna(m, classes):
                 continue
             seen.append(sub)
             work["bipartitions"] += inner["bipartitions"]
+            work["closures"] += inner["closures"]
             if cert is not None:
                 keep = [i for i in range(1, n + 1) if i not in k_indices]
                 return {
@@ -177,7 +178,11 @@ def test_cna_matches_oracle(name, arrays):
     assert rep.verdict is (Verdict.HOLDS if cert is None else Verdict.FAILS)
     assert rep.certificate == cert
     got = dict(rep.work_stats)
-    assert got.pop("repeated_joints_skipped") <= got["bipartitions"]
+    skipped = got.pop("repeated_joints_skipped")
+    assert skipped <= got["bipartitions"]
+    # a skipped bipartition runs no closure
+    closures, expected = got.pop("closures"), work.pop("closures")
+    assert closures <= expected if skipped else closures == expected
     assert got == work
 
 

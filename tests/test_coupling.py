@@ -18,7 +18,7 @@ from negdep.coupling import (
     transport,
     up_closure,
 )
-from negdep.errors import DimensionMismatch, DominanceFails
+from negdep.errors import BadWidth, DimensionMismatch, DominanceFails, MalformedMeasure
 from negdep.measure import Assignment, ExplicitMeasure, family_nand, new_explicit
 from negdep.upsets import upset_bitmasks, upset_members
 from negdep.zoo import random_measure
@@ -250,6 +250,76 @@ def test_coupling_roundtrip(tmp_path):
     assert loaded.lower == c.lower
     assert loaded.upper == c.upper
     loaded.validate()
+
+
+def _nand3_coupling_doc():
+    m = family_nand(3)
+    lower = m.condition(Assignment.of({2: 1}))
+    upper = m.condition(Assignment.of({2: 0}))
+    return build_monotone_coupling(lower, upper).to_json()
+
+
+def test_coupling_from_json_reads_a_missing_covering_as_plain():
+    doc = _nand3_coupling_doc()
+    del doc["covering"]
+    c = Coupling.from_json(doc)
+    assert c.covering is False
+    c.validate()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc.update(covering="false"),  # a string, not a JSON boolean
+        lambda doc: doc.update(covering=1),
+        lambda doc: doc.pop("pairs"),
+        lambda doc: doc.update(pairs=[]),
+        lambda doc: doc.update(pairs={"x": "00", "y": "00", "p": "1"}),
+        lambda doc: doc["pairs"][0].pop("y"),
+        lambda doc: doc["pairs"][0].update(x=0),
+        lambda doc: doc["pairs"].append("00"),
+        lambda doc: doc.pop("lower"),
+        lambda doc: doc.update(upper=[]),
+        lambda doc: doc.pop("n"),
+        lambda doc: doc.update(n=True),
+        lambda doc: doc.update(n="2"),
+    ],
+    ids=["covering-string", "covering-int", "no-pairs", "empty-pairs", "pairs-object",
+         "pair-without-y", "pair-x-number", "pair-string", "no-lower", "upper-list",
+         "no-n", "n-true", "n-string"],
+)
+def test_coupling_from_json_refuses_malformed_documents(edit):
+    doc = _nand3_coupling_doc()
+    edit(doc)
+    with pytest.raises(MalformedMeasure):
+        Coupling.from_json(doc)
+
+
+def test_coupling_from_json_refuses_a_document_that_is_not_an_object():
+    with pytest.raises(MalformedMeasure):
+        Coupling.from_json([_nand3_coupling_doc()])
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["pairs"][0].update(x=doc["pairs"][0]["x"] + "0"),
+        lambda doc: doc["pairs"][-1].update(y=doc["pairs"][-1]["y"][1:]),
+        lambda doc: doc.update(n=3),
+        lambda doc: doc.update(n=1),
+        lambda doc: doc.update(lower={"n": 3, "atoms": [{"x": "000", "p": "1"}]}),
+        lambda doc: doc.update(upper={"n": 3, "atoms": [{"x": "111", "p": "1"}]}),
+    ],
+    ids=["long-x", "short-y", "n-above-measures", "n-below-measures", "lower-on-3",
+         "upper-on-3"],
+)
+def test_coupling_from_json_refuses_other_widths(edit):
+    # a bit string is never read as another point of a narrower or wider cube
+    doc = _nand3_coupling_doc()
+    assert doc["n"] == 2
+    edit(doc)
+    with pytest.raises(BadWidth):
+        Coupling.from_json(doc)
 
 
 def test_coupling_json_shape():
