@@ -596,9 +596,10 @@ class Coupling:
             f'    {{\n      "x": "{x}",\n      "y": "{y}",\n      "p": "{format_ratio(f, s)}"\n    }}'
             for x, y, f in rows
         )
+        pairs = f"[\n{pairs}\n  ]" if rows else "[]"  # json.dumps writes [] for no pairs
         return (
             f'{{\n  "n": {n},\n  "covering": {"true" if self.covering else "false"},\n'
-            f'  "pairs": [\n{pairs}\n  ],\n  "lower": {self.lower.to_text("  ")},\n'
+            f'  "pairs": {pairs},\n  "lower": {self.lower.to_text("  ")},\n'
             f'  "upper": {self.upper.to_text("  ")}\n}}'
         )
 
@@ -615,10 +616,10 @@ class Coupling:
         n, pairs, covering = doc["n"], doc.get("pairs"), doc.get("covering", False)
         if not isinstance(covering, bool) or not pairs or not isinstance(pairs, list) or not all(
             isinstance(e, dict) and isinstance(e.get("x"), str) and isinstance(e.get("y"), str)
-            and "p" in e for e in pairs
+            and not (e["x"] + e["y"]).strip("01") and "p" in e for e in pairs
         ):
             raise MalformedMeasure('"covering" must be a boolean and "pairs" a nonempty list'
-                                   ' of {"x": bits, "y": bits, "p": rational} objects')
+                                   ' of {"x": 0/1 string, "y": 0/1 string, "p": rational} objects')
         lower = ExplicitMeasure.from_json(doc.get("lower"))
         upper = ExplicitMeasure.from_json(doc.get("upper"))
         if {lower.n, upper.n, *(len(e[b]) for e in pairs for b in "xy")} != {n}:

@@ -234,7 +234,8 @@ class Skeleton:
 def build_skeleton(m: ExplicitMeasure, order=None) -> Skeleton:
     """The decision-tree structure for a measure: picks, branch
     weights, reachable assignments.  order=None selects adaptively;
-    otherwise order must be a permutation of 1..n."""
+    otherwise order must be a permutation of 1..n, checked once here.
+    Masks are carried down and cached in each node's Assignment."""
     n = m.n
     if n > cap("tree"):
         raise TooLarge(f"n={n} exceeds the tree cap {cap('tree')}")
@@ -244,33 +245,42 @@ def build_skeleton(m: ExplicitMeasure, order=None) -> Skeleton:
             raise ValueError("order must be a permutation of 1..n")
     denom, weights = m.scaled_weights()
 
-    def grow(assignment, atoms, total, depth) -> SkeletonNode:
-        if depth == n:
+    def grow(indices, values, index_mask, value_mask, atoms, total) -> SkeletonNode:
+        # every pick is an unrevealed index, so the constructor's checks hold
+        assignment = object.__new__(Assignment)
+        assignment.__dict__.update(indices=indices, values=values,
+                                   index_mask=index_mask, value_mask=value_mask)
+        if len(indices) == n:
             return SkeletonNode(assignment, denom, total, None, False, None,
-                                None, None, assignment.value_mask)
+                                None, None, value_mask)
         if order is None:
-            pick = _pick_from_atoms(atoms, n, assignment.index_mask)
+            pick = _pick_from_atoms(atoms, n, index_mask)
             index, influence = pick.index, pick.influence_sum
         else:
-            index, influence = order[depth], None
+            index, influence = order[len(indices)], None
         bit = 1 << (index - 1)
-        ones = [(mask, weight) for mask, weight in atoms if mask & bit]
-        zeros = [(mask, weight) for mask, weight in atoms if not mask & bit]
-        w1 = sum(weight for _, weight in ones)
+        ones, zeros, w1 = [], [], 0
+        for atom in atoms:
+            mask, weight = atom
+            if mask & bit:
+                ones.append(atom)
+                w1 += weight
+            else:
+                zeros.append(atom)
         w0 = total - w1
+        indices, index_mask = indices + (index,), index_mask | bit
         child1 = child0 = None
         if w1:
-            child1 = grow(assignment.extended(index, 1), ones, w1, depth + 1)
+            child1 = grow(indices, values + (1,), index_mask, value_mask | bit, ones, w1)
         if w0:
-            child0 = grow(assignment.extended(index, 0), zeros, w0, depth + 1)
+            child0 = grow(indices, values + (0,), index_mask, value_mask, zeros, w0)
         # a pick is deterministic exactly when one branch has weight 0
         return SkeletonNode(
             assignment, denom, total, index, not (w0 and w1), influence,
             child0, child1, None,
         )
 
-    root = grow(Assignment.empty(), sorted(weights.items()), denom, 0)
-    return Skeleton(m, order, root)
+    return Skeleton(m, order, grow((), (), 0, 0, sorted(weights.items()), denom))
 
 
 @dataclass(slots=True)
@@ -520,28 +530,41 @@ def max_step(tree: MartingaleTree, mode: Optional[str] = None) -> Fraction:
 
     mode "gap": the increment-interval width beta - alpha (default for
     adaptive trees).  mode "deviation": the largest child deviation
-    max(|y0 - y|, |y1 - y|) (default for fixed trees)."""
+    max(|y0 - y|, |y1 - y|) (default for fixed trees).  The steps are
+    compared on integers; one Fraction is built, for the largest."""
     if mode is None:
         mode = "gap" if tree.kind == "adaptive" else "deviation"
     if mode not in ("gap", "deviation"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "gap":
-        return max((node.gap for node in tree.internal_nodes()), default=ZERO)
-    return max(map(_deviation, tree.internal_nodes()), default=ZERO)
+    num, q, _ = _largest_step(tree.nodes(), mode)
+    return Fraction(num, tree.root.den * q)
 
 
-def _deviation(node: TreeNode) -> Fraction:
-    """max |y_c - y| over the node's children c, one Fraction per child:
-    y_c - y = (s_c * w - s * w_c) / (den * w_c * w)."""
-    w, s, den = node.w, node.s, node.den
-    steps = [Fraction(abs(c.s * w - s * c.w), den * c.w * w)
-             for c in (node.child0, node.child1) if c is not None]
-    return max(steps, default=ZERO)
+def _largest_step(nodes, mode: str) -> tuple:
+    """(num, q, node): the largest step num / (den q) and the first node to take
+    it, or (0, 1, None).  den is common, so steps compare as num q' > num' q.
+    Gap: |s1 w0 - s0 w1| / (den w0 w1); deviation: |s_c w - s w_c| / (den w_c w)."""
+    best, best_q, best_node = 0, 1, None
+    for node in nodes:
+        c0, c1 = node.child0, node.child1
+        if mode == "deviation":
+            w, s = node.w, node.s
+            steps = [(abs(c.s * w - s * c.w), c.w * w)
+                     for c in (c0, c1) if c is not None]
+        elif c0 is None or c1 is None:
+            continue
+        else:
+            steps = [(abs(c1.s * c0.w - c0.s * c1.w), c0.w * c1.w)]
+        for num, q in steps:
+            if num * best_q > best * q:
+                best, best_q, best_node = num, q, node
+    return best, best_q, best_node
 
 
 def root_step(tree: MartingaleTree) -> Fraction:
     """Largest first-step deviation |Y1 - Y0| over the root's branches."""
-    return _deviation(tree.root)
+    num, q, _ = _largest_step((tree.root,), "deviation")
+    return Fraction(num, tree.root.den * q)
 
 
 __all__ = [

@@ -380,7 +380,13 @@ class ExplicitMeasure:
             raise MalformedMeasure(
                 '"atoms" must be a list of {"x": bitstring, "p": rational} objects'
             )
-        return cls.from_atoms(doc["n"], [(a["x"], a["p"]) for a in atoms])
+        try:
+            return cls.from_atoms(doc["n"], [(a["x"], a["p"]) for a in atoms])
+        except ValueError:  # checked only on failure, so a good file pays nothing
+            bad = next((a["x"] for a in atoms if a["x"].strip("01")), None)
+            if bad is None:
+                raise
+        raise MalformedMeasure(f'atom "x": {bad!r} is not a string of 0s and 1s')
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

@@ -283,10 +283,12 @@ def test_coupling_from_json_reads_a_missing_covering_as_plain():
         lambda doc: doc.pop("n"),
         lambda doc: doc.update(n=True),
         lambda doc: doc.update(n="2"),
+        lambda doc: doc["pairs"][0].update(x="0a"),  # a bit string is 0s and 1s
+        lambda doc: doc["pairs"][-1].update(y="1 "),
     ],
     ids=["covering-string", "covering-int", "no-pairs", "empty-pairs", "pairs-object",
          "pair-without-y", "pair-x-number", "pair-string", "no-lower", "upper-list",
-         "no-n", "n-true", "n-string"],
+         "no-n", "n-true", "n-string", "pair-x-not-bits", "pair-y-not-bits"],
 )
 def test_coupling_from_json_refuses_malformed_documents(edit):
     doc = _nand3_coupling_doc()

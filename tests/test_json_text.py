@@ -157,6 +157,15 @@ def test_nested_measures_are_indented_as_members():
         assert nested == json.dumps(frozen_measure_doc(m), indent=2).replace("\n", "\n  ")
 
 
+def test_empty_pair_map_is_written_as_json_dumps_writes_it():
+    # the constructor takes an empty flow map without validating it
+    m = parse_family("independent:1/2,1/2")
+    c = Coupling(m, m, {}, 1)
+    assert c.to_text() == json.dumps(c.to_json(), indent=2)
+    assert '\n  "pairs": [],\n' in c.to_text()
+    assert_writes_json(c, frozen_coupling_doc)
+
+
 def test_zero_mass_pair_off_both_supports_is_written():
     # from_json keeps a pair of mass 0 whose points carry no mass
     c, outside = next((c, k) for c in COUPLINGS for k in range(1 << c.n)

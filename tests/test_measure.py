@@ -302,6 +302,9 @@ def test_from_json_rejects_bad_mass():
         {"n": 2.0, "atoms": [{"x": "10", "p": "1"}]},
         {"n": 1, "atoms": [{"x": "1", "p": True}]},      # a mass is no boolean
         {"n": 1, "atoms": [{"x": "0", "p": False}, {"x": "1", "p": "1"}]},
+        {"n": 2, "atoms": [{"x": "0a", "p": "1"}]},        # a bit string is 0s and 1s
+        {"n": 2, "atoms": [{"x": "01", "p": "1/2"}, {"x": "1 ", "p": "1/2"}]},
+        {"n": 2, "atoms": [{"x": "+1", "p": "1"}]},
     ],
 )
 def test_from_json_rejects_malformed_documents(doc):
