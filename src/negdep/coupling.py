@@ -59,7 +59,7 @@ from typing import Iterator, Optional
 from .bitops import bits_from_mask, is_submask, mask_from_bits
 from .errors import BadWidth, DimensionMismatch, DominanceFails, MalformedMeasure
 from .measure import ExplicitMeasure, format_ratio, format_rational
-from .measure import parse_ratio, sum_over_lcm
+from .measure import _read_document, parse_ratio, sum_over_lcm
 
 ZERO = Fraction(0)
 
@@ -636,8 +636,7 @@ class Coupling:
 
     @classmethod
     def load(cls, path) -> "Coupling":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(_read_document(path))
 
 
 def build_monotone_coupling(

@@ -615,15 +615,15 @@ _CLASS_BITS = np.array([1, 2])
 
 
 @lru_cache(maxsize=16)
-def _draws(n: int, seed: int) -> tuple[list, random.Random]:
-    """The sampled points drawn so far for (n, seed), and their rng."""
-    return [], random.Random(seed)
+def _draws(n: int) -> tuple[list, random.Random]:
+    """The sampled points drawn so far for n, and their rng."""
+    return [], random.Random(0)
 
 
-def _sampled_points(n: int, seed: int):
+def _sampled_points(n: int):
     """The seeded default grid for n > 5, as (numerators, denominators),
-    each point drawn once per (n, seed), when a scan first reads it."""
-    drawn, rng = _draws(n, seed)
+    each point drawn once per n, when a scan first reads it."""
+    drawn, rng = _draws(n)
     for k in range(_SAMPLE_POINTS):
         if k == len(drawn):
             point = [(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(n)]
@@ -631,43 +631,35 @@ def _sampled_points(n: int, seed: int):
         yield drawn[k]
 
 
-def _default_points(n: int, seed: int = 0):
+def _default_points(n: int):
     """The default grid's size and its points as (numerators,
     denominators), the one source of the scan and of the grid below."""
     if n <= _LATTICE_MAX_N:
         ones = (1,) * n
         return len(_LATTICE) ** n, ((p, ones) for p in itertools.product(_LATTICE, repeat=n))
-    return _SAMPLE_POINTS, _sampled_points(n, seed)
+    return _SAMPLE_POINTS, _sampled_points(n)
 
 
-def default_rayleigh_grid(n: int, seed: int = 0) -> list[tuple]:
+def default_rayleigh_grid(n: int) -> list[tuple]:
     """The default grid as tuples of Fractions: the integer grid {-2..2}^n
     for n <= 5, otherwise 1000 seeded pseudo-random rational points."""
-    return [tuple(map(Fraction, p, q)) for p, q in _default_points(n, seed)[1]]
+    return [tuple(map(Fraction, p, q)) for p, q in _default_points(n)[1]]
 
 
 def _integer_points(grid, n: int):
-    """A user grid's points as (numerators, denominators), in order."""
+    """A user grid's points as (numerators, denominators), in order.  A
+    malformed point (wrong length, or a coordinate Fraction refuses) ends
+    the stream: its error is the last item, for the scan to raise once
+    the points before it are scanned."""
     for z in grid:
-        if len(z) != n:
-            raise DimensionMismatch("grid point has wrong length")
-        zf = [Fraction(c) for c in z]
+        try:
+            if len(z) != n:
+                raise DimensionMismatch("grid point has wrong length")
+            zf = [Fraction(c) for c in z]
+        except (DimensionMismatch, TypeError, ValueError, ArithmeticError) as exc:
+            yield exc
+            return
         yield tuple(int(c.numerator) for c in zf), tuple(int(c.denominator) for c in zf)
-
-
-def _take(points, size: int):
-    """The next `size` points (fewer at the end) as numerator and
-    denominator lists, and the error the point after them raised, if any;
-    the caller raises it only once the points before it are scanned."""
-    nums, dens = [], []
-    try:
-        for p, q in itertools.islice(points, size):
-            nums.append(p)
-            dens.append(q)
-    except (DimensionMismatch, TypeError, ValueError, ArithmeticError) as exc:
-        # a malformed point: wrong length, or a coordinate Fraction rejects
-        return nums, dens, exc
-    return nums, dens, None
 
 
 def _class_table(bits, pairs, weights, width, shifts):
@@ -701,7 +693,7 @@ def _rayleigh_deltas(bits, pairs, keep, weights, d: int, nums, dens, tables: dic
     # M^(n-2), but M itself at n = 2, where the factors must still fit
     big = max(map(abs, itertools.chain(*nums, *dens))) ** max(n - 2, 1)
     one_pass = _exact_dtype(2 * (d * big) ** 2) is np.int64
-    width = d.bit_length() if one_pass else min(_limb_width(len(weights), big), d.bit_length())
+    width = min(_limb_width(len(weights), big), d.bit_length())
     shifts = range(0, d.bit_length(), width) if width else (0,)
     if (whole := len(weights) <= _SCAN_ELEMENTS) and width not in tables:
         tables[width] = _class_table(bits, pairs, weights, width, shifts)
@@ -734,8 +726,8 @@ def rayleigh_falsify(m: ExplicitMeasure, grid=None) -> NotionReport:
     (x_i, x_j) = (a, b).  Then Delta' = G'10 G'01 - G'00 G'11 is the
     Rayleigh difference times (D prod_{l != i, j} q_l)^2.  Points are
     scanned in grid order, pairs in lexicographic order, in chunks of
-    1, 2, 4, ... points, so an early violation costs little; a point of
-    the wrong length raises DimensionMismatch when the scan reaches it.
+    1, 2, 4, ... points, so an early violation costs little.  A malformed
+    point raises its error once the points before it are scanned clean.
     Each chunk takes a fixed handful of numpy calls, on int64 or int64
     weight limbs wherever `_rayleigh_deltas` proves that they fit.
     The default grid is refused above the rayleigh cap; a grid the caller
@@ -758,8 +750,10 @@ def rayleigh_falsify(m: ExplicitMeasure, grid=None) -> NotionReport:
     evaluations = 0
     size = 1
     while True:
-        nums, dens, error = _take(source, size)
-        if nums and pairs:
+        chunk = list(itertools.islice(source, size))
+        error = chunk.pop() if chunk and isinstance(chunk[-1], Exception) else None
+        if chunk and pairs:
+            nums, dens = zip(*chunk)
             deltas = _rayleigh_deltas(bits, pairs, keep, weights, d, nums, dens, tables)
             hits = np.flatnonzero(deltas < 0)
             if hits.size:
@@ -783,7 +777,7 @@ def rayleigh_falsify(m: ExplicitMeasure, grid=None) -> NotionReport:
             evaluations += deltas.size
         if error is not None:
             raise error
-        if len(nums) < size:
+        if len(chunk) < size:
             break
         size = min(2 * size, cap)
     return NotionReport(

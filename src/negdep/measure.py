@@ -14,6 +14,8 @@ text straight from the integers (`ExplicitMeasure.to_text`).
 from __future__ import annotations
 
 import json
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -46,13 +48,19 @@ from .errors import (
 
 def parse_rational(text) -> Fraction:
     """Parse "num/den" or a decimal string exactly; a zero denominator
-    is a ValueError, like any other malformed rational."""
+    is a ValueError, like any other malformed rational, and a decimal
+    exponent past sys.get_int_max_str_digits() is TooLarge."""
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
         return Fraction(text)
+    e = re.fullmatch(r"\s*[-+]?[\d_.]*e[-+]?([\d_]+)\s*", text := str(text), re.I)
+    if e and (limit := getattr(sys, "get_int_max_str_digits", int)()):  # 0: none (< 3.10.7)
+        digits = e[1].replace("_", "").lstrip("0")  # read before Fraction expands them
+        if len(digits) > len(str(limit)) or int(digits or 0) > limit:
+            raise TooLarge(f"the exponent of {text[:40]!r} exceeds the {limit}-digit limit")
     try:
-        return Fraction(str(text))
+        return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
 
@@ -394,8 +402,16 @@ class ExplicitMeasure:
 
     @classmethod
     def load(cls, path) -> "ExplicitMeasure":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(_read_document(path))
+
+
+def _read_document(path):
+    """The JSON document at path; nesting too deep to parse is MalformedMeasure."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise MalformedMeasure(f"{path}: JSON nested too deeply") from None
 
 
 def new_explicit(n: int, atoms: Iterable[tuple]) -> ExplicitMeasure:
