@@ -261,10 +261,10 @@ def _na_violation(m: ExplicitMeasure, held: set):
     enumerates its nontrivial up-sets A in a deterministic order, and for
     each A maximizes the covariance over up-sets B of the other side,
     either by an exact int64 matrix product (dimension <= 5, D < 2^60) or
-    by a max-weight-closure min-cut (always exact, any dimension); both
-    pick the least maximizing B, as `nontrivial_upsets` order extends
-    inclusion.  Each joint weight matrix is one `split` of the dense
-    weights, which hold int64 while D fits and Python integers above it.
+    by one transport (always exact, any dimension); both pick the least
+    maximizing B, as `nontrivial_upsets` order extends inclusion.  Each
+    joint weight matrix is one `split` of the dense weights, which hold
+    int64 while D fits and Python integers above it.
 
     D^2 bounds every value.  An entry of d * joint_a - wa * wl, or its sum
     over any set S of the other side's patterns (a partial sum of the

@@ -134,16 +134,8 @@ class Assignment:
         return cls(tuple(i for i, _ in items), tuple(v for _, v in items))
 
     def extended(self, index: int, value: int) -> "Assignment":
-        """This and x_index = value, checked as the constructor would."""
-        if index in self.indices:
-            raise ValueError("assignment indices must be distinct")
-        if index < 1:
-            raise ValueError("assignment indices are 1-based")
-        if value not in (0, 1):
-            raise ValueError("assignment values must be bits")
-        out = object.__new__(Assignment)  # frozen: the fields go in directly
-        out.__dict__.update(indices=self.indices + (index,), values=self.values + (value,))
-        return out
+        """This and x_index = value, checked by the constructor."""
+        return Assignment(self.indices + (index,), self.values + (value,))
 
     # cached: the masks are read once per atom by matches()
     @cached_property

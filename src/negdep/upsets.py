@@ -7,8 +7,8 @@ up-set is stored as an integer bitmask over the 2^d points of the cube
 
 Enumeration is only feasible for d <= 5 (the counts are the Dedekind
 numbers: 168 for d = 4, 7581 for d = 5).  For larger d the relevant
-optimization, maximize a signed weight over up-closed sets, is solved
-exactly as a closure problem with one min-cut.
+optimization, maximize a zero-sum weight over up-closed sets, is solved
+exactly with one transport of its positive part onto its negative part.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coupling import Dinic, up_steps
+from .coupling import transport, up_closure
 from .errors import TooLarge
 
 ENUMERABLE_DIM = 5
@@ -72,31 +72,24 @@ def is_up_closed(points, d: int) -> bool:
 
 
 def max_weight_upset(weights, d: int) -> tuple[int, tuple[int, ...]]:
-    """Maximize sum of weights[p] over up-closed sets of {0,1}^d.
-
-    Exact for arbitrary Python integers.  Solved as a maximum-weight
-    closure: picking a point forces all points above it, which is the
-    up-closed constraint.  Returns (best value, chosen points); the empty
-    set is always available, so the value is never negative.
+    """Maximize sum of weights[p] over up-closed sets of {0,1}^d, for
+    integer weights at p < 2^d that sum to 0.  With P the positive total,
+    one transport of the positive part onto the negative part at total P
+    falls short by P times the best value, and the lower atoms left of its
+    minimal minimum cut generate the least maximizing up-set (Picard and
+    Queyranne).  Returns (best value, chosen points), (0, ()) if feasible.
     """
-    size = 1 << d
-    source, sink = size, size + 1
-    total_pos = sum(w for w in (weights[p] for p in range(size)) if w > 0)
-    if total_pos == 0:
+    weights = [weights[p] for p in range(1 << d)]
+    if sum(weights):
+        raise ValueError("closure weights must sum to 0")
+    total = sum(w for w in weights if w > 0)
+    if total == 0:
         return 0, ()
-    inf = total_pos + 1
-    net = Dinic(size + 2)
-    for p in range(size):
-        w = weights[p]
-        if w > 0:
-            net.add_edge(source, p, w)
-        elif w < 0:
-            net.add_edge(p, sink, -w)
-        for above in up_steps(p, range(size), d):
-            net.add_edge(p, above, inf)
-    flow = net.max_flow(source, sink)
-    chosen = tuple(sorted(p for p in net.residual_reachable(source) if p < size))
-    return total_pos - flow, chosen
+    res = transport([(p, w) for p, w in enumerate(weights) if w > 0], total,
+                    [(p, -w) for p, w in enumerate(weights) if w < 0], total)
+    if res.feasible:
+        return 0, ()
+    return (res.target - res.flow_value) // total, tuple(sorted(up_closure(res.left_cut, d)))
 
 
 __all__ = [

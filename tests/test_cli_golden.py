@@ -16,10 +16,12 @@ checker inputs are `nand:8`, conditioned sums whose denominators exceed
 fails both notions on its sixteenth conditioning set, so that the `work`
 counters of an early exit and the certificates are pinned too; both
 notions also run on a conditioned sum of eight variables whose common
-denominator is near 2^128, so its transports carry capacities near 2^256.  Negative
-association and CNA run on those inputs, on every catalog measure and on
-a seeded perturbed conditioned sum (golden/cna_fails_late.json) that
-holds NA and fails CNA on its 216th conditional.
+denominator is near 2^128, so its transports carry capacities near 2^256,
+and so does negative association, whose 6,938 closures are one transport
+each.  Negative association and CNA run on the four checker inputs, on
+every catalog measure and on a seeded perturbed conditioned sum
+(golden/cna_fails_late.json) that holds NA and fails CNA on its 216th
+conditional.
 
 `coupling` runs in plain and `--covering` mode, in JSON and in text, on
 the pairs of golden/coupling/ (NAME_lower.json, NAME_upper.json).  The
@@ -70,7 +72,8 @@ CHECK_INPUTS = [
     ["--file", "tests/golden/nr_fails_late.json"],
 ]
 # a conditioned sum with D near 2^128, whose flows carry capacities near
-# 2^256; checked for NR and SC only
+# 2^256; checked for NR and SC, and for NA, where D >= 2^60 sends every
+# row of every bipartition to a closure
 WIDE_CHECK = [
     "--family",
     "condsum:9973/65521,19946/65519,29919/65497,39892/65479,49865/65449,"
@@ -122,6 +125,7 @@ def cases() -> list[list[str]]:
     for source in CHECK_INPUTS:
         out.append(["check", *source, "--notions", "nr,sc", "--format", "json"])
     out.append(["check", *WIDE_CHECK, "--notions", "nr,sc", "--format", "json"])
+    out.append(["check", *WIDE_CHECK, "--notions", "na", "--format", "json"])
     for source in ASSOCIATION_INPUTS:
         out.append(["check", *source, "--notions", "na,cna", "--format", "json"])
     # 11 and 12 run at the tree cap with negative regression skipped

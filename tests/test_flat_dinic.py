@@ -9,9 +9,10 @@ both must return the same flow value, the same flow on every edge and
 the same residual-reachable set (the source side of the minimal minimum
 cut).  The networks are the ones the library builds: cube and bipartite
 transports in plain and covering mode, captured from ``transport``;
-max-weight closures captured from ``upsets.max_weight_upset``, some with
-weights above 2^200, where the recursive engine's push limit caps a path
-that the flat engine saturates in one push; and seeded random graphs.
+the transports that ``upsets.max_weight_upset`` runs for zero-sum
+closure weights, some above 2^200, where the recursive engine's push
+limit caps a path that the flat engine saturates in one push; and seeded
+random graphs.
 """
 
 import random
@@ -197,27 +198,48 @@ def test_transport_networks_match_the_recursive_engine(monkeypatch, covering):
 
 
 def _closure_weights(d, rng, huge):
-    weights = []
-    for _ in range(1 << d):
-        # at most 2^203, so the recursive engine, which caps a push at
-        # 2^200, takes a path a few times, not 2^30
-        scale = 1 << rng.choice((3, 40, 201, 203)) if huge else 9
-        weights.append(rng.randrange(-scale, scale))
+    """Zero-sum weights.  Huge ones put positive masses up to 2^203 (one
+    above 2^201 at the top point) and small negative ones on a random
+    up-set U without 0, and the balancing negative masses outside U.
+    U's weight falls short of the positive total P by the small masses
+    only, so the flow P (P - best) stays below 2^9 P < 2^218, and the
+    recursive engine, which caps a push at 2^200, makes at most 2^18
+    pushes, not 2^200."""
+    size = 1 << d
+    if not huge:
+        weights = [rng.randrange(-9, 9) for _ in range(size)]
+        weights[rng.randrange(size)] -= sum(weights)
+        return weights
+    inside = coupling.up_closure(rng.sample(range(1, size), rng.randint(1, d)), d)
+    weights = [0] * size
+    for p in inside:
+        weights[p] = (rng.randrange(1, 1 << rng.choice((3, 40, 201, 203)))
+                      if rng.random() < 0.5 else -rng.randint(1, 7))
+    weights[size - 1] = rng.randrange(1 << 201, 1 << 203)
+    excess = sum(weights)
+    outside = sorted(set(range(size)) - inside)
+    cuts = sorted(rng.randrange(excess + 1) for _ in outside[1:])
+    for p, lo, hi in zip(outside, [0, *cuts], [*cuts, excess]):
+        weights[p] = lo - hi
     return weights
 
 
 @pytest.mark.parametrize("huge", [False, True], ids=["small", "above_2^200"])
 def test_closure_networks_match_the_recursive_engine(monkeypatch, huge):
     rng = random.Random(7 + huge)
-    solved = expected = 0
+    solved = expected = capped = 0
     for d in (2, 3, 4, 5, 6) * 4:
         weights = _closure_weights(d, rng, huge)
+        assert sum(weights) == 0
+        assert huge == (max(weights) > 1 << 200)
         expected += max(weights) > 0  # else no flow is run
-        closures = captured(monkeypatch, upsets, lambda: upsets.max_weight_upset(weights, d))
+        closures = captured(monkeypatch, coupling, lambda: upsets.max_weight_upset(weights, d))
         for net in closures:
-            assert_same(net.size, net.edges, *net.ends)
+            value, _, _ = assert_same(net.size, net.edges, *net.ends)
             solved += 1
+            capped += value > 1 << 200
     assert solved == expected > 15
+    assert (capped > 5) == huge
 
 
 def test_push_limit_caps_a_path_of_huge_capacities():

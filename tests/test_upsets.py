@@ -1,8 +1,11 @@
+import operator
 import random
-from fractions import Fraction
+from functools import reduce
 
 import pytest
 
+import negdep.upsets as upsets
+from negdep.coupling import Dinic, up_steps
 from negdep.errors import TooLarge
 from negdep.upsets import (
     ENUMERABLE_DIM,
@@ -77,26 +80,105 @@ def test_is_up_closed_negative():
     assert is_up_closed([0, 1, 2, 3], 2)
 
 
+def _zero_sum(rng, d, scale, zeros=0.0):
+    """Seeded integer weights in [-scale, scale], each 0 with probability
+    ``zeros``, with one point moved so that they sum to 0."""
+    weights = [0 if rng.random() < zeros else rng.randint(-scale, scale)
+               for _ in range(1 << d)]
+    weights[rng.randrange(1 << d)] -= sum(weights)
+    return weights
+
+
 def test_max_weight_upset_matches_brute_force():
     rng = random.Random(13)
+    tied = 0
     for trial in range(200):
-        d = rng.randint(1, 3)
-        weights = {
-            point: Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-            for point in range(1 << d)
-        }
+        d = rng.randint(1, 4)
+        weights = _zero_sum(rng, d, 6, zeros=rng.choice((0.0, 0.5)))
         best, chosen = max_weight_upset(weights, d)
-        brute = max(
-            sum((weights[p] for p in upset_members(bm, d)), Fraction(0))
-            for bm in upset_bitmasks(d)
-        )
-        assert best == max(brute, 0)
-        assert is_up_closed(chosen, d)
-        assert sum((weights[p] for p in chosen), Fraction(0)) == best
+        values = {
+            bm: sum(weights[p] for p in upset_members(bm, d)) for bm in upset_bitmasks(d)
+        }
+        brute = max(values.values())  # the empty up-set is among them
+        maximizers = [bm for bm, value in values.items() if value == brute]
+        assert best == brute
+        # the least maximizing up-set: the intersection of all of them
+        assert chosen == upset_members(reduce(operator.and_, maximizers), d)
+        tied += brute > 0 and len(maximizers) > 1
+    assert tied > 20
 
 
 def test_max_weight_upset_all_negative_picks_empty():
-    weights = {p: Fraction(-1) for p in range(4)}
-    best, chosen = max_weight_upset(weights, 2)
-    assert best == 0
-    assert chosen == ()
+    # +3 at 00 and +1 at 01 are dominated by -1 at 01 and -3 at 11: every
+    # up-set through 00 holds 11, so the empty set is the best
+    best, chosen = max_weight_upset([3, 0, 0, -3], 2)
+    assert (best, chosen) == (0, ())
+    assert max_weight_upset({0: 1, 1: -1, 2: 2, 3: -2}, 2) == (0, ())
+    with pytest.raises(ValueError, match="sum to 0"):
+        max_weight_upset([-1] * 4, 2)
+    with pytest.raises(ValueError, match="sum to 0"):
+        max_weight_upset([1, 0, 0, -2], 2)
+
+
+def full_cube_closure(weights, d):
+    """Frozen copy of the maximum-weight closure on the whole cube:
+    source -> p at a positive weight, p -> sink at a negative one, and an
+    arc past every weight from p to each p | e_i.  The residual side of
+    the minimal minimum cut is the least maximizing up-set."""
+    size = 1 << d
+    source, sink = size, size + 1
+    total_pos = sum(w for w in (weights[p] for p in range(size)) if w > 0)
+    if total_pos == 0:
+        return 0, ()
+    inf = total_pos + 1
+    net = Dinic(size + 2)
+    for p in range(size):
+        w = weights[p]
+        if w > 0:
+            net.add_edge(source, p, w)
+        elif w < 0:
+            net.add_edge(p, sink, -w)
+        for above in up_steps(p, range(size), d):
+            net.add_edge(p, above, inf)
+    flow = net.max_flow(source, sink)
+    chosen = tuple(sorted(p for p in net.residual_reachable(source) if p < size))
+    return total_pos - flow, chosen
+
+
+def _cancelling_pairs(rng, d, scale, pairs):
+    """Zero-sum weights of +c at p and -c at a point above p: adding them
+    to a row adds up-sets of the same value, so its maximum is tied."""
+    weights = [0] * (1 << d)
+    for _ in range(pairs):
+        p = rng.randrange(1 << d)
+        c = rng.randint(1, scale)
+        weights[p] += c
+        weights[p | rng.randrange(1 << d)] -= c
+    return weights
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_max_weight_upset_matches_the_full_cube_closure(monkeypatch, d):
+    calls = []
+    transport = upsets.transport
+    monkeypatch.setattr(upsets, "transport", lambda *a: calls.append(a) or transport(*a))
+    rng = random.Random(100 + d)
+    positive = 0
+    for bits in (3, 40, 201, 261):
+        scale = 1 << bits
+        rows = [[0] * (1 << d)]
+        for _ in range(6):
+            rows.append(_zero_sum(rng, d, scale))
+            rows.append(_zero_sum(rng, d, scale, zeros=0.75))
+            rows.append(_cancelling_pairs(rng, d, scale, 1 << d))
+            dense = _zero_sum(rng, d, scale)
+            pairs = _cancelling_pairs(rng, d, scale, 1 << d)
+            rows.append([a + b for a, b in zip(dense, pairs)])
+        for weights in rows:
+            del calls[:]
+            result = max_weight_upset(weights, d)
+            assert result == full_cube_closure(weights, d)
+            # one transport, none for a row without positive weights
+            assert len(calls) == (max(weights) > 0)
+            positive += result[0] > 0
+    assert positive > 25
