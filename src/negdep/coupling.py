@@ -30,19 +30,21 @@ minimal minimum cut, which is what ``left_cut`` reports (Picard and
 Queyranne).  Couplings are read off a feasible flow by a deterministic
 path decomposition; on the bipartite network that returns the arc flows.
 
-``Dinic`` keeps its edges in flat lists and finds each phase's blocking
-flow with one walk that holds its path as edge ids.  At the sink it
-pushes the path's smallest capacity in one step, which saturates at
-least one edge, and resumes at the tail of the first saturated edge,
-which is where a walk restarted at the source would arrive: the edges
-before it keep capacity and their iterators.  A dead end stays dead for
-the phase (only arcs back toward the source gain capacity), and the BFS
-stops once the sink has its level, as nodes that far out are dead ends;
-run to the end, the same BFS gives the residual side of the cut.  So
-every flow, cut and coupling depends only on the order in which edges
-were added.  Up-closures are the complements of down-closures of the
-complemented seeds, one walk for both.  A coupling's JSON document is
-written as text from the integers (``Coupling.to_text``).
+``Dinic`` keeps its edges in flat lists.  A phase labels nodes by
+residual distance to the sink (a BFS along reversed arcs that stops once
+the source has its label); its walk holds the path as edge ids and steps
+only to a node one closer to the sink.  From the source these are the
+forward level graph's arcs whose heads still reach the sink, in the same
+order, so the walk makes the augmentations of levels from the source,
+minus descents into nodes dead from the start.  At the sink it pushes
+the path's smallest capacity and resumes at the tail of the first
+saturated edge, where a restarted walk would arrive; a node found dead
+stays dead for the phase.  Run forward to the end, the BFS gives the
+residual side of the cut.  So every flow, cut and coupling depends only
+on the order in which edges were added.  Up-closures are the complements
+of down-closures of the complemented seeds, one walk for both.  A
+coupling's JSON document is written as text from the integers
+(``Coupling.to_text``).
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ class Dinic:
 
     Edge ``e`` ends at ``head[e]`` with residual capacity ``cap[e]``;
     ``e ^ 1`` is its reverse, and ``adj[u]`` lists u's edge ids in order.
+    Each phase labels nodes by their residual distance to the sink.
     """
 
     __slots__ = ("head", "cap", "adj")
@@ -90,39 +93,40 @@ class Dinic:
     def flow_on(self, handle: int, original_capacity: int) -> int:
         return original_capacity - self.cap[handle]
 
-    def _levels(self, s: int, t: int) -> list[int]:
-        """Residual BFS levels from s, -1 where unreached; the BFS stops
-        once t has its level (t = -1 never does)."""
+    def _levels(self, s: int, t: int, back: int = 0) -> list[int]:
+        """Residual BFS distances from s, -1 where unreached; with back = 1
+        arcs are walked backwards (cap[e ^ 1]), so they are distances to s.
+        The BFS stops once t has its label (t = -1 never does)."""
         head, cap, adj = self.head, self.cap, self.adj
-        level = [-1] * len(adj)
-        level[s] = 0
+        dist = [-1] * len(adj)
+        dist[s] = 0
         queue = [s]
         for u in queue:  # the loop also visits what it appends
             for e in adj[u]:
-                if cap[e] and level[v := head[e]] < 0:
-                    level[v] = level[u] + 1
+                if cap[e ^ back] and dist[v := head[e]] < 0:
+                    dist[v] = dist[u] + 1
                     if v == t:
-                        return level
+                        return dist
                     queue.append(v)
-        return level
+        return dist
 
     def max_flow(self, s: int, t: int) -> int:
         head, cap, adj = self.head, self.cap, self.adj
         total = 0
-        while (level := self._levels(s, t))[t] >= 0:
+        while (dist := self._levels(t, s, 1))[s] >= 0:  # distances to t
             it = [0] * len(adj)  # each node's next edge to try
             path: list[int] = []  # the edge ids from s to u
             u = s
             while True:
-                edges, up = adj[u], level[u] + 1
+                edges, down = adj[u], dist[u] - 1
                 for i in range(it[u], len(edges)):
                     e = edges[i]
-                    if cap[e] and level[head[e]] == up:
+                    if cap[e] and dist[head[e]] == down:
                         break
                 else:  # a dead end: drop it for the phase and step back
                     if not path:
                         break
-                    level[u] = -1
+                    dist[u] = -1
                     u = head[path.pop() ^ 1]
                     it[u] += 1
                     continue

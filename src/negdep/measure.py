@@ -48,21 +48,27 @@ from .errors import (
 
 def parse_rational(text) -> Fraction:
     """Parse "num/den" or a decimal string exactly; a zero denominator
-    is a ValueError, like any other malformed rational, and a decimal
-    exponent past sys.get_int_max_str_digits() is TooLarge."""
+    is a ValueError, like any other malformed rational, and a value that
+    could not be written back (a decimal exponent, numerator or
+    denominator past sys.get_int_max_str_digits()) is TooLarge."""
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
         return Fraction(text)
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: none (< 3.10.7)
     e = re.fullmatch(r"\s*[-+]?[\d_.]*e[-+]?([\d_]+)\s*", text := str(text), re.I)
-    if e and (limit := getattr(sys, "get_int_max_str_digits", int)()):  # 0: none (< 3.10.7)
+    if e and limit:
         digits = e[1].replace("_", "").lstrip("0")  # read before Fraction expands them
         if len(digits) > len(str(limit)) or int(digits or 0) > limit:
             raise TooLarge(f"the exponent of {text[:40]!r} exceeds the {limit}-digit limit")
     try:
-        return Fraction(text)
+        q = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    big = max(abs(q.numerator), q.denominator)  # below 8^limit it has <= limit digits
+    if limit and big.bit_length() > 3 * limit and big >= 10**limit:
+        raise TooLarge(f"the value of {text[:40]!r} exceeds the {limit}-digit limit")
+    return q
 
 
 def format_rational(q: Fraction) -> str:

@@ -13,10 +13,20 @@ the transports that ``upsets.max_weight_upset`` runs for zero-sum
 closure weights, some above 2^200, where the recursive engine's push
 limit caps a path that the flat engine saturates in one push; and seeded
 random graphs.
+
+``ForwardDinic`` is a frozen copy of the flat engine as it was while its
+phases were labelled by BFS levels from the source.  The engine now
+labels each phase by residual distances to the sink, so its walk never
+enters a node that cannot reach the sink; it must still make the same
+augmentations, so it is compared with that copy on seeded layered graphs
+with dead-end branches and on the large conditioned-sum transports of
+the ``coupling_pairs`` benchmark.  Adjacency reads are counted there, and
+a walk that runs past its budget raises instead of looping.
 """
 
 import random
 from collections import deque
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -290,3 +300,229 @@ def test_random_graphs_match_the_recursive_engine(seed):
     edges = [(u, v, c) for u, v, c in edges if u != v]
     s, t = rng.sample(range(size), 2)
     assert_same(size, edges, s, t)
+
+
+class ForwardDinic:
+    """Frozen copy of the flat engine whose phases were BFS levels from s."""
+
+    def __init__(self, num_nodes):
+        self.head = []
+        self.cap = []
+        self.adj = [[] for _ in range(num_nodes)]
+
+    def add_edge(self, u, v, capacity):
+        e = len(self.head)
+        self.head += (v, u)
+        self.cap += (capacity, 0)
+        self.adj[u].append(e)
+        self.adj[v].append(e + 1)
+        return e
+
+    def flow_on(self, handle, original_capacity):
+        return original_capacity - self.cap[handle]
+
+    def _levels(self, s, t):
+        head, cap, adj = self.head, self.cap, self.adj
+        level = [-1] * len(adj)
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            for e in adj[u]:
+                if cap[e] and level[v := head[e]] < 0:
+                    level[v] = level[u] + 1
+                    if v == t:
+                        return level
+                    queue.append(v)
+        return level
+
+    def max_flow(self, s, t):
+        head, cap, adj = self.head, self.cap, self.adj
+        total = 0
+        while (level := self._levels(s, t))[t] >= 0:
+            it = [0] * len(adj)
+            path = []
+            u = s
+            while True:
+                edges, up = adj[u], level[u] + 1
+                for i in range(it[u], len(edges)):
+                    e = edges[i]
+                    if cap[e] and level[head[e]] == up:
+                        break
+                else:
+                    if not path:
+                        break
+                    level[u] = -1
+                    u = head[path.pop() ^ 1]
+                    it[u] += 1
+                    continue
+                it[u] = i
+                path.append(e)
+                u = head[e]
+                if u == t:
+                    pushed = min(map(cap.__getitem__, path))
+                    total += pushed
+                    for e in path:
+                        cap[e] -= pushed
+                        cap[e ^ 1] += pushed
+                    for k, e in enumerate(path):
+                        if not cap[e]:
+                            u = head[e ^ 1]
+                            del path[k:]
+                            break
+        return total
+
+    def residual_reachable(self, s):
+        return {v for v, lv in enumerate(self._levels(s, -1)) if lv >= 0}
+
+
+class Reads(list):
+    """An adjacency list that counts the reads of each node's edge list and
+    raises once their total passes ``budget``, so a walk that would loop
+    for ever fails."""
+
+    def __init__(self, adj, budget):
+        super().__init__(adj)
+        self.count = [0] * len(adj)
+        self.left = budget
+
+    def __getitem__(self, u):
+        self.left -= 1
+        if self.left < 0:
+            raise RuntimeError("the flow ran past its budget of adjacency reads")
+        self.count[u] += 1
+        return super().__getitem__(u)
+
+
+def counted(engine, size, edges, budget=10_000):
+    """An ``engine`` network of ``edges`` whose adjacency reads are counted
+    from here on."""
+    net = engine(size)
+    handles = [net.add_edge(u, v, c) for u, v, c in edges]
+    net.adj = Reads(net.adj, budget)
+    return net, handles
+
+
+def solve_counted(engine, size, edges, s, t):
+    """(flow value, flow on every edge, residual-reachable set), and the
+    network's adjacency reads per node in max_flow."""
+    net, handles = counted(engine, size, edges)
+    value = net.max_flow(s, t)
+    reads = list(net.adj.count)
+    flows = [net.flow_on(h, c) for h, (_, _, c) in zip(handles, edges)]
+    return (value, flows, net.residual_reachable(s)), reads
+
+
+def _layered_graph(rng):
+    """(size, edges): the source 0, one to five layers of one to four
+    nodes and the sink 1, arcs from each layer to the next, arcs between
+    random nodes (antiparallel pairs among them), and dead-end chains
+    hanging off the layers; zero and above-2^200 capacities, edges in a
+    shuffled order."""
+    layers, size = [[0]], 2
+    for _ in range(rng.randint(1, 5)):
+        k = rng.randint(1, 4)
+        layers.append(list(range(size, size + k)))
+        size += k
+    layers.append([1])
+    caps = (0, 1, rng.randint(2, 30), (1 << 205) + rng.randrange(1 << 200))
+    edges = [(u, v, rng.choice(caps)) for here, there in zip(layers, layers[1:])
+             for u in here for v in there if rng.random() < 0.6]
+    for _ in range(rng.randint(0, 6)):
+        u, v = rng.sample(range(size), 2)
+        edges.append((u, v, rng.choice(caps)))
+        if rng.random() < 0.5:
+            edges.append((v, u, rng.choice(caps)))
+    for _ in range(rng.randint(1, 4)):
+        u = rng.choice([x for layer in layers[:-1] for x in layer])
+        for _ in range(rng.randint(1, 3)):
+            edges.append((u, size, rng.choice(caps[1:])))
+            u, size = size, size + 1
+    rng.shuffle(edges)
+    return size, edges
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_layered_graphs_match_the_forward_level_engine(seed):
+    rng = random.Random(f"layered:{seed}")
+    flows = huge = 0
+    for _ in range(50):
+        size, edges = _layered_graph(rng)
+        ours, _ = solve_counted(Dinic, size, edges, 0, 1)
+        theirs, _ = solve_counted(ForwardDinic, size, edges, 0, 1)
+        assert ours == theirs, edges
+        flows += ours[0] > 0
+        huge += ours[0] > 1 << 200
+    assert flows > 15 and huge > 0
+
+
+def test_the_walk_never_enters_a_branch_that_cannot_reach_the_sink():
+    # s = 0, t = 1: the branch s -> 2 -> 3 comes first in s's edge list,
+    # and 3 leads nowhere; the route s -> 4 -> t carries the flow
+    edges = [(0, 2, 5), (2, 3, 5), (0, 4, 3), (4, 1, 2)]
+    (value, flows, side), reads = solve_counted(Dinic, 5, edges, 0, 1)
+    assert (value, flows, side) == (2, [0, 0, 2, 2], {0, 2, 3, 4})
+    assert reads[2] == reads[3] == 0
+    # the forward levels put 2 and 3 on the route to the sink's level
+    _, forward_reads = solve_counted(ForwardDinic, 5, edges, 0, 1)
+    assert forward_reads[2] > 0 and forward_reads[3] > 0
+
+
+@pytest.mark.parametrize("fan", [2, 5, 9])
+def test_a_node_found_dead_is_not_entered_again_in_its_phase(fan):
+    # s = 0 -> a_k -> c = 2 -> t = 1, where c -> t carries only 1: one
+    # push through a_1 kills c, and a_2 ... a_fan must then be dead
+    # without a step into c
+    arms = range(3, 3 + fan)
+    edges = [(0, a, 2) for a in arms] + [(a, 2, 2) for a in arms] + [(2, 1, 1)]
+    (value, _, side), reads = solve_counted(Dinic, 3 + fan, edges, 0, 1)
+    assert value == 1 and side == {0, *arms, 2}
+    # c is read by the first BFS, on arrival and on resuming after the push
+    assert reads[2] == 3
+    assert all(reads[a] == 1 for a in arms[1:])
+
+
+LARGE_PROBS = [Fraction(k, 12) for k in (4, 6, 8, 3, 9, 6, 4, 8, 3, 9, 6)]
+
+
+def _large_conditionals():
+    """The (x_i = 1, x_i = 0) conditionals of the conditioned sums at
+    n = 10 and 11 that the ``coupling_pairs`` benchmark couples."""
+    for n, (lo, hi), coordinates in ((10, (3, 6), (1, 10)), (11, (3, 7), (1, 11)),
+                                     (11, (4, 6), (2, 7))):
+        m = family_conditioned_sum(LARGE_PROBS[:n], lo, hi)
+        for i in coordinates:
+            yield (m.condition(Assignment((i,), (1,))),
+                   m.condition(Assignment((i,), (0,))))
+
+
+def counting(engine):
+    """``engine`` with its adjacency reads and its BFS runs counted."""
+
+    class Counting(engine):
+        def __init__(self, num_nodes):
+            super().__init__(num_nodes)
+            self.adj, self.bfs = Reads(self.adj, 10**6), 0
+
+        def _levels(self, *args):
+            self.bfs += 1
+            return super()._levels(*args)
+
+    return Counting
+
+
+@pytest.mark.parametrize("covering", [False, True], ids=["plain", "covering"])
+def test_large_transports_match_the_forward_level_engine(monkeypatch, covering):
+    for lower, upper in _large_conditionals():
+        left, lt = _sorted_scaled(lower)
+        right, ut = _sorted_scaled(upper)
+        runs = []
+        for engine in (counting(Dinic), counting(ForwardDinic)):
+            built = []
+            monkeypatch.setattr(coupling, "Dinic", lambda k, e=engine: built.append(e(k)) or built[-1])
+            res = transport(left, lt, right, ut, covering=covering, want_flows=True)
+            runs += [astuple(res), *built]
+        ours, net, theirs, forward = runs
+        assert ours == theirs
+        assert ours[0] and ours[3]  # feasible, with pair flows
+        assert net.bfs == forward.bfs  # the same phases
+        assert sum(net.adj.count) < sum(forward.adj.count)

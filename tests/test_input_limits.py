@@ -2,9 +2,11 @@
 
 A decimal exponent beyond the interpreter's int-to-text digit limit
 (`sys.get_int_max_str_digits()`) is TooLarge before Fraction builds its
-power of ten, on every surface that reads a rational; a JSON document
-nested too deeply for the parser is MalformedMeasure.  The CLI ends
-both with exit 2 and an `error:` line.
+power of ten, on every surface that reads a rational; so is a value
+whose numerator or denominator has more digits than that limit, which
+could not be written back.  A JSON document nested too deeply for the
+parser is MalformedMeasure.  The CLI ends all three with exit 2 and an
+`error:` line.
 """
 
 import json
@@ -38,20 +40,40 @@ def test_parse_rational_refuses_a_huge_exponent(text):
         quick(parse_rational, text)
 
 
-def test_an_exponent_at_the_limit_parses():
+def test_values_up_to_the_limit_parse():
     limit = sys.get_int_max_str_digits()
-    assert parse_rational(f"1e{limit}") == 10 ** limit
-    assert parse_rational(f"3.5E-{limit}") == Fraction(35, 10 ** (limit + 1))
-    with pytest.raises(TooLarge):
+    assert parse_rational(f"1e{limit - 1}") == 10 ** (limit - 1)
+    assert parse_rational(f"3.5E-{limit - 2}") == Fraction(35, 10 ** (limit - 1))
+    assert parse_rational("9" * limit) == 10 ** limit - 1
+    # an exponent at the limit is read, and its value refused
+    with pytest.raises(TooLarge, match=f"value of '1e{limit}' exceeds the {limit}-digit"):
+        parse_rational(f"1e{limit}")
+    with pytest.raises(TooLarge, match=f"exponent of '1e{limit + 1}'"):
         parse_rational(f"1e{limit + 1}")
+
+
+@pytest.mark.parametrize("text, place", [
+    ("1e{limit}", "numerator"), ("{nines}e1", "numerator"), ("-2.5E+{limit}", "numerator"),
+    ("1e-{limit}", "denominator"), ("-0.5E-{limit}", "denominator"),
+])
+def test_a_value_with_one_digit_past_the_limit_is_too_large(text, place):
+    limit = sys.get_int_max_str_digits()
+    text = text.format(limit=limit, nines="9" * limit)
+    with pytest.raises(TooLarge, match=f"{limit}-digit limit"):
+        quick(parse_rational, text)
+    value = Fraction(text)  # the interpreter reads it, but cannot write it
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        str(getattr(value, place))
 
 
 def test_the_limit_is_the_interpreter_setting():
     before = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(5000)
-        assert parse_rational("1e5000") == 10 ** 5000
-        with pytest.raises(TooLarge, match="5000-digit limit"):
+        assert parse_rational("1e4999") == 10 ** 4999
+        with pytest.raises(TooLarge, match="value of '1e5000' exceeds the 5000-digit limit"):
+            parse_rational("1e5000")
+        with pytest.raises(TooLarge, match="exponent of '1e5001' exceeds the 5000-digit limit"):
             parse_rational("1e5001")
         sys.set_int_max_str_digits(0)  # no limit
         assert parse_rational("1e-6000") == Fraction(1, 10 ** 6000)
@@ -86,6 +108,22 @@ def test_cli_refuses_a_huge_exponent(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error:") and "digit limit" in err, argv
+
+
+def test_cli_refuses_a_value_past_the_digit_limit(capsys, tmp_path):
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(
+        {"n": 1, "atoms": [{"x": "1", "p": f"1e-{limit}"}, {"x": "0", "p": "1"}]}))
+    for argv in [
+        ["martingale", "--family", "nand:3", "--f", f"constant:1e{limit}"],
+        ["tail", "--family", "nand:3", "--f", f"constant:1e{limit}", "--grid", "0:1:2"],
+        ["check", "--file", str(path), "--notions", "nc"],
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and f"exceeds the {limit}-digit limit" in err, argv
+        assert "Exceeds the limit" not in err, argv
 
 
 DEEP = 100_000
