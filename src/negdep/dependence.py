@@ -116,6 +116,15 @@ class NotionReport:
         }
 
 
+def _report(notion: Notion, certificate: Optional[dict], work: dict) -> NotionReport:
+    """A checker's report, its verdict read from whether it has a
+    certificate: Fails with one, Holds without (for the Rayleigh falsifier,
+    ViolationFound and NoViolationFound)."""
+    fails, holds = ((Verdict.VIOLATION_FOUND, Verdict.NO_VIOLATION_FOUND)
+                    if notion is Notion.RAYLEIGH else (Verdict.FAILS, Verdict.HOLDS))
+    return NotionReport(notion, holds if certificate is None else fails, certificate, work)
+
+
 # ---------------------------------------------------------------------------
 # Pairwise negative correlation
 # ---------------------------------------------------------------------------
@@ -140,21 +149,13 @@ def check_pairwise_nc(m: ExplicitMeasure) -> NotionReport:
     """Holds iff Cov[Xi, Xj] <= 0 for every pair i < j (vacuously for n < 2);
     the worst pair is the first of the largest covariance."""
     pairs = list(itertools.combinations(range(1, m.n + 1), 2))
-    if not pairs:
-        work = {"pairs_checked": 0, "worst_pair": None, "worst_covariance": None}
-        return NotionReport(Notion.PAIRWISE_NC, Verdict.HOLDS, None, work)
     covs = [covariance(m, i, j) for i, j in pairs]
-    cov = max(covs)
-    i, j = pairs[covs.index(cov)]
-    work = {
-        "pairs_checked": len(pairs),
-        "worst_pair": [i, j],
-        "worst_covariance": format_rational(cov),
-    }
-    if cov > 0:
-        cert = {"i": i, "j": j, "covariance": format_rational(cov)}
-        return NotionReport(Notion.PAIRWISE_NC, Verdict.FAILS, cert, work)
-    return NotionReport(Notion.PAIRWISE_NC, Verdict.HOLDS, None, work)
+    cov = max(covs, default=ZERO)
+    worst = list(pairs[covs.index(cov)]) if pairs else None
+    work = {"pairs_checked": len(pairs), "worst_pair": worst,
+            "worst_covariance": format_rational(cov) if pairs else None}
+    cert = {"i": worst[0], "j": worst[1], "covariance": format_rational(cov)} if cov > 0 else None
+    return _report(Notion.PAIRWISE_NC, cert, work)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +200,7 @@ def check_cylinder(m: ExplicitMeasure) -> NotionReport:
     bad = side * scale > prod
     work = {"sets_checked": 2 * ((1 << n) - n - 1)}
     if not bad.any():
-        return NotionReport(Notion.CYLINDER, Verdict.HOLDS, None, work)
+        return _report(Notion.CYLINDER, None, work)
     s = _lex_first(np.flatnonzero(bad.any(axis=0)))
     row = 0 if bad[0, s] else 1
     cert = {
@@ -208,7 +209,7 @@ def check_cylinder(m: ExplicitMeasure) -> NotionReport:
         "lhs": format_rational(Fraction(int(side[row, s]), d)),
         "rhs": format_rational(Fraction(int(prod[row, s]), d ** s.bit_count())),
     }
-    return NotionReport(Notion.CYLINDER, Verdict.FAILS, cert, work)
+    return _report(Notion.CYLINDER, cert, work)
 
 
 # ---------------------------------------------------------------------------
@@ -334,21 +335,15 @@ def _na_violation(m: ExplicitMeasure, held: set):
         if found is not None:
             row, b_mask, cov = found
             a_mask = nontrivial_upsets(ds)[row]
-            cov = Fraction(cov, d * d)
-            return _na_certificate(n, small_mask, large_mask, a_mask, b_mask, cov), work
+            return {
+                "I": list(indices_of(small_mask)),
+                "J": list(indices_of(large_mask)),
+                "A": [bits_from_mask(p, ds) for p in upset_members(a_mask, ds)],
+                "B": [bits_from_mask(p, dl) for p in upset_members(b_mask, dl)],
+                "covariance": format_rational(Fraction(cov, d * d)),
+            }, work
         held.add(held_key)
     return None, work
-
-
-def _na_certificate(n, small_mask, large_mask, a_upset, b_upset, value) -> dict:
-    ds, dl = small_mask.bit_count(), large_mask.bit_count()
-    return {
-        "I": list(indices_of(small_mask)),
-        "J": list(indices_of(large_mask)),
-        "A": [bits_from_mask(p, ds) for p in upset_members(a_upset, ds)],
-        "B": [bits_from_mask(p, dl) for p in upset_members(b_upset, dl)],
-        "covariance": format_rational(value),
-    }
 
 
 def check_neg_association(m: ExplicitMeasure) -> NotionReport:
@@ -356,10 +351,7 @@ def check_neg_association(m: ExplicitMeasure) -> NotionReport:
     I + J = [n] and all up-sets A, B; up-sets stand in for all pairs of
     non-decreasing functions."""
     refuse_over_cap("na", m.n)
-    cert, work = _na_violation(m, set())  # n < 2 has no bipartition
-    if cert is None:
-        return NotionReport(Notion.NEG_ASSOCIATION, Verdict.HOLDS, None, work)
-    return NotionReport(Notion.NEG_ASSOCIATION, Verdict.FAILS, cert, work)
+    return _report(Notion.NEG_ASSOCIATION, *_na_violation(m, set()))  # n < 2: no bipartition
 
 
 # ---------------------------------------------------------------------------
@@ -400,18 +392,17 @@ def check_cna(m: ExplicitMeasure) -> NotionReport:
                 work["repeated_laws_skipped"] += 1
                 continue
             cert, inner = _na_violation(sub, held_joints)
-            work["bipartitions"] += inner["bipartitions"]
-            work["closures"] += inner["closures"]
-            work["repeated_joints_skipped"] += inner["repeated_joints_skipped"]
+            for key in ("bipartitions", "closures", "repeated_joints_skipped"):
+                work[key] += inner[key]
             if cert is not None:
                 keep = [i for i in range(1, m.n + 1) if i not in k_indices]
                 # the conditional's I and J relabeled, in their places
                 cert = {"K": list(k_indices), "values": "".join(map(str, values)), **cert,
                         "I": [keep[i - 1] for i in cert["I"]],
                         "J": [keep[j - 1] for j in cert["J"]]}
-                return NotionReport(Notion.CNA, Verdict.FAILS, cert, work)
+                return _report(Notion.CNA, cert, work)
             held_laws.add(sub)
-    return NotionReport(Notion.CNA, Verdict.HOLDS, None, work)
+    return _report(Notion.CNA, None, work)
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +479,30 @@ def _first_failing_cover(m: ExplicitMeasure, covering: bool):
     return None, work
 
 
-def _certificate_fields(cert) -> dict:
-    """A coupling certificate's JSON fields, without its ``kind`` tag."""
-    doc = cert.to_json()
-    del doc["kind"]
-    return doc
+def _cover_report(m: ExplicitMeasure, covering: bool) -> NotionReport:
+    """The negative regression report, or with `covering` the stochastic
+    covering one: the first failing covering pair on a set J (SC calls it
+    I), certified by a down-closed set where dominance fails (Strassen) or
+    by a Hall-type cut of the covering flow.  NR names the pair a <= b, SC
+    names the raised assignment a and the other a'."""
+    n = m.n
+    notion = Notion.STOCHASTIC_COVERING if covering else Notion.NEG_REGRESSION
+    refuse_over_cap("sc" if covering else "nr", n)
+    failure, work = _first_failing_cover(m, covering)
+    if failure is None:
+        return _report(notion, None, work)
+    cond_mask, a, b, lower, upper, res = failure
+    width = cond_mask.bit_count()
+    witness = (covering_cut if covering else down_set_certificate)(
+        *lower, *upper, res.left_cut, n - width)
+    low, high = bits_from_mask(a, width), bits_from_mask(b, width)
+    cert = {
+        "I" if covering else "J": list(indices_of(cond_mask)),
+        **({"a": high, "a_prime": low} if covering else {"a": low, "b": high}),
+        "free_indices": list(indices_of(((1 << n) - 1) ^ cond_mask)),
+        **{key: value for key, value in witness.to_json().items() if key != "kind"},
+    }
+    return _report(notion, cert, work)
 
 
 def check_neg_regression(m: ExplicitMeasure) -> NotionReport:
@@ -514,22 +524,7 @@ def check_neg_regression(m: ExplicitMeasure) -> NotionReport:
     the image of one visited under a swap that preserves the measure
     holds, so every proper prefix of J still holds when J is reached.
     """
-    n = m.n
-    refuse_over_cap("nr", n)
-    failure, work = _first_failing_cover(m, covering=False)
-    if failure is None:
-        return NotionReport(Notion.NEG_REGRESSION, Verdict.HOLDS, None, work)
-    cond_mask, a, b, lower, upper, res = failure
-    jl = cond_mask.bit_count()
-    witness = down_set_certificate(*lower, *upper, res.left_cut, n - jl)
-    cert = {
-        "J": list(indices_of(cond_mask)),
-        "a": bits_from_mask(a, jl),
-        "b": bits_from_mask(b, jl),
-        "free_indices": list(indices_of(((1 << n) - 1) ^ cond_mask)),
-        **_certificate_fields(witness),
-    }
-    return NotionReport(Notion.NEG_REGRESSION, Verdict.FAILS, cert, work)
+    return _cover_report(m, covering=False)
 
 
 def check_stochastic_covering(m: ExplicitMeasure) -> NotionReport:
@@ -537,22 +532,7 @@ def check_stochastic_covering(m: ExplicitMeasure) -> NotionReport:
     assignments on I, the conditionals admit a coupling moving at most
     one coordinate: x ~ law given a, y ~ law given a', x <= y,
     |y - x| <= 1.  Each distinct pair of laws gets one flow per call."""
-    n = m.n
-    refuse_over_cap("sc", n)
-    failure, work = _first_failing_cover(m, covering=True)
-    if failure is None:
-        return NotionReport(Notion.STOCHASTIC_COVERING, Verdict.HOLDS, None, work)
-    cond_mask, a_low, a_high, lower, upper, res = failure
-    il = cond_mask.bit_count()
-    cut = covering_cut(*lower, *upper, res.left_cut, n - il)
-    cert = {
-        "I": list(indices_of(cond_mask)),
-        "a": bits_from_mask(a_high, il),
-        "a_prime": bits_from_mask(a_low, il),
-        "free_indices": list(indices_of(((1 << n) - 1) ^ cond_mask)),
-        **_certificate_fields(cut),
-    }
-    return NotionReport(Notion.STOCHASTIC_COVERING, Verdict.FAILS, cert, work)
+    return _cover_report(m, covering=True)
 
 
 # ---------------------------------------------------------------------------
@@ -747,8 +727,7 @@ def rayleigh_falsify(m: ExplicitMeasure, grid=None) -> NotionReport:
     keep = np.array([[l for l in range(n) if l not in p] for p in pairs], dtype=np.intp)
     tables = {}
     cap = max(1, _SCAN_ELEMENTS // (len(w) * n))
-    evaluations = 0
-    size = 1
+    cert, evaluations, size = None, 0, 1
     while True:
         chunk = list(itertools.islice(source, size))
         error = chunk.pop() if chunk and isinstance(chunk[-1], Exception) else None
@@ -768,24 +747,15 @@ def rayleigh_falsify(m: ExplicitMeasure, grid=None) -> NotionReport:
                     "z": [format_rational(Fraction(p, q)) for p, q in z],
                     "delta": format_rational(Fraction(int(deltas[row, col]), scale**2)),
                 }
-                return NotionReport(
-                    Notion.RAYLEIGH,
-                    Verdict.VIOLATION_FOUND,
-                    cert,
-                    {"points": points, "evaluations": evaluations + first + 1},
-                )
+                evaluations += first + 1
+                break
             evaluations += deltas.size
         if error is not None:
             raise error
         if len(chunk) < size:
             break
         size = min(2 * size, cap)
-    return NotionReport(
-        Notion.RAYLEIGH,
-        Verdict.NO_VIOLATION_FOUND,
-        None,
-        {"points": points, "evaluations": evaluations},
-    )
+    return _report(Notion.RAYLEIGH, cert, {"points": points, "evaluations": evaluations})
 
 
 # ---------------------------------------------------------------------------

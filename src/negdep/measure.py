@@ -49,8 +49,8 @@ from .errors import (
 def parse_rational(text) -> Fraction:
     """Parse "num/den" or a decimal string exactly; a zero denominator
     is a ValueError, like any other malformed rational, and a value that
-    could not be written back (a decimal exponent, numerator or
-    denominator past sys.get_int_max_str_digits()) is TooLarge."""
+    could not be read or written back (an exponent, digit run, numerator
+    or denominator past sys.get_int_max_str_digits()) is TooLarge."""
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
@@ -61,6 +61,9 @@ def parse_rational(text) -> Fraction:
         digits = e[1].replace("_", "").lstrip("0")  # read before Fraction expands them
         if len(digits) > len(str(limit)) or int(digits or 0) > limit:
             raise TooLarge(f"the exponent of {text[:40]!r} exceeds the {limit}-digit limit")
+    # int() refuses a longer run of digits: refuse it here, naming the limit
+    if limit and re.search(r"\d{%d}" % (limit + 1), text.replace("_", "")):
+        raise TooLarge(f"the value of {text[:40]!r} exceeds the {limit}-digit limit")
     try:
         q = Fraction(text)
     except ZeroDivisionError:
@@ -84,11 +87,13 @@ def format_ratio(a: int, b: int) -> str:
 
 def parse_ratio(p) -> tuple[int, int]:
     """parse_rational(p) as (num, den > 0), maybe not in lowest terms: plain
-    ASCII "a/b" and "a" are read by int, all else by parse_rational; a
-    boolean, which JSON true and false load as, is MalformedMeasure."""
+    ASCII "a/b" and "a" of at most 640 characters, which no digit limit
+    refuses (none is below `sys.int_info.str_digits_check_threshold`), are
+    read by int, all else by parse_rational; a boolean, which JSON true and
+    false load as, is MalformedMeasure."""
     if isinstance(p, bool):
         raise MalformedMeasure(f"mass {json.dumps(p)} is a boolean, not a rational")
-    if isinstance(p, str) and p.isascii():
+    if isinstance(p, str) and len(p) <= 640 and p.isascii():
         num, slash, den = p.partition("/")
         if num.isdigit() and (den.isdigit() or not slash) and (d := int(den or 1)):
             return int(num), d
@@ -143,7 +148,7 @@ class Assignment:
         """This and x_index = value, checked by the constructor."""
         return Assignment(self.indices + (index,), self.values + (value,))
 
-    # cached: the masks are read once per atom by matches()
+    # cached: each split on the assignment (`_row`, `_conditional`) reads index_mask
     @cached_property
     def index_mask(self) -> int:
         return mask_of_indices(self.indices)

@@ -21,13 +21,15 @@ import numpy as np
 import pytest
 
 import negdep.dependence as dependence
+from negdep.bitops import bits_from_mask, indices_of
 from negdep.dependence import Verdict, check_cna, check_neg_association
-from negdep.measure import ExplicitMeasure, family_conditioned_sum
+from negdep.measure import ExplicitMeasure, family_conditioned_sum, format_rational
 from negdep.upsets import (
     ENUMERABLE_DIM,
     max_weight_upset,
     nontrivial_upsets,
     upset_matrix,
+    upset_members,
 )
 from negdep.zoo import random_measure, zoo
 
@@ -100,10 +102,13 @@ def oracle_na_violation(m, held):
         if found is not None:
             row, b_mask, cov = found
             a_mask = nontrivial_upsets(ds)[row]
-            cov = Fraction(cov, d * d)
-            return dependence._na_certificate(
-                n, small_mask, large_mask, a_mask, b_mask, cov
-            ), work
+            return {
+                "I": list(indices_of(small_mask)),
+                "J": list(indices_of(large_mask)),
+                "A": [bits_from_mask(p, ds) for p in upset_members(a_mask, ds)],
+                "B": [bits_from_mask(p, dl) for p in upset_members(b_mask, dl)],
+                "covariance": format_rational(Fraction(cov, d * d)),
+            }, work
         held.add(held_key)
     return None, work
 

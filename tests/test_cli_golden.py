@@ -1,7 +1,7 @@
 """Golden outputs: the exact stdout and exit code of `martingale` and
-`tail` in every format, of the negative regression and stochastic
-covering checkers, of `counterexample` and of `coupling`, pinned in
-golden/cli_outputs.json.
+`tail` in every format, of the association, negative regression,
+stochastic covering and Rayleigh checkers, of `counterexample` and of
+`coupling`, pinned in golden/cli_outputs.json.
 
 The tree inputs cover a NAND measure, the anti-correlated pair, the
 positively correlated pair (the IntervalViolation path), a conditioned
@@ -21,7 +21,8 @@ and so does negative association, whose 6,938 closures are one transport
 each.  Negative association and CNA run on the four checker inputs, on
 every catalog measure and on a seeded perturbed conditioned sum
 (golden/cna_fails_late.json) that holds NA and fails CNA on its 216th
-conditional.
+conditional.  The Rayleigh falsifier runs on `nand:6`, where its seeded
+grid finds a violation, and on `nand:3`, whose lattice grid is clean.
 
 `coupling` runs in plain and `--covering` mode, in JSON and in text, on
 the pairs of golden/coupling/ (NAME_lower.json, NAME_upper.json).  The
@@ -128,6 +129,9 @@ def cases() -> list[list[str]]:
     out.append(["check", *WIDE_CHECK, "--notions", "na", "--format", "json"])
     for source in ASSOCIATION_INPUTS:
         out.append(["check", *source, "--notions", "na,cna", "--format", "json"])
+    # the Rayleigh falsifier: a violation with its certificate, and a clean grid
+    for family in ("nand:6", "nand:3"):
+        out.append(["check", "--family", family, "--notions", "rayleigh", "--format", "json"])
     # 11 and 12 run at the tree cap with negative regression skipped
     for n in range(3, 13):
         out.append(["counterexample", str(n), "--format", "json"])

@@ -20,8 +20,11 @@ labels each phase by residual distances to the sink, so its walk never
 enters a node that cannot reach the sink; it must still make the same
 augmentations, so it is compared with that copy on seeded layered graphs
 with dead-end branches and on the large conditioned-sum transports of
-the ``coupling_pairs`` benchmark.  Adjacency reads are counted there, and
-a walk that runs past its budget raises instead of looping.
+the ``coupling_pairs`` benchmark.  Adjacency reads are counted there.
+
+Every flow the flat engine runs in this file, in the library or on its
+own, has a budget of adjacency reads, and a walk that runs past it
+raises instead of looping.
 """
 
 import random
@@ -113,7 +116,26 @@ class RecursiveDinic:
         return seen
 
 
-class Recorder(Dinic):
+# the adjacency reads a flat engine may make in one flow below: about 20
+# times the most that any of the networks compared with the recursive engine needs
+READS = 100_000
+
+
+class Budgeted(Dinic):
+    """A flat Dinic that raises once its flow makes READS adjacency reads."""
+
+    def max_flow(self, s, t):
+        self.adj = Reads(self.adj, READS)
+        return super().max_flow(s, t)
+
+
+@pytest.fixture(autouse=True)
+def budgeted(monkeypatch):
+    """The flows the library runs here are Budgeted: a walk that would loop fails."""
+    monkeypatch.setattr(coupling, "Dinic", Budgeted)
+
+
+class Recorder(Budgeted):
     """A flat Dinic that keeps what it was built with and asked to solve."""
 
     def __init__(self, num_nodes):
@@ -139,7 +161,7 @@ def solve(engine, size, edges, s, t):
 
 
 def assert_same(size, edges, s, t):
-    flat = solve(Dinic, size, edges, s, t)
+    flat = solve(Budgeted, size, edges, s, t)
     assert flat == solve(RecursiveDinic, size, edges, s, t)
     return flat
 

@@ -2,9 +2,10 @@
 
 A decimal exponent beyond the interpreter's int-to-text digit limit
 (`sys.get_int_max_str_digits()`) is TooLarge before Fraction builds its
-power of ten, on every surface that reads a rational; so is a value
-whose numerator or denominator has more digits than that limit, which
-could not be written back.  A JSON document nested too deeply for the
+power of ten, on every surface that reads a rational; so is a run of
+digits longer than that limit, before int() reads it, and a value whose
+numerator or denominator has more digits than that limit, which could
+not be written back.  A JSON document nested too deeply for the
 parser is MalformedMeasure.  The CLI ends all three with exit 2 and an
 `error:` line.
 """
@@ -19,7 +20,7 @@ import pytest
 from negdep.cli import main
 from negdep.coupling import Coupling
 from negdep.errors import MalformedMeasure, TooLarge
-from negdep.measure import ExplicitMeasure, parse_rational
+from negdep.measure import ExplicitMeasure, parse_ratio, parse_rational
 from negdep.zoo import parse_family
 
 HUGE = ["1e-10000000", "1e99999999", " -2.5E+1_0000000 ", "7e" + "9" * 5000, "1e04301"]
@@ -66,6 +67,29 @@ def test_a_value_with_one_digit_past_the_limit_is_too_large(text, place):
         str(getattr(value, place))
 
 
+# each form with a run of r digits, and its value
+RUNS = {
+    "numerator": lambda r: ("9" * r + "/2", Fraction(10**r - 1, 2)),
+    "denominator": lambda r: ("1/" + "9" * r, Fraction(1, 10**r - 1)),
+    "decimal": lambda r: ("0." + "0" * (r - 1) + "5", Fraction(5, 10**r)),
+}
+
+
+def _ratio(text):
+    return Fraction(*parse_ratio(text))
+
+
+@pytest.mark.parametrize("parse", [parse_rational, _ratio], ids=["rational", "ratio"])
+@pytest.mark.parametrize("form", RUNS)
+def test_a_digit_run_at_the_limit_parses_and_one_past_it_is_too_large(parse, form):
+    limit = sys.get_int_max_str_digits()
+    text, value = RUNS[form](limit)
+    assert parse(text) == value
+    text, _ = RUNS[form](limit + 1)
+    with pytest.raises(TooLarge, match=f"value of '{text[:8]}.* exceeds the {limit}-digit limit"):
+        quick(parse, text)
+
+
 def test_the_limit_is_the_interpreter_setting():
     before = sys.get_int_max_str_digits()
     try:
@@ -75,8 +99,16 @@ def test_the_limit_is_the_interpreter_setting():
             parse_rational("1e5000")
         with pytest.raises(TooLarge, match="exponent of '1e5001' exceeds the 5000-digit limit"):
             parse_rational("1e5001")
+        assert parse_ratio("9" * 5000) == (10 ** 5000 - 1, 1)
+        with pytest.raises(TooLarge, match="5000-digit limit"):
+            parse_ratio("1/" + "9" * 5001)
+        sys.set_int_max_str_digits(640)  # the lowest limit there can be
+        assert parse_ratio("9" * 640) == (10 ** 640 - 1, 1)  # read by int
+        with pytest.raises(TooLarge, match="640-digit limit"):
+            parse_ratio("9" * 641)
         sys.set_int_max_str_digits(0)  # no limit
         assert parse_rational("1e-6000") == Fraction(1, 10 ** 6000)
+        assert parse_ratio("1/" + "9" * 6000) == (1, 10 ** 6000 - 1)
     finally:
         sys.set_int_max_str_digits(before)
 
@@ -115,10 +147,15 @@ def test_cli_refuses_a_value_past_the_digit_limit(capsys, tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(
         {"n": 1, "atoms": [{"x": "1", "p": f"1e-{limit}"}, {"x": "0", "p": "1"}]}))
+    # a mass whose denominator has one digit more than int() reads
+    long_run = tmp_path / "long_run.json"
+    long_run.write_text(json.dumps(
+        {"n": 1, "atoms": [{"x": "1", "p": "1/1" + "0" * limit}, {"x": "0", "p": "1"}]}))
     for argv in [
         ["martingale", "--family", "nand:3", "--f", f"constant:1e{limit}"],
         ["tail", "--family", "nand:3", "--f", f"constant:1e{limit}", "--grid", "0:1:2"],
         ["check", "--file", str(path), "--notions", "nc"],
+        ["check", "--file", str(long_run), "--notions", "nc"],
     ]:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
