@@ -46,7 +46,9 @@ from .upsets import (
     max_weight_upset,
     nontrivial_upsets,
     upset_matrix,
+    upset_maxima,
     upset_members,
+    upset_sums,
 )
 
 ZERO = Fraction(0)
@@ -261,18 +263,19 @@ def _na_violation(m: ExplicitMeasure, held: set):
     Returns (certificate | None, work).  The scan fixes the smaller side,
     enumerates its nontrivial up-sets A in a deterministic order, and for
     each A maximizes the covariance over up-sets B of the other side,
-    either by an exact int64 matrix product (dimension <= 5, D < 2^60) or
-    by one transport (always exact, any dimension); both pick the least
-    maximizing B, as `nontrivial_upsets` order extends inclusion.  Each
-    joint weight matrix is one `split` of the dense weights, which hold
-    int64 while D fits and Python integers above it.
+    either by exact int64 sums over every B (dimension <= 5, D < 2^60;
+    `upset_maxima` finds the row of A) or by one transport (always exact,
+    any dimension); both pick the least maximizing B, as
+    `nontrivial_upsets` order extends inclusion.  Each joint weight
+    matrix is one `split` of the dense weights, which hold int64 while D
+    fits and Python integers above it.
 
     D^2 bounds every value.  An entry of d * joint_a - wa * wl, or its sum
-    over any set S of the other side's patterns (a partial sum of the
-    product over B), is D x - wa y with y <= D the weight of S, wa <= D
-    that of A and 0 <= x <= min(wa, y) that of both: it is in [-D^2, D^2].
-    While D^2 fits int64 the product takes one pass; below D = 2^60 it
-    forms D x - wa y on two limbs; closures take Python ints past D^2.
+    over any set S of the other side's patterns (B, or either half of B),
+    is D x - wa y with y <= D the weight of S, wa <= D that of A and
+    0 <= x <= min(wa, y) that of both: it is in [-D^2, D^2].  While D^2
+    fits int64 the sums take one pass; below D = 2^60 they form x and y
+    and D x - wa y on two limbs; closures take Python ints past D^2.
 
     A bipartition's answer depends only on its joint weight matrix: `held`
     collects the keys (ds, dl, joint) of those that held, and a bipartition
@@ -309,15 +312,15 @@ def _na_violation(m: ExplicitMeasure, held: set):
             and dl <= ENUMERABLE_DIM
             and len(u_small) * len(nontrivial_upsets(dl)) <= 1 << 22
         ):
-            u_large = upset_matrix(dl).T
             if exact is np.int64:
-                covs = (d * joint_a - wa[:, None] * wl[None, :]) @ u_large
-                if (hits := np.argwhere(covs > 0)).size:
-                    row = int(hits[0, 0])
-                    col = int(np.argmax(covs[row]))
-                    found = row, nontrivial_upsets(dl)[col], int(covs[row, col])
+                weights = d * joint_a - wa[:, None] * wl[None, :]
+                if (hits := np.flatnonzero(upset_maxima(weights, dl) > 0)).size:
+                    row = int(hits[0])
+                    covs = upset_sums(weights[row], dl)
+                    col = int(np.argmax(covs))
+                    found = row, nontrivial_upsets(dl)[col], int(covs[col])
             else:
-                hi, lo = _limb_covariances(d, joint_a @ u_large, wa, wl @ u_large)
+                hi, lo = _limb_covariances(d, upset_sums(joint_a, dl), wa, upset_sums(wl, dl))
                 if (hits := np.argwhere((hi > 0) | (hi == 0) & (lo > 0))).size:
                     row = int(hits[0, 0])
                     # the first maximum of hi 2^60 + lo: the first largest lo among the largest hi

@@ -6,9 +6,11 @@ up-set is stored as an integer bitmask over the 2^d points of the cube
 (bit p set means point p belongs to the set).
 
 Enumeration is only feasible for d <= 5 (the counts are the Dedekind
-numbers: 168 for d = 4, 7581 for d = 5).  For larger d the relevant
-optimization, maximize a zero-sum weight over up-closed sets, is solved
-exactly with one transport of its positive part onto its negative part.
+numbers: 168 for d = 4, 7581 for d = 5); from d = 4 on, a row's sum over
+each is the sum over its two halves, read from sums over {0,1}^(d-1).
+For larger d the relevant optimization, maximize a zero-sum weight over
+up-closed sets, is solved exactly with one transport of its positive
+part onto its negative part.
 """
 
 from __future__ import annotations
@@ -58,6 +60,46 @@ def upset_matrix(d: int) -> np.ndarray:
     entry (row, p) is bit p of the row's bitmask."""
     ups = np.array(nontrivial_upsets(d), dtype=np.int64)
     return (ups[:, None] >> np.arange(1 << d)) & 1
+
+
+_HALVES_DIM = 4  # below it one product with `upset_matrix` measured faster
+
+
+@lru_cache(maxsize=None)
+def _halves(d: int):
+    """Tables of the sums over halves in dimension d: the membership matrix
+    (2^(d-1), |U(d-1)|) of all up-sets of {0,1}^(d-1), per nontrivial up-set
+    of {0,1}^d the indices i0, i1 of its halves A0 (low points) and A1
+    (high points) in it, and the starts of the runs of equal A1."""
+    prev, half = upset_bitmasks(d - 1), 1 << (d - 1)
+    at = {a: i for i, a in enumerate(prev)}
+    i0, i1 = np.array([(at[b & (1 << half) - 1], at[b >> half])
+                       for b in nontrivial_upsets(d)]).T
+    members = (np.array(prev, dtype=np.int64)[None, :] >> np.arange(half)[:, None]) & 1
+    return members, i0, i1, np.flatnonzero(np.diff(i1, prepend=-1))
+
+
+def upset_sums(c: np.ndarray, d: int) -> np.ndarray:
+    """c @ upset_matrix(d).T for a row c, or rows, over the 2^d points: its
+    sum over each nontrivial up-set, in `nontrivial_upsets` order.  Every
+    value is a partial sum of the row, as each half's sum is."""
+    if d < _HALVES_DIM:
+        return c @ upset_matrix(d).T
+    members, i0, i1, _ = _halves(d)
+    sums = (c[..., :len(members)] @ members)[..., i0]
+    sums += (c[..., len(members):] @ members)[..., i1]
+    return sums
+
+
+def upset_maxima(c: np.ndarray, d: int) -> np.ndarray:
+    """Each row's largest sum over a nontrivial up-set, for d >= 1: per A1
+    the best A0 inside it (a run of equal A1) plus A1's own sum."""
+    if d < _HALVES_DIM:
+        return (c @ upset_matrix(d).T).max(axis=1)
+    members, i0, i1, starts = _halves(d)
+    best = np.maximum.reduceat((c[:, :len(members)] @ members)[:, i0], starts, axis=1)
+    best += (c[:, len(members):] @ members)[:, i1[starts]]
+    return best.max(axis=1)
 
 
 def upset_members(bitmask: int, d: int) -> tuple[int, ...]:

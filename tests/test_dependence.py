@@ -963,10 +963,24 @@ def test_implication_list_shape():
     assert (Notion.CNA, Notion.NEG_REGRESSION) in pairs
 
 
+def _hierarchy_draws(rng):
+    """Random measures at n = 2..4, which above n = 2 almost never satisfy
+    any notion, then seeded products, conditioned sums of width 1 and
+    nand at n = 3..6, which satisfy most."""
+    for _ in range(60):
+        yield random_measure(rng.randint(2, 4), rng)
+    for n in range(3, 7):
+        for _ in range(4):
+            yield family_independent([Fraction(rng.randint(0, 7), 7) for _ in range(n)])
+            lo = rng.randint(0, n - 1)
+            yield family_conditioned_sum([Fraction(rng.randint(1, 6), 7) for _ in range(n)],
+                                         lo, lo + 1)
+        yield family_nand(n)
+
+
 def test_hierarchy_on_random_measures(rng):
-    for trial in range(60):
-        n = rng.randint(2, 4)
-        m = random_measure(n, rng)
+    premises_held = dict.fromkeys((stronger for stronger, _ in NOTION_IMPLICATIONS), 0)
+    for trial, m in enumerate(_hierarchy_draws(rng)):
         verdicts = {
             notion: CHECKS[notion](m).ok for notion in CHECKS
         }
@@ -978,6 +992,10 @@ def test_hierarchy_on_random_measures(rng):
                     weaker,
                     dict(m.items()),
                 )
+        for stronger in premises_held:
+            premises_held[stronger] += m.n >= 3 and verdicts[stronger]
+    # every implication is tested above n = 2, not only on pairs
+    assert min(premises_held.values()) >= 20, premises_held
 
 
 def test_nr_survives_conditioning_on_nand():

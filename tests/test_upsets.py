@@ -2,6 +2,7 @@ import operator
 import random
 from functools import reduce
 
+import numpy as np
 import pytest
 
 import negdep.upsets as upsets
@@ -13,7 +14,10 @@ from negdep.upsets import (
     max_weight_upset,
     nontrivial_upsets,
     upset_bitmasks,
+    upset_matrix,
+    upset_maxima,
     upset_members,
+    upset_sums,
 )
 
 # Number of antichains / up-sets of {0,1}^d, including the empty and full
@@ -60,12 +64,90 @@ def test_all_enumerated_sets_up_closed(d):
         assert is_up_closed(members, d), members
 
 
-def test_nontrivial_excludes_empty_and_full(d=3):
+@pytest.mark.parametrize("d", sorted(DEDEKIND))
+def test_nontrivial_drops_exactly_the_empty_and_full_sets(d):
     full = (1 << (1 << d)) - 1
-    masks = nontrivial_upsets(d)
-    assert 0 not in masks
-    assert full not in masks
-    assert len(masks) == DEDEKIND[d] - 2
+    every = upset_bitmasks(d)
+    assert (every[0], every[-1]) == (0, full)
+    assert nontrivial_upsets(d) == every[1:-1]
+
+
+@pytest.mark.parametrize("d", [d for d in DEDEKIND if d > 0])
+def test_upsets_are_halves_in_runs_of_equal_high_half(d):
+    # bits below 2^(d-1) are the points with last coordinate 0 (A0), the
+    # rest those with last coordinate 1 (A1): A0 inside A1, both up-sets
+    # of {0,1}^(d-1), every such pair once, each A1 in one contiguous run
+    half = 1 << (d - 1)
+    prev = upset_bitmasks(d - 1)
+    pairs = [(b & (1 << half) - 1, b >> half) for b in upset_bitmasks(d)]
+    assert all(a0 & ~a1 == 0 for a0, a1 in pairs)
+    assert sorted(pairs) == sorted((a0, a1) for a1 in prev for a0 in prev if a0 & ~a1 == 0)
+    runs = [a1 for at, (_, a1) in enumerate(pairs) if at == 0 or pairs[at - 1][1] != a1]
+    assert runs == list(prev)
+
+
+# the largest D whose D^2 fits int64
+D_INT64 = 3_037_000_499
+
+
+def _kernel_rows(d, rng):
+    """Seeded int64 rows over the 2^d points: small and wide random rows,
+    rows with a single +D^2 and -D^2, NA rows D x_b - w_A y_b of seeded
+    joints with denominator D, and rows of cancelling pairs (+c at p, -c
+    above it), whose maximum several up-sets reach."""
+    size, big = 1 << d, D_INT64 * D_INT64
+    assert big <= (1 << 63) - 1 < (D_INT64 + 1) ** 2
+    rows = [[0] * size, [rng.randint(-9, 9) for _ in range(size)],
+            [rng.randint(-(1 << 40), 1 << 40) for _ in range(size)]]
+    for p in range(size):
+        q = rng.randrange(size)
+        if q != p:
+            rows.append([big * ((r == p) - (r == q)) for r in range(size)])
+    for _ in range(4):
+        cuts = sorted(rng.randrange(D_INT64 + 1) for _ in range(2 * size - 1))
+        parts = [b - a for a, b in zip([0, *cuts], [*cuts, D_INT64])]
+        y = [parts[2 * b] + parts[2 * b + 1] for b in range(size)]  # weight of X_J = b
+        x = [parts[2 * b] for b in range(size)]  # weight of {X_I in A, X_J = b}
+        rows.append([D_INT64 * xb - sum(x) * yb for xb, yb in zip(x, y)])
+    for _ in range(4):
+        rows.append(_cancelling_pairs(rng, d, 5, size))
+    return np.array(rows, dtype=np.int64)
+
+
+@pytest.mark.parametrize("d", sorted(DEDEKIND))
+def test_upset_sums_and_maxima_equal_the_table_product(d):
+    rng = random.Random(50 + d)
+    rows = _kernel_rows(d, rng)
+    # the reference on Python ints, so that it cannot wrap
+    expected = rows.astype(object) @ upset_matrix(d).T.astype(object)
+    sums = upset_sums(rows, d)
+    assert sums.dtype == np.int64 and sums.shape == expected.shape
+    assert sums.tolist() == expected.tolist()
+    assert [upset_sums(row, d).tolist() for row in rows] == expected.tolist()  # one row
+    if d:  # {0,1}^0 has no nontrivial up-set
+        assert upset_maxima(rows, d).tolist() == [max(row) for row in expected.tolist()]
+        tied = sum(row.count(max(row)) > 1 and max(row) > 0 for row in expected.tolist())
+        assert tied >= (3 if d >= 4 else 0)
+
+
+@pytest.mark.parametrize("d", [d for d in DEDEKIND if d > 0])
+def test_upset_maxima_reach_a_maximizer_in_every_run(d):
+    # per run of equal high half A1, one up-set B and the row +1 on B and
+    # -2^d off it, whose only maximizing up-set is B, at |B|: a run merged
+    # into its neighbour, or a half taken from the wrong table, misses it
+    rng = random.Random(70 + d)
+    half = 1 << (d - 1)
+    ups = nontrivial_upsets(d)
+    runs = {}
+    for at, b in enumerate(ups):
+        runs.setdefault(b >> half, []).append(at)
+    chosen = [rng.choice(ats) for ats in runs.values()]
+    rows = np.array([[1 if ups[at] >> p & 1 else -(1 << d) for p in range(1 << d)]
+                     for at in chosen], dtype=np.int64)
+    assert upset_maxima(rows, d).tolist() == [ups[at].bit_count() for at in chosen]
+    sums = upset_sums(rows, d)
+    assert (sums == rows @ upset_matrix(d).T).all()
+    assert sums.argmax(axis=1).tolist() == chosen
 
 
 def test_upset_members_roundtrip():
