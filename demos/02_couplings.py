@@ -15,7 +15,6 @@ from negdep import (
     bits_from_mask,
     build_monotone_coupling,
     check_dominance,
-    coupling_displacement,
     family_nand,
 )
 
@@ -29,7 +28,7 @@ def show_pair(title, lower, upper):
         for x, y, p in c.pairs():
             xs, ys = bits_from_mask(x, lower.n), bits_from_mask(y, lower.n)
             print(f"    couple {xs} -> {ys}  mass {p}")
-        print(f"  expected Hamming displacement: {coupling_displacement(c)}")
+        print(f"  expected Hamming displacement: {c.displacement()}")
     else:
         print(f"  cut certificate: {json.dumps(res.certificate.to_json())}")
         assert res.certificate.check(lower, upper)

@@ -582,7 +582,7 @@ class Coupling:
             raise ValueError("second marginal does not match the upper measure")
 
     def displacement(self) -> Fraction:
-        """Expected number of coordinates raised, sum of p * (|y| - |x|)."""
+        """Expected coordinates raised: sum of p * (|y| - |x|) = E|upper| - E|lower|."""
         raised = sum(
             f * (y.bit_count() - x.bit_count()) for (x, y), f in self.flows.items()
         )
@@ -676,12 +676,6 @@ def build_monotone_coupling(
     )
 
 
-def coupling_displacement(c: Coupling) -> Fraction:
-    """Expected l1 movement of the coupling; equals the difference of the
-    marginals' expected coordinate sums, for any valid coupling."""
-    return c.displacement()
-
-
 __all__ = [
     "DominanceCertificate",
     "InfeasibilityCut",
@@ -691,5 +685,4 @@ __all__ = [
     "check_dominance",
     "Coupling",
     "build_monotone_coupling",
-    "coupling_displacement",
 ]

@@ -307,8 +307,7 @@ def _na_violation(m: ExplicitMeasure, held: set):
         work["upsets_tested"] += len(u_small)
         found = None  # (row of A, up-set mask of B, covariance times d^2)
         if (
-            joint.dtype != object
-            and d < 1 << 2 * _LIMB
+            d < 1 << 2 * _LIMB  # so the dense weights, and joint, are int64
             and dl <= ENUMERABLE_DIM
             and len(u_small) * len(nontrivial_upsets(dl)) <= 1 << 22
         ):

@@ -235,7 +235,7 @@ def build_skeleton(m: ExplicitMeasure, order=None) -> Skeleton:
     """The decision-tree structure for a measure: picks, branch
     weights, reachable assignments.  order=None selects adaptively;
     otherwise order must be a permutation of 1..n, checked once here.
-    Masks are carried down and cached in each node's Assignment."""
+    Masks are carried down; each node's Assignment has its index mask cached."""
     n = m.n
     if n > cap("tree"):
         raise TooLarge(f"n={n} exceeds the tree cap {cap('tree')}")
@@ -245,14 +245,13 @@ def build_skeleton(m: ExplicitMeasure, order=None) -> Skeleton:
             raise ValueError("order must be a permutation of 1..n")
     denom, weights = m.scaled_weights()
 
-    def grow(indices, values, index_mask, value_mask, atoms, total) -> SkeletonNode:
+    def grow(indices, values, index_mask, one_mask, atoms, total) -> SkeletonNode:
         # every pick is an unrevealed index, so the constructor's checks hold
         assignment = object.__new__(Assignment)
-        assignment.__dict__.update(indices=indices, values=values,
-                                   index_mask=index_mask, value_mask=value_mask)
+        assignment.__dict__.update(indices=indices, values=values, index_mask=index_mask)
         if len(indices) == n:
             return SkeletonNode(assignment, denom, total, None, False, None,
-                                None, None, value_mask)
+                                None, None, one_mask)
         if order is None:
             pick = _pick_from_atoms(atoms, n, index_mask)
             index, influence = pick.index, pick.influence_sum
@@ -271,9 +270,9 @@ def build_skeleton(m: ExplicitMeasure, order=None) -> Skeleton:
         indices, index_mask = indices + (index,), index_mask | bit
         child1 = child0 = None
         if w1:
-            child1 = grow(indices, values + (1,), index_mask, value_mask | bit, ones, w1)
+            child1 = grow(indices, values + (1,), index_mask, one_mask | bit, ones, w1)
         if w0:
-            child0 = grow(indices, values + (0,), index_mask, value_mask, zeros, w0)
+            child0 = grow(indices, values + (0,), index_mask, one_mask, zeros, w0)
         # a pick is deterministic exactly when one branch has weight 0
         return SkeletonNode(
             assignment, denom, total, index, not (w0 and w1), influence,

@@ -144,21 +144,10 @@ class Assignment:
         items = sorted(mapping.items())
         return cls(tuple(i for i, _ in items), tuple(v for _, v in items))
 
-    def extended(self, index: int, value: int) -> "Assignment":
-        """This and x_index = value, checked by the constructor."""
-        return Assignment(self.indices + (index,), self.values + (value,))
-
     # cached: each split on the assignment (`_row`, `_conditional`) reads index_mask
     @cached_property
     def index_mask(self) -> int:
         return mask_of_indices(self.indices)
-
-    @cached_property
-    def value_mask(self) -> int:
-        return mask_of_indices(i for i, v in zip(self.indices, self.values) if v)
-
-    def matches(self, atom_mask: int) -> bool:
-        return atom_mask & self.index_mask == self.value_mask
 
     def to_json(self) -> dict:
         return {

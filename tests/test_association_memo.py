@@ -19,7 +19,7 @@ import pytest
 
 import negdep.bitops as bitops
 import negdep.dependence as dependence
-from negdep.bitops import indices_of, subsets_lex
+from negdep.bitops import indices_of, mask_of_indices, subsets_lex
 from negdep.dependence import Verdict, check_cna, check_neg_association
 from negdep.measure import (
     Assignment,
@@ -68,7 +68,8 @@ def oracle_cna(m, classes):
         for pattern in range(1 << len(k_indices)):
             values = tuple(pattern >> t & 1 for t in range(len(k_indices)))
             asg = Assignment(k_indices, values)
-            key = class_counts(asg.index_mask, classes), class_counts(asg.value_mask, classes)
+            value_mask = mask_of_indices(i for i, v in zip(k_indices, values) if v)
+            key = class_counts(asg.index_mask, classes), class_counts(value_mask, classes)
             if key in orbits:
                 work["symmetric_skipped"] += 1
                 continue

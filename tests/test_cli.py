@@ -335,6 +335,13 @@ def test_check_missing_file_exit_two(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--file", "--family"])
+def test_check_empty_measure_source_exit_two(capsys, flag):
+    code, out, err = run(capsys, "check", flag, "", "--notions", "nc")
+    assert (code, out) == (2, "")
+    assert err == "error: provide a measure via --file or --family\n"
+
+
 # -- family ------------------------------------------------------------------
 
 

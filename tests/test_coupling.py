@@ -11,7 +11,6 @@ from negdep.coupling import (
     InfeasibilityCut,
     build_monotone_coupling,
     check_dominance,
-    coupling_displacement,
     covering_cut,
     down_set_certificate,
     is_down_closed,
@@ -19,7 +18,7 @@ from negdep.coupling import (
     up_closure,
 )
 from negdep.errors import BadWidth, DimensionMismatch, DominanceFails, MalformedMeasure
-from negdep.measure import Assignment, ExplicitMeasure, family_nand, new_explicit
+from negdep.measure import Assignment, ExplicitMeasure, family_nand, new_explicit, sum_function
 from negdep.upsets import upset_bitmasks, upset_members
 from negdep.zoo import random_measure
 
@@ -145,7 +144,8 @@ def test_unique_coupling_on_nand_conditionals():
         (0b10, 0b11): HALF,
     }
     assert c.displacement() == HALF
-    assert coupling_displacement(c) == HALF
+    # the marginals' expected coordinate sums differ by the displacement
+    assert upper.expectation(sum_function(2)) - lower.expectation(sum_function(2)) == HALF
     c.validate()
 
 

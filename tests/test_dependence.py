@@ -9,7 +9,7 @@ import pytest
 
 import negdep.bitops as bitops
 import negdep.dependence as dependence
-from negdep.bitops import mask_from_bits
+from negdep.bitops import bits_from_mask, mask_from_bits
 from negdep.coupling import is_down_closed
 from negdep.dependence import (
     CHECKER_CAPS,
@@ -966,7 +966,8 @@ def test_implication_list_shape():
 def _hierarchy_draws(rng):
     """Random measures at n = 2..4, which above n = 2 almost never satisfy
     any notion, then seeded products, conditioned sums of width 1 and
-    nand at n = 3..6, which satisfy most."""
+    nand at n = 3..6, and conditioned sums of width 2 (three ranks) at
+    n = 4..6, which satisfy most."""
     for _ in range(60):
         yield random_measure(rng.randint(2, 4), rng)
     for n in range(3, 7):
@@ -976,6 +977,12 @@ def _hierarchy_draws(rng):
             yield family_conditioned_sum([Fraction(rng.randint(1, 6), 7) for _ in range(n)],
                                          lo, lo + 1)
         yield family_nand(n)
+    # three-rank truncations: products conditioned on lo <= sum <= lo + 2
+    for n in range(4, 7):
+        for _ in range(6):
+            lo = rng.randint(0, n - 2)
+            yield family_conditioned_sum([Fraction(rng.randint(1, 6), 7) for _ in range(n)],
+                                         lo, lo + 2)
 
 
 def test_hierarchy_on_random_measures(rng):
@@ -996,6 +1003,59 @@ def test_hierarchy_on_random_measures(rng):
             premises_held[stronger] += m.n >= 3 and verdicts[stronger]
     # every implication is tested above n = 2, not only on pairs
     assert min(premises_held.values()) >= 20, premises_held
+
+
+def recheck_na_certificate(m, cert, I, J):
+    """The covariance of the named up-sets, recomputed on m by
+    `upset_indicator_cov`; I and J are the certificate's sides as
+    indices of m."""
+    cov = upset_indicator_cov(m, I, [mask_from_bits(b) for b in cert["A"]],
+                              J, [mask_from_bits(b) for b in cert["B"]])
+    assert cov == parse_rational(cert["covariance"])
+    assert cov > 0
+
+
+def recheck_cna_certificate(m, cert):
+    """The conditional named by K and its values, with the certificate's
+    original indices renumbered onto its free coordinates."""
+    fixed = dict(zip(cert["K"], map(int, cert["values"])))
+    free = [i for i in range(1, m.n + 1) if i not in fixed]
+    recheck_na_certificate(m.condition(Assignment.of(fixed)), cert,
+                           [free.index(i) + 1 for i in cert["I"]],
+                           [free.index(j) + 1 for j in cert["J"]])
+
+
+def test_cylinder_does_not_imply_na_or_nr():
+    m = ExplicitMeasure.from_atoms(3, [
+        ("000", "1/17"), ("001", "1/17"), ("010", "4/17"), ("011", "2/17"),
+        ("100", "1/17"), ("101", "2/17"), ("110", "6/17"),
+    ])
+    assert check_cylinder(m).verdict is Verdict.HOLDS
+    na, nr = check_neg_association(m), check_neg_regression(m)
+    assert (na.verdict, nr.verdict) == (Verdict.FAILS, Verdict.FAILS)
+    assert na.certificate == {"I": [1], "J": [2, 3], "A": ["1"], "B": ["10", "01", "11"],
+                              "covariance": "1/289"}
+    recheck_na_certificate(m, na.certificate, na.certificate["I"], na.certificate["J"])
+    assert (nr.certificate["J"], nr.certificate["a"], nr.certificate["b"]) == ([1], "0", "1")
+    recheck_nr_certificate(m, nr.certificate)
+
+
+def test_na_and_cylinder_do_not_imply_nr_or_cna():
+    # weights over 112 on masks, where bit i - 1 is x_i
+    m = ExplicitMeasure.from_atoms(4, [
+        (bits_from_mask(mask, 4), f"{w}/112") for mask, w in zip(
+            (0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 12), (1, 3, 4, 24, 3, 9, 12, 4, 24, 16, 12))
+    ])
+    assert check_neg_association(m).verdict is Verdict.HOLDS
+    assert check_cylinder(m).verdict is Verdict.HOLDS
+    nr, cna = check_neg_regression(m), check_cna(m)
+    assert (nr.verdict, cna.verdict) == (Verdict.FAILS, Verdict.FAILS)
+    assert (nr.certificate["J"], nr.certificate["a"], nr.certificate["b"]) == (
+        [1, 2, 3], "000", "100")
+    recheck_nr_certificate(m, nr.certificate)
+    assert cna.certificate == {"K": [2, 3], "values": "00", "I": [1], "J": [4],
+                               "A": ["1"], "B": ["1"], "covariance": "3/256"}
+    recheck_cna_certificate(m, cna.certificate)
 
 
 def test_nr_survives_conditioning_on_nand():

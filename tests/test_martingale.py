@@ -1,9 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from negdep.coupling import build_monotone_coupling, coupling_displacement
+from negdep.coupling import build_monotone_coupling
 from negdep.errors import (
     DimensionMismatch,
     IntervalViolation,
@@ -109,7 +110,7 @@ def test_lemma_identity_everywhere_on_small_zoo():
             seen += 1
             i = rep.chosen.index
             for v in (0, 1):
-                ext = a.extended(i, v)
+                ext = Assignment(a.indices + (i,), a.values + (v,))
                 if m.prob_of_assignment(ext) > 0:
                     stack.append(ext)
         assert seen > 0
@@ -121,6 +122,20 @@ def test_lemma_report_json():
     assert doc["satisfied"] == [2, 3]
     assert doc["entries"][0]["index"] == 1
     assert doc["entries"][0]["influence_sum"] == "4/3"
+
+
+def test_lemma_report_json_deterministic_entries():
+    # given x1 = 0, nand3 fixes x2 = x3 = 1: both picks are deterministic
+    doc = verify_pick_lemma(family_nand(3), Assignment.of({1: 0})).to_json()
+    assert doc["revealed"] == {"indices": [1], "values": "0"}
+    assert doc["entries"] == [
+        {"index": i, "pi": "1", "variance": "0", "covariance_sum": "0", "quantity": "0",
+         "deterministic": True, "influence_sum": None}
+        for i in (2, 3)
+    ]
+    assert (doc["satisfied"], doc["chosen_index"]) == ([2, 3], 2)
+    assert '"deterministic": true' in json.dumps(doc)
+    assert '"influence_sum": null' in json.dumps(doc)
 
 
 def _pick_cases():
@@ -339,7 +354,7 @@ def test_first_step_bounded_by_coupling_displacement():
     low = m.condition(Assignment.of({i: 1}))
     high = m.condition(Assignment.of({i: 0}))
     c = build_monotone_coupling(low, high)
-    bound = 1 + coupling_displacement(c)
+    bound = 1 + c.displacement()
     assert abs(r.child1.y - r.child0.y) <= bound
 
 

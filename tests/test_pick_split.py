@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+from negdep.bitops import mask_of_indices
 from negdep.errors import (
     DimensionMismatch,
     LemmaViolated,
@@ -39,7 +40,8 @@ def _conditional_atoms(m, revealed):
     if revealed.index_mask >> m.n:
         raise DimensionMismatch("assignment index out of range")
     _, w = m.scaled_weights()
-    atoms = [(k, v) for k, v in sorted(w.items()) if revealed.matches(k)]
+    value_mask = mask_of_indices(i for i, v in zip(revealed.indices, revealed.values) if v)
+    atoms = [(k, v) for k, v in sorted(w.items()) if k & revealed.index_mask == value_mask]
     total = sum(v for _, v in atoms)
     if total == 0:
         raise ZeroProbabilityEvent("conditioning event has probability 0")

@@ -77,7 +77,7 @@ def test_pick_lemma_never_fails(m):
         rep = verify_pick_lemma(m, a)
         i = rep.chosen.index
         for v in (0, 1):
-            ext = a.extended(i, v)
+            ext = Assignment(a.indices + (i,), a.values + (v,))
             if m.prob_of_assignment(ext) > 0:
                 stack.append(ext)
 

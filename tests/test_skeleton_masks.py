@@ -1,7 +1,7 @@
 """Skeletons grown on carried masks, and step maxima taken on integers.
 
 `build_skeleton` passes each node's index and value masks down and builds
-each child's `Assignment` with both masks already cached; `max_step` and
+each child's `Assignment` with its index mask already cached; `max_step` and
 `root_step` compare the steps by cross-multiplication and build one
 `Fraction`.  Both must give what the frozen copies below, the builders
 they replaced, give: on the catalog, 240 seeded random measures with
@@ -49,8 +49,10 @@ def frozen_build_skeleton(m: ExplicitMeasure, order=None) -> SkeletonNode:
 
     def grow(assignment, atoms, total, depth) -> SkeletonNode:
         if depth == n:
+            value_mask = mask_of_indices(
+                i for i, v in zip(assignment.indices, assignment.values) if v)
             return SkeletonNode(assignment, denom, total, None, False, None,
-                                None, None, assignment.value_mask)
+                                None, None, value_mask)
         if order is None:
             pick = _pick_from_atoms(atoms, n, assignment.index_mask)
             index, influence = pick.index, pick.influence_sum
@@ -61,11 +63,12 @@ def frozen_build_skeleton(m: ExplicitMeasure, order=None) -> SkeletonNode:
         zeros = [(mask, weight) for mask, weight in atoms if not mask & bit]
         w1 = sum(weight for _, weight in ones)
         w0 = total - w1
+        indices = assignment.indices + (index,)
         child1 = child0 = None
         if w1:
-            child1 = grow(assignment.extended(index, 1), ones, w1, depth + 1)
+            child1 = grow(Assignment(indices, assignment.values + (1,)), ones, w1, depth + 1)
         if w0:
-            child0 = grow(assignment.extended(index, 0), zeros, w0, depth + 1)
+            child0 = grow(Assignment(indices, assignment.values + (0,)), zeros, w0, depth + 1)
         return SkeletonNode(
             assignment, denom, total, index, not (w0 and w1), influence,
             child0, child1, None,
@@ -135,12 +138,14 @@ def assert_same_nodes(new: SkeletonNode, old: SkeletonNode) -> int:
         assert (a.denom, a.w, a.pick, a.pick_deterministic, a.pick_influence, a.leaf_mask) == (
             b.denom, b.w, b.pick, b.pick_deterministic, b.pick_influence, b.leaf_mask)
         assert (a.child0 is None, a.child1 is None) == (b.child0 is None, b.child1 is None)
-        # the masks were filled in at build time and match a checked Assignment
+        # the index mask was filled in at build time and matches a checked
+        # Assignment; a leaf's mask is the value mask of its assignment
         built = Assignment(got.indices, got.values)
-        assert {"index_mask", "value_mask"} <= vars(got).keys()
+        assert "index_mask" in vars(got)
         assert got.index_mask == mask_of_indices(built.indices) == built.index_mask
-        assert got.value_mask == built.value_mask == mask_of_indices(
-            i for i, v in zip(built.indices, built.values) if v)
+        if a.leaf_mask is not None:
+            assert a.leaf_mask == mask_of_indices(
+                i for i, v in zip(built.indices, built.values) if v)
         count += 1
     return count
 
