@@ -11,7 +11,7 @@ The package exports each module's ``__all__``, and nothing else.
 
 __version__ = "0.1.0"
 
-from . import bitops, concentration, coupling, dependence, errors, martingale, measure, upsets, zoo
+from . import bitops, concentration, coupling, dependence, errors, martingale, measure, upsets
 from .bitops import *
 from .concentration import *
 from .coupling import *
@@ -30,5 +30,3 @@ __all__ += errors.__all__
 __all__ += martingale.__all__
 __all__ += measure.__all__
 __all__ += upsets.__all__
-__all__ += zoo.__all__
-from .zoo import *  # last: the catalog function zoo replaces the module zoo

@@ -30,16 +30,17 @@ from .martingale import (
     root_step,
 )
 from .measure import (
+    FAMILY_HELP,
     ExplicitMeasure,
     TestFunction,
     constant_function,
     family_nand,
+    parse_family,
     parse_rational,
     random_lipschitz,
     sum_function,
     xor_function,
 )
-from .zoo import FAMILY_HELP, parse_family
 
 F_HELP = (
     "test function: sum | constant[:v] | xor | random:SEED[:monotone]"

@@ -5,7 +5,7 @@ import pytest
 
 import negdep.dependence as dependence
 from negdep.dependence import check_neg_regression
-from negdep.zoo import zoo
+from negdep.measure import zoo
 
 
 @pytest.fixture(scope="session")

@@ -39,9 +39,14 @@ from negdep.martingale import (
     root_step,
     verify_pick_lemma,
 )
-from negdep.measure import family_nand, random_lipschitz, sum_function
+from negdep.measure import (
+    family_nand,
+    random_lipschitz,
+    random_measure,
+    sum_function,
+    zoo,
+)
 from negdep.upsets import upset_bitmasks, upset_members
-from negdep.zoo import random_measure, zoo
 
 
 def report(label: str, started: float, budget: float):

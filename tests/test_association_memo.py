@@ -26,8 +26,9 @@ from negdep.measure import (
     ExplicitMeasure,
     family_conditioned_sum,
     family_nand,
+    random_measure,
+    zoo,
 )
-from negdep.zoo import random_measure, zoo
 
 from test_symmetry import class_counts, oracle_classes
 

@@ -23,7 +23,13 @@ import pytest
 import negdep.dependence as dependence
 from negdep.bitops import bits_from_mask, indices_of
 from negdep.dependence import Verdict, check_cna, check_neg_association
-from negdep.measure import ExplicitMeasure, family_conditioned_sum, format_rational
+from negdep.measure import (
+    ExplicitMeasure,
+    family_conditioned_sum,
+    format_rational,
+    random_measure,
+    zoo,
+)
 from negdep.upsets import (
     ENUMERABLE_DIM,
     max_weight_upset,
@@ -31,7 +37,6 @@ from negdep.upsets import (
     upset_matrix,
     upset_members,
 )
-from negdep.zoo import random_measure, zoo
 
 INT64_MAX = (1 << 63) - 1
 

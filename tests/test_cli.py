@@ -2,10 +2,12 @@ import csv
 import io
 import json
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from negdep import __version__, cli
 from negdep.cli import (
@@ -26,8 +28,12 @@ from negdep.dependence import (
     check_neg_association,
 )
 from negdep.errors import NegdepError, TooLarge
-from negdep.measure import ExplicitMeasure, family_anti_pair, family_nand
-from negdep.zoo import FAMILIES
+from negdep.measure import (
+    FAMILIES,
+    ExplicitMeasure,
+    family_anti_pair,
+    family_nand,
+)
 
 
 def run(capsys, *argv):
@@ -85,7 +91,7 @@ WRONG_PART_COUNTS = [
 def test_family_help_is_printed_from_the_table():
     assert list(FAMILIES) == list(FORMS)
     assert FAMILY_HELP == FAMILY_HELP_LITERAL
-    assert parse_family.__module__ == "negdep.zoo"
+    assert parse_family.__module__ == "negdep.measure"
 
 
 # a part its parser refuses: no number, no rational, a zero denominator
@@ -129,6 +135,41 @@ def test_builder_errors_keep_their_message(capsys, spec, message):
         parse_family(spec)
     assert str(exc_info.value) == message
     assert run(capsys, "family", "--spec", spec) == (2, "", f"error: {message}\n")
+
+
+# specs of every family's shape, with parts that are no number, past a cap,
+# empty, or spelled with a non-ASCII digit
+NUMBERS = st.one_of(
+    st.integers(-1, 12).map(str),
+    st.sampled_from(["21", "1000000", "1/0", "1/3", "-1/2", "3/2", "0.5", ".25",
+                     "1.", "2.5e-1", "1e-3", "1E2", "\u0663"]),
+)
+PARTS = st.one_of(NUMBERS, st.lists(NUMBERS, min_size=1, max_size=8).map(",".join),
+                  st.just(""))
+
+
+def specs(name):
+    """0-4 parts after the name, or as often the family's own number."""
+    arity = len(FAMILIES[name]) - 1 if name in FAMILIES else 1
+    parts = st.one_of(st.lists(PARTS, max_size=4),
+                      st.lists(PARTS, min_size=arity, max_size=arity))
+    return parts.map(lambda ps: ":".join([name, *ps]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(spec=st.sampled_from([*FAMILIES, "zeta", ""]).flatmap(specs))
+def test_any_family_spec_is_a_measure_or_an_input_error(spec):
+    try:
+        assert isinstance(parse_family(spec), ExplicitMeasure)
+    except (ValueError, NegdepError):
+        pass
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["family", "--spec", spec])
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert "Traceback" not in err.getvalue()
 
 
 def test_parse_function_grammar():

@@ -80,7 +80,7 @@ WIDE_CHECK = [
     "condsum:9973/65521,19946/65519,29919/65497,39892/65479,49865/65449,"
     "59838/65447,4374/65437,14361/65423:1:7",
 ]
-# the catalog of negdep.zoo, as family specs
+# the catalog of negdep.zoo(), as family specs
 CATALOG = [
     *(f"nand:{n}" for n in range(3, 9)),
     "independent:1/2,1/2,1/2,1/2",

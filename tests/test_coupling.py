@@ -18,9 +18,15 @@ from negdep.coupling import (
     up_closure,
 )
 from negdep.errors import BadWidth, DimensionMismatch, DominanceFails, MalformedMeasure
-from negdep.measure import Assignment, ExplicitMeasure, family_nand, new_explicit, sum_function
+from negdep.measure import (
+    Assignment,
+    ExplicitMeasure,
+    family_nand,
+    new_explicit,
+    random_measure,
+    sum_function,
+)
 from negdep.upsets import upset_bitmasks, upset_members
-from negdep.zoo import random_measure
 
 HALF = Fraction(1, 2)
 

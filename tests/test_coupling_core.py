@@ -16,8 +16,13 @@ import pytest
 from negdep.bitops import bits_from_mask, is_submask
 from negdep.coupling import Coupling, build_monotone_coupling
 from negdep.errors import DimensionMismatch, DominanceFails, MalformedMeasure
-from negdep.measure import Assignment, ExplicitMeasure, family_conditioned_sum, family_nand
-from negdep.zoo import random_measure
+from negdep.measure import (
+    Assignment,
+    ExplicitMeasure,
+    family_conditioned_sum,
+    family_nand,
+    random_measure,
+)
 
 
 def frozen_validate(lower, upper, mass, covering):

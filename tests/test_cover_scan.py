@@ -23,8 +23,13 @@ import pytest
 from negdep.bitops import subsets_lex
 from negdep.coupling import transport
 from negdep.dependence import _first_failing_cover
-from negdep.measure import ExplicitMeasure, family_conditioned_sum, family_nand
-from negdep.zoo import random_measure, zoo
+from negdep.measure import (
+    ExplicitMeasure,
+    family_conditioned_sum,
+    family_nand,
+    random_measure,
+    zoo,
+)
 
 from test_symmetry import class_counts, oracle_classes
 

@@ -34,8 +34,13 @@ from negdep.coupling import (
     up_steps,
 )
 from negdep.errors import DominanceFails
-from negdep.measure import Assignment, family_conditioned_sum, family_nand, new_explicit
-from negdep.zoo import random_measure
+from negdep.measure import (
+    Assignment,
+    family_conditioned_sum,
+    family_nand,
+    new_explicit,
+    random_measure,
+)
 
 from test_cover_scan import _buckets_for
 

@@ -31,9 +31,14 @@ from negdep.dependence import (
     Verdict,
     check_cylinder,
 )
-from negdep.measure import ExplicitMeasure, family_conditioned_sum, format_rational
+from negdep.measure import (
+    ExplicitMeasure,
+    family_conditioned_sum,
+    format_rational,
+    random_measure,
+    zoo,
+)
 from negdep.upsets import nontrivial_upsets, upset_matrix
-from negdep.zoo import random_measure, zoo
 
 
 def loop_cylinder(m):

@@ -40,9 +40,10 @@ from negdep.measure import (
     family_nand,
     family_pos_pair,
     parse_rational,
+    random_measure,
+    zoo,
 )
 from negdep.upsets import upset_matrix
-from negdep.zoo import random_measure, zoo
 
 HALF = Fraction(1, 2)
 

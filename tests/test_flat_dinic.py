@@ -42,8 +42,8 @@ from negdep.measure import (
     ExplicitMeasure,
     family_conditioned_sum,
     family_nand,
+    random_measure,
 )
-from negdep.zoo import random_measure
 
 
 class RecursiveDinic:

@@ -20,8 +20,12 @@ import pytest
 from negdep.cli import main
 from negdep.coupling import Coupling
 from negdep.errors import MalformedMeasure, TooLarge
-from negdep.measure import ExplicitMeasure, parse_ratio, parse_rational
-from negdep.zoo import parse_family
+from negdep.measure import (
+    ExplicitMeasure,
+    parse_family,
+    parse_ratio,
+    parse_rational,
+)
 
 HUGE = ["1e-10000000", "1e99999999", " -2.5E+1_0000000 ", "7e" + "9" * 5000, "1e04301"]
 

@@ -25,10 +25,11 @@ from negdep.measure import (
     family_nand,
     family_pos_pair,
     random_lipschitz,
+    random_measure,
     sum_function,
     xor_function,
+    zoo,
 )
-from negdep.zoo import random_measure, zoo
 
 BIG_PROBS = [
     Fraction(1, 101), Fraction(50, 103), Fraction(7, 107), Fraction(60, 109),

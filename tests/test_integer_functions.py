@@ -28,8 +28,8 @@ from negdep.measure import (
     random_lipschitz,
     sum_function,
     xor_function,
+    zoo,
 )
-from negdep.zoo import zoo
 
 ZERO = Fraction(0)
 LAMBDAS = (2.0, -2.0, 1.0, -1.0, 0.5, -0.5, 0.1, -0.1)
@@ -209,11 +209,10 @@ def annotate_both(m, f, skeleton, kind, limit):
 def test_random_lipschitz_matches_fraction_sums(n):
     for seed in range(6):
         for monotone in (False, True):
-            for pieces in (0, 1, 3, 5):
-                f = random_lipschitz(n, random.Random(seed), monotone, pieces)
-                rng = random.Random(seed)
-                assert f.values == oracle_random_lipschitz(n, rng, monotone, pieces)
-                assert f.declared_monotone == monotone
+            f = random_lipschitz(n, random.Random(seed), monotone)
+            rng = random.Random(seed)
+            assert f.values == oracle_random_lipschitz(n, rng, monotone)
+            assert f.declared_monotone == monotone
 
 
 @pytest.mark.parametrize(

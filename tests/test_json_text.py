@@ -31,8 +31,10 @@ from negdep.measure import (
     family_conditioned_sum,
     family_independent,
     format_ratio,
+    parse_family,
+    random_measure,
+    zoo,
 )
-from negdep.zoo import parse_family, random_measure, zoo
 
 # n = 8 with common denominator near 2^128
 WIDE_SPEC = (

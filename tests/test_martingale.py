@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from negdep import martingale
 from negdep.coupling import build_monotone_coupling
 from negdep.errors import (
     DimensionMismatch,
     IntervalViolation,
+    LemmaViolated,
     NoEligibleIndex,
     TooLarge,
     ZeroProbabilityEvent,
@@ -31,9 +33,10 @@ from negdep.measure import (
     family_nand,
     family_pos_pair,
     random_lipschitz,
+    random_measure,
     sum_function,
+    zoo,
 )
-from negdep.zoo import random_measure, zoo
 
 HALF = Fraction(1, 2)
 
@@ -190,6 +193,32 @@ def test_pick_at_influence_exactly_one():
                 assert rep.chosen.influence_sum == 1
             stack += [c for c in (node.child0, node.child1) if c is not None]
         assert ones > 0, n
+
+
+# -- the pick rule's tripwires -----------------------------------------------
+# No measure reaches these raises, so each test gives every index the same
+# fixed (w1, w0, S1, S0) terms, which no measure has.
+
+
+def fake_terms(monkeypatch, terms):
+    monkeypatch.setattr(martingale, "_influence_terms", lambda *_: terms)
+
+
+def test_pick_raises_when_no_index_is_eligible(monkeypatch):
+    fake_terms(monkeypatch, (1, 1, 0, 2))
+    with pytest.raises(NoEligibleIndex, match="deterministic or has influence sum <= 1"):
+        pick_index(family_nand(3), Assignment.empty())
+
+
+@pytest.mark.parametrize("terms, message", [
+    ((0, 2, 1, 0), "deterministic index 1 has nonzero witness"),
+    ((1, 3, 0, 3), r"index 1: witness .* != pi\(1-pi\)\(1-influence\)"),
+    ((1, 1, 0, 3), "no unrevealed index has a nonnegative witness"),
+])
+def test_lemma_check_raises_on_a_broken_identity(monkeypatch, terms, message):
+    fake_terms(monkeypatch, terms)
+    with pytest.raises(LemmaViolated, match=message):
+        verify_pick_lemma(family_anti_pair(), Assignment.empty())
 
 
 # -- skeletons and trees -----------------------------------------------------

@@ -22,8 +22,9 @@ from negdep.measure import (
     format_rational,
     parse_ratio,
     parse_rational,
+    random_measure,
+    zoo,
 )
-from negdep.zoo import random_measure, zoo
 
 # -- the Fraction reader, frozen ---------------------------------------------
 

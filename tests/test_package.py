@@ -1,6 +1,8 @@
 """The package exports each module's ``__all__``, and nothing else."""
 
 import importlib
+import importlib.util
+import pkgutil
 
 import pytest
 
@@ -8,7 +10,7 @@ import negdep
 
 MODULES = (
     "bitops", "concentration", "coupling", "dependence", "errors", "martingale",
-    "measure", "upsets", "zoo",
+    "measure", "upsets",
 )
 
 PUBLIC = sorted([
@@ -42,11 +44,9 @@ PUBLIC = sorted([
     "family_anti_pair", "family_balls_bins", "family_conditioned_sum",
     "family_hadamard", "family_independent", "family_nand", "family_pos_pair",
     "format_rational", "new_explicit", "parse_rational", "random_lipschitz",
-    "sum_function", "xor_function",
+    "random_measure", "sum_function", "xor_function", "zoo",
     # upsets
     "ENUMERABLE_DIM", "is_up_closed", "nontrivial_upsets", "upset_members",
-    # zoo
-    "random_measure", "zoo",
 ])
 
 # importable from their modules, but not exported
@@ -55,8 +55,8 @@ INTERNAL = {
                  "is_down_closed"],
     "dependence": ["CHECKER_CAPS", "refuse_over_cap", "NOTION_RUNNERS"],
     "martingale": ["SkeletonNode", "PickLemmaEntry"],
+    "measure": ["parse_family", "FAMILIES", "FAMILY_HELP", "CATALOG"],
     "upsets": ["upset_bitmasks", "upset_matrix", "max_weight_upset"],
-    "zoo": ["parse_family", "FAMILIES", "FAMILY_HELP", "CATALOG"],
 }
 
 
@@ -87,6 +87,13 @@ def test_zoo_is_the_catalog_function():
     catalog = negdep.zoo()
     assert len(catalog) == 17
     assert catalog["nand3"] == negdep.family_nand(3)
+
+
+def test_no_export_shadows_a_submodule():
+    for info in pkgutil.iter_modules(negdep.__path__):
+        mod = importlib.import_module(f"negdep.{info.name}")
+        assert getattr(negdep, info.name) is mod, info.name
+    assert importlib.util.find_spec("negdep.zoo") is None
 
 
 @pytest.mark.parametrize("module", sorted(INTERNAL))

@@ -30,8 +30,7 @@ from negdep.martingale import (
     pick_index,
     verify_pick_lemma,
 )
-from negdep.measure import Assignment, ExplicitMeasure, family_nand
-from negdep.zoo import zoo
+from negdep.measure import Assignment, ExplicitMeasure, family_nand, zoo
 
 # -- the frozen oracle ---------------------------------------------------------
 

@@ -35,8 +35,9 @@ from negdep.measure import (
     family_hadamard,
     family_pos_pair,
     format_rational,
+    random_measure,
+    zoo,
 )
-from negdep.zoo import random_measure, zoo
 
 # -- the reader and scan loop, frozen -----------------------------------------
 

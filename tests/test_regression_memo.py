@@ -25,8 +25,9 @@ from negdep.measure import (
     family_conditioned_sum,
     family_independent,
     family_nand,
+    random_measure,
+    zoo,
 )
-from negdep.zoo import random_measure, zoo
 
 from test_cover_scan import _buckets_for
 from test_symmetry import class_counts, oracle_classes

@@ -16,7 +16,7 @@ import random
 import pytest
 
 from negdep.dependence import NOTION_RUNNERS, Notion, Verdict
-from negdep.zoo import random_measure, zoo
+from negdep.measure import random_measure, zoo
 
 PAIRS = {notion: (Verdict.FAILS, Verdict.HOLDS) for notion in Notion}
 PAIRS[Notion.RAYLEIGH] = (Verdict.VIOLATION_FOUND, Verdict.NO_VIOLATION_FOUND)

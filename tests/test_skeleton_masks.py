@@ -29,9 +29,10 @@ from negdep.measure import (
     ExplicitMeasure,
     family_nand,
     random_lipschitz,
+    random_measure,
     sum_function,
+    zoo,
 )
-from negdep.zoo import random_measure, zoo
 
 ZERO = Fraction(0)
 

@@ -33,8 +33,8 @@ from negdep.measure import (
     family_hadamard,
     family_independent,
     family_nand,
+    zoo,
 )
-from negdep.zoo import zoo
 
 
 def class_counts(mask, classes):

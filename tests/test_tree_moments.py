@@ -31,8 +31,12 @@ from negdep.concentration import (
 )
 from negdep.errors import NodeIsLeaf
 from negdep.martingale import build_adaptive_tree, build_skeleton
-from negdep.measure import TestFunction, random_lipschitz, sum_function
-from negdep.zoo import parse_family
+from negdep.measure import (
+    TestFunction,
+    parse_family,
+    random_lipschitz,
+    sum_function,
+)
 
 LAMBDAS = (2.0, -2.0, 1.0, -1.0, 0.5, -0.5, 0.1, -0.1)
 SEEDS = range(3)

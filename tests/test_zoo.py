@@ -4,6 +4,7 @@ it was written as before the table existed."""
 from fractions import Fraction
 
 from negdep.measure import (
+    CATALOG,
     family_anti_pair,
     family_balls_bins,
     family_conditioned_sum,
@@ -11,8 +12,9 @@ from negdep.measure import (
     family_independent,
     family_nand,
     family_pos_pair,
+    parse_family,
+    zoo,
 )
-from negdep.zoo import CATALOG, parse_family, zoo
 
 _HALF = Fraction(1, 2)
 
