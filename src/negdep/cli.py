@@ -209,8 +209,10 @@ def _parse_grid(spec: str) -> list[Fraction]:
         raise ValueError("grid step must be positive")
     count = max(0, (hi - lo) // step + 1)
     if count > MAX_GRID_POINTS:
+        # the count itself can have more digits than int-to-text allows
         raise TooLarge(
-            f"grid {spec} has {count} points; the limit is {MAX_GRID_POINTS}"
+            f"grid {spec} has more than {MAX_GRID_POINTS} points; "
+            f"the limit is {MAX_GRID_POINTS}"
         )
     return [lo + k * step for k in range(count)]
 

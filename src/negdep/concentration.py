@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import enum
 import io
-import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -133,15 +132,6 @@ class TailReport:
                 row.passed,
             ])
         return out.getvalue()
-
-    def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
-
-    def save_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
 
 
 def default_t_grid(f: TestFunction) -> list[Fraction]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -195,19 +194,31 @@ def verify_pick_lemma(m: ExplicitMeasure, revealed: Assignment) -> PickLemmaRepo
 
 @dataclass(slots=True)
 class SkeletonNode:
-    """Structure of one conditioning event, independent of any f: its
-    integer weight w over the measure's common denominator and its pick.
-    probability = w / denom, p1 = w1 / w and p0 are built on every read."""
+    """Structure of one conditioning event, independent of any f: the
+    revealed indices and their bits, its integer weight w over the
+    measure's common denominator, its pick and the pick's influence sum
+    (adaptive, non-deterministic picks only).  The Assignment, whether the
+    pick is deterministic, probability = w / denom, p1 = w1 / w and p0 are
+    built on every read."""
 
-    assignment: Assignment
+    indices: tuple[int, ...]
+    values: tuple[int, ...]
     denom: int
     w: int
     pick: Optional[int]
-    pick_deterministic: bool
     pick_influence: Optional[Fraction]
     child0: Optional["SkeletonNode"]
     child1: Optional["SkeletonNode"]
     leaf_mask: Optional[int]
+
+    @property
+    def assignment(self) -> Assignment:
+        return Assignment(self.indices, self.values)
+
+    @property
+    def pick_deterministic(self) -> bool:
+        # a pick is deterministic exactly when one branch has weight 0
+        return self.pick is not None and (self.child0 is None or self.child1 is None)
 
     @property
     def probability(self) -> Fraction:
@@ -234,23 +245,20 @@ class Skeleton:
 def build_skeleton(m: ExplicitMeasure, order=None) -> Skeleton:
     """The decision-tree structure for a measure: picks, branch
     weights, reachable assignments.  order=None selects adaptively;
-    otherwise order must be a permutation of 1..n, checked once here.
-    Masks are carried down; each node's Assignment has its index mask cached."""
+    otherwise order must be a permutation of the ints 1..n, checked once
+    here.  The revealed and one masks are carried down."""
     n = m.n
     if n > cap("tree"):
         raise TooLarge(f"n={n} exceeds the tree cap {cap('tree')}")
     if order is not None:
         order = tuple(order)
-        if sorted(order) != list(range(1, n + 1)):
+        if any(type(i) is not int for i in order) or sorted(order) != list(range(1, n + 1)):
             raise ValueError("order must be a permutation of 1..n")
     denom, weights = m.scaled_weights()
 
     def grow(indices, values, index_mask, one_mask, atoms, total) -> SkeletonNode:
-        # every pick is an unrevealed index, so the constructor's checks hold
-        assignment = object.__new__(Assignment)
-        assignment.__dict__.update(indices=indices, values=values, index_mask=index_mask)
         if len(indices) == n:
-            return SkeletonNode(assignment, denom, total, None, False, None,
+            return SkeletonNode(indices, values, denom, total, None, None,
                                 None, None, one_mask)
         if order is None:
             pick = _pick_from_atoms(atoms, n, index_mask)
@@ -267,16 +275,14 @@ def build_skeleton(m: ExplicitMeasure, order=None) -> Skeleton:
             else:
                 zeros.append(atom)
         w0 = total - w1
-        indices, index_mask = indices + (index,), index_mask | bit
+        below, below_mask = indices + (index,), index_mask | bit
         child1 = child0 = None
         if w1:
-            child1 = grow(indices, values + (1,), index_mask, one_mask | bit, ones, w1)
+            child1 = grow(below, values + (1,), below_mask, one_mask | bit, ones, w1)
         if w0:
-            child0 = grow(indices, values + (0,), index_mask, one_mask, zeros, w0)
-        # a pick is deterministic exactly when one branch has weight 0
+            child0 = grow(below, values + (0,), below_mask, one_mask, zeros, w0)
         return SkeletonNode(
-            assignment, denom, total, index, not (w0 and w1), influence,
-            child0, child1, None,
+            indices, values, denom, total, index, influence, child0, child1, None,
         )
 
     return Skeleton(m, order, grow((), (), 0, 0, sorted(weights.items()), denom))
@@ -310,7 +316,7 @@ class TreeNode(SkeletonNode):
 
     @property
     def depth(self) -> int:
-        return len(self.assignment.indices)
+        return len(self.indices)
 
     @property
     def y(self) -> Fraction:
@@ -328,13 +334,18 @@ class TreeNode(SkeletonNode):
             return ZERO
         return max(self.child0.y, self.child1.y) - self.y
 
-    @property
-    def gap(self) -> Fraction:
+    def _gap_terms(self) -> tuple[int, int]:
+        """|y1 - y0| = num / (den q) as (num, q), the denominators den w0
+        and den w1 cleared; (0, 1) at leaves and forced branches."""
         c0, c1 = self.child0, self.child1
         if c0 is None or c1 is None:
-            return ZERO
-        # |y1 - y0| over the common denominator den * w0 * w1
-        return Fraction(abs(c1.s * c0.w - c0.s * c1.w), self.den * c0.w * c1.w)
+            return 0, 1
+        return abs(c1.s * c0.w - c0.s * c1.w), c0.w * c1.w
+
+    @property
+    def gap(self) -> Fraction:
+        num, q = self._gap_terms()
+        return Fraction(num, self.den * q)
 
 
 @dataclass
@@ -404,14 +415,9 @@ class MartingaleTree:
             doc["order"] = list(self.order)
         return doc
 
-    def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
-
     def _pattern(self, node: TreeNode) -> str:
         chars = ["*"] * self.n
-        for i, v in zip(node.assignment.indices, node.assignment.values):
+        for i, v in zip(node.indices, node.values):
             chars[i - 1] = str(v)
         return "".join(chars)
 
@@ -441,10 +447,6 @@ class MartingaleTree:
             ])
         return out.getvalue()
 
-    def save_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
-
 
 def _step(node: TreeNode, below: TreeNode) -> tuple[float, float]:
     """Pr[below | node] and y_below - y as floats.  int / int true division
@@ -469,22 +471,31 @@ def _annotate(
         else:
             s = sum(c.s for c in (child0, child1) if c is not None)
         tree_node = TreeNode(
-            node.assignment, node.denom, node.w, node.pick,
-            node.pick_deterministic, node.pick_influence, child0, child1,
-            node.leaf_mask, s, den,
+            node.indices, node.values, node.denom, node.w, node.pick,
+            node.pick_influence, child0, child1, node.leaf_mask, s, den,
         )
-        # |y1 - y0| > limit with the denominators den * w0 and den * w1 cleared
         if gap_limit is not None and child0 is not None and child1 is not None:
-            w0, w1 = child0.w, child1.w
-            if abs(child1.s * w0 - child0.s * w1) > gap_limit * den * w0 * w1:
+            num, q = tree_node._gap_terms()
+            if num > gap_limit * den * q:
                 raise IntervalViolation(
                     f"martingale increment interval has width {tree_node.gap} "
-                    f"> {gap_limit} at node {node.assignment.to_json()}",
+                    f"> {gap_limit} at node {tree_node.assignment.to_json()}",
                     node=tree_node,
                 )
         return tree_node
 
     return MartingaleTree(m, f, kind, skeleton.order, value(skeleton.root))
+
+
+def _skeleton_for(
+    m: ExplicitMeasure, order: Optional[tuple], skeleton: Optional[Skeleton]
+) -> Skeleton:
+    """The given skeleton if it was built for (m, order), else a new one."""
+    if skeleton is None:
+        return build_skeleton(m, order)
+    if skeleton.order != order or skeleton.measure is not m:
+        raise ValueError("skeleton was built for a different configuration")
+    return skeleton
 
 
 def build_adaptive_tree(
@@ -498,10 +509,7 @@ def build_adaptive_tree(
     certificate.  Pass a prebuilt skeleton to amortize the pick
     computations across many functions.
     """
-    if skeleton is None:
-        skeleton = build_skeleton(m)
-    elif skeleton.order is not None or skeleton.measure is not m:
-        raise ValueError("skeleton was built for a different configuration")
+    skeleton = _skeleton_for(m, None, skeleton)
     return _annotate(skeleton, f, "adaptive", 1 if f.declared_monotone else 2)
 
 
@@ -516,11 +524,7 @@ def fixed_order_tree(
     as found."""
     if order is None:
         order = tuple(range(1, m.n + 1))
-    order = tuple(order)
-    if skeleton is None:
-        skeleton = build_skeleton(m, order)
-    elif skeleton.order != order or skeleton.measure is not m:
-        raise ValueError("skeleton was built for a different configuration")
+    skeleton = _skeleton_for(m, tuple(order), skeleton)
     return _annotate(skeleton, f, "fixed", None)
 
 
@@ -545,15 +549,12 @@ def _largest_step(nodes, mode: str) -> tuple:
     Gap: |s1 w0 - s0 w1| / (den w0 w1); deviation: |s_c w - s w_c| / (den w_c w)."""
     best, best_q, best_node = 0, 1, None
     for node in nodes:
-        c0, c1 = node.child0, node.child1
         if mode == "deviation":
             w, s = node.w, node.s
             steps = [(abs(c.s * w - s * c.w), c.w * w)
-                     for c in (c0, c1) if c is not None]
-        elif c0 is None or c1 is None:
-            continue
+                     for c in (node.child0, node.child1) if c is not None]
         else:
-            steps = [(abs(c1.s * c0.w - c0.s * c1.w), c0.w * c1.w)]
+            steps = [node._gap_terms()]
         for num, q in steps:
             if num * best_q > best * q:
                 best, best_q, best_node = num, q, node

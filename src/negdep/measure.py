@@ -126,7 +126,7 @@ def _check_width(n: int) -> None:
 
 @dataclass(frozen=True)
 class Assignment:
-    """A partial assignment: distinct 1-based indices with their bit values."""
+    """A partial assignment: distinct 1-based int indices with their int bits."""
 
     indices: tuple[int, ...]
     values: tuple[int, ...]
@@ -136,9 +136,10 @@ class Assignment:
             raise ValueError("assignment indices must be distinct")
         if len(self.indices) != len(self.values):
             raise ValueError("assignment indices/values length mismatch")
-        if any(i < 1 for i in self.indices):
+        # bools and floats compare equal to ints, so the type is checked first
+        if any(type(i) is not int or i < 1 for i in self.indices):
             raise ValueError("assignment indices are 1-based")
-        if any(v not in (0, 1) for v in self.values):
+        if any(type(v) is not int or v not in (0, 1) for v in self.values):
             raise ValueError("assignment values must be bits")
 
     @classmethod

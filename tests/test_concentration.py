@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from negdep.cli import main
 from negdep.concentration import (
     REL_TOL,
     TailSide,
@@ -206,10 +207,12 @@ def test_report_serialization():
 
 def test_report_files_read_back_as_the_serializations(tmp_path):
     rep = verify_theorem(family_nand(3), sum_function(3), [0, HALF])
-    rep.save_json(tmp_path / "tail.json")
-    rep.save_csv(tmp_path / "tail.csv")
-    assert json.loads((tmp_path / "tail.json").read_text()) == rep.to_json()
-    assert (tmp_path / "tail.csv").read_text() == rep.to_csv()
+    for fmt, want in (("json", json.dumps(rep.to_json(), indent=2) + "\n"),
+                      ("csv", rep.to_csv())):
+        path = tmp_path / f"tail.{fmt}"
+        assert main(["tail", "--family", "nand:3", "--f", "sum", "--grid", "0:1/2:1/2",
+                     "--format", fmt, "-o", str(path)]) == 0
+        assert path.read_text() == want
 
 def test_verdict_failure_identifies_row():
     # a deliberately absurd grid cannot fail for a true bound, so force a

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from negdep import martingale
+from negdep.cli import main
 from negdep.coupling import build_monotone_coupling
 from negdep.errors import (
     DimensionMismatch,
@@ -252,8 +253,13 @@ def test_tree_builders_refuse_a_function_on_another_cube(k):
 
 
 def test_order_must_be_permutation():
-    with pytest.raises(ValueError):
-        build_skeleton(family_nand(3), (1, 1, 2))
+    # a bool or a float equals an int, but no order of it names a variable
+    m, f = family_nand(3), sum_function(3)
+    for order in [(1, 1, 2), (1, 2), (True, 2, 3), (1, 2, 3.0)]:
+        with pytest.raises(ValueError, match="order must be a permutation of 1..n"):
+            build_skeleton(m, order)
+        with pytest.raises(ValueError, match="order must be a permutation of 1..n"):
+            fixed_order_tree(m, f, order)
 
 
 def test_tree_cap():
@@ -426,11 +432,9 @@ def test_tree_csv_shape():
 
 def test_tree_file_roundtrip(tmp_path):
     t = build_adaptive_tree(family_nand(3), sum_function(3))
-    jpath = tmp_path / "t.json"
-    cpath = tmp_path / "t.csv"
-    t.save_json(jpath)
-    t.save_csv(cpath)
-    import json
-
-    assert json.loads(jpath.read_text())["kind"] == "adaptive"
-    assert cpath.read_text().startswith("depth,")
+    for fmt, want in (("json", json.dumps(t.to_json(), indent=2) + "\n"),
+                      ("csv", t.to_csv())):
+        path = tmp_path / f"t.{fmt}"
+        assert main(["martingale", "--family", "nand:3", "--f", "sum",
+                     "--format", fmt, "-o", str(path)]) == 0
+        assert path.read_text() == want

@@ -122,7 +122,10 @@ def test_assignment_constructor_checks():
     a = Assignment((1, 3), (1, 0))
     assert a == Assignment.of({3: 0, 1: 1}) and hash(a) == hash(Assignment.of({3: 0, 1: 1}))
     messages = set()
-    for index, value in [(1, 0), (3, 1), (0, 1), (-2, 0), (2, 2), (2, -1), (3, 7)]:
+    # a bool or a float equals an int but is refused: it would reach to_json as
+    # "True" or fail inside condition
+    for index, value in [(1, 0), (3, 1), (0, 1), (-2, 0), (2, 2), (2, -1), (3, 7),
+                         (2.0, 1), (True, 0), (2, True), (2, 1.0), (2, False)]:
         with pytest.raises(ValueError) as built:
             Assignment(a.indices + (index,), a.values + (value,))
         messages.add(str(built.value))

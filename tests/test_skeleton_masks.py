@@ -1,7 +1,8 @@
 """Skeletons grown on carried masks, and step maxima taken on integers.
 
-`build_skeleton` passes each node's index and value masks down and builds
-each child's `Assignment` with its index mask already cached; `max_step` and
+`build_skeleton` passes each node's index and value masks down, and each
+node keeps its revealed indices and bits as tuples: its `Assignment` and
+whether its pick is deterministic are built when read.  `max_step` and
 `root_step` compare the steps by cross-multiplication and build one
 `Fraction`.  Both must give what the frozen copies below, the builders
 they replaced, give: on the catalog, 240 seeded random measures with
@@ -10,7 +11,9 @@ every node must agree, and every tree must have the same step maxima.
 """
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
@@ -40,7 +43,22 @@ ZERO = Fraction(0)
 # -- frozen copies of the replaced code --------------------------------------
 
 
-def frozen_build_skeleton(m: ExplicitMeasure, order=None) -> SkeletonNode:
+@dataclass
+class FrozenNode:
+    """A skeleton node as the replaced builder stored it."""
+
+    assignment: Assignment
+    denom: int
+    w: int
+    pick: Optional[int]
+    pick_deterministic: bool
+    pick_influence: Optional[Fraction]
+    child0: Optional["FrozenNode"]
+    child1: Optional["FrozenNode"]
+    leaf_mask: Optional[int]
+
+
+def frozen_build_skeleton(m: ExplicitMeasure, order=None) -> FrozenNode:
     n = m.n
     if order is not None:
         order = tuple(order)
@@ -48,12 +66,12 @@ def frozen_build_skeleton(m: ExplicitMeasure, order=None) -> SkeletonNode:
             raise ValueError("order must be a permutation of 1..n")
     denom, weights = m.scaled_weights()
 
-    def grow(assignment, atoms, total, depth) -> SkeletonNode:
+    def grow(assignment, atoms, total, depth) -> FrozenNode:
         if depth == n:
             value_mask = mask_of_indices(
                 i for i, v in zip(assignment.indices, assignment.values) if v)
-            return SkeletonNode(assignment, denom, total, None, False, None,
-                                None, None, value_mask)
+            return FrozenNode(assignment, denom, total, None, False, None,
+                              None, None, value_mask)
         if order is None:
             pick = _pick_from_atoms(atoms, n, assignment.index_mask)
             index, influence = pick.index, pick.influence_sum
@@ -70,7 +88,7 @@ def frozen_build_skeleton(m: ExplicitMeasure, order=None) -> SkeletonNode:
             child1 = grow(Assignment(indices, assignment.values + (1,)), ones, w1, depth + 1)
         if w0:
             child0 = grow(Assignment(indices, assignment.values + (0,)), zeros, w0, depth + 1)
-        return SkeletonNode(
+        return FrozenNode(
             assignment, denom, total, index, not (w0 and w1), influence,
             child0, child1, None,
         )
@@ -131,22 +149,21 @@ def preorder(node):
         stack.extend(c for c in (node.child1, node.child0) if c is not None)
 
 
-def assert_same_nodes(new: SkeletonNode, old: SkeletonNode) -> int:
+def assert_same_nodes(new: SkeletonNode, old: FrozenNode) -> int:
     count = 0
     for a, b in zip(preorder(new), preorder(old), strict=True):
-        got, want = a.assignment, b.assignment
-        assert (got.indices, got.values) == (want.indices, want.values)
+        # the assignment read off a node is a checked one of its tuples
+        assert a.assignment == Assignment(a.indices, a.values) == b.assignment
         assert (a.denom, a.w, a.pick, a.pick_deterministic, a.pick_influence, a.leaf_mask) == (
             b.denom, b.w, b.pick, b.pick_deterministic, b.pick_influence, b.leaf_mask)
         assert (a.child0 is None, a.child1 is None) == (b.child0 is None, b.child1 is None)
-        # the index mask was filled in at build time and matches a checked
-        # Assignment; a leaf's mask is the value mask of its assignment
-        built = Assignment(got.indices, got.values)
-        assert "index_mask" in vars(got)
-        assert got.index_mask == mask_of_indices(built.indices) == built.index_mask
+        # a pick is deterministic exactly at an internal node with one child
+        one_child = (a.child0 is None) != (a.child1 is None)
+        assert a.pick_deterministic == (a.pick is not None and one_child)
+        # a leaf's mask is the value mask of its assignment
         if a.leaf_mask is not None:
             assert a.leaf_mask == mask_of_indices(
-                i for i, v in zip(built.indices, built.values) if v)
+                i for i, v in zip(a.indices, a.values) if v)
         count += 1
     return count
 
