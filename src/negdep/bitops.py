@@ -1,5 +1,6 @@
-"""Bitmask helpers shared across the toolkit, and ``SubsetExtractor``,
-the one split of a measure by a block of coordinates.
+"""Bitmask helpers shared across the toolkit, ``SubsetExtractor``, the
+one split of a measure by a block of coordinates, and the width caps with
+their one refusal, ``refuse_over_cap``.
 
 Convention: variable ``i`` (1-based) occupies bit ``i - 1`` of an integer
 mask and character ``i - 1`` of the serialized bitstring, which is written
@@ -14,17 +15,24 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import TooLarge
+
 _ENV_CAP = "NEGDEP_MAX_N"
 
-# Enumeration caps, per operation family.  NEGDEP_MAX_N overrides all of
-# them at the user's own runtime risk.
+ENUMERABLE_DIM = 5  # up-sets of {0,1}^d are enumerated only for d <= 5
+
+# Width caps, by the `--notions` key of each capped checker, plus "measure"
+# (every measure and family) and "tree" (skeletons and martingale trees).
+# NEGDEP_MAX_N overrides all of them at the user's own runtime risk, but
+# leaves NA and CNA at most 2 ENUMERABLE_DIM + 1: past it some bipartition
+# has no side of at most ENUMERABLE_DIM coordinates.
 _DEFAULT_CAPS = {
     "measure": 20,
-    "cylinder": 20,
-    "neg_association": 8,
+    "cyl": 20,
+    "na": 8,
     "cna": 8,
-    "neg_regression": 10,
-    "stochastic_covering": 10,
+    "nr": 10,
+    "sc": 10,
     "rayleigh": 10,
     "tree": 12,
 }
@@ -47,13 +55,22 @@ def _limb_width(terms: int, factor: int) -> int:
 
 
 def cap(name: str) -> int:
-    """Enumeration cap for the named operation family."""
+    """The width cap of `name`, a key of `_DEFAULT_CAPS`."""
     override = os.environ.get(_ENV_CAP)
     if override is None:
         return _DEFAULT_CAPS[name]
     if not override.isdecimal():
         raise ValueError(f"{_ENV_CAP} must be a non-negative integer, got {override!r}")
+    if name in ("na", "cna"):
+        return min(int(override), 2 * ENUMERABLE_DIM + 1)
     return int(override)
+
+
+def refuse_over_cap(name: str, n: int) -> None:
+    """Raise TooLarge, before any work, when n exceeds the cap of `name`; a
+    name without a cap, such as "nc", passes.  The only width refusal."""
+    if name in _DEFAULT_CAPS and n > (limit := cap(name)):
+        raise TooLarge(f"n={n} exceeds the {name} cap {limit}")
 
 
 def mask_from_bits(bits: str) -> int:

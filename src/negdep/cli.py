@@ -18,10 +18,10 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .bitops import _DEFAULT_CAPS, cap
+from .bitops import _DEFAULT_CAPS, cap, refuse_over_cap
 from .concentration import verify_theorem
 from .coupling import build_monotone_coupling
-from .dependence import NOTION_RUNNERS, check_neg_regression, refuse_over_cap
+from .dependence import NOTION_RUNNERS, check_neg_regression
 from .errors import DominanceFails, IntervalViolation, NegdepError, TooLarge
 from .martingale import (
     build_adaptive_tree,
@@ -156,8 +156,7 @@ def cmd_coupling(args) -> int:
 
 def cmd_martingale(args) -> int:
     m = _load_measure(args)
-    if m.n > cap("tree"):  # refuse before building f
-        raise TooLarge(f"n={m.n} exceeds the tree cap {cap('tree')}")
+    refuse_over_cap("tree", m.n)  # before building f
     f = parse_function(args.f, m.n)
     order_spec = args.order
     wrong_form = f"unknown order {order_spec!r}; use adaptive, fixed, or fixed:i,j,..."
@@ -220,7 +219,7 @@ def _parse_grid(spec: str) -> list[Fraction]:
 def _nr_gate(m: ExplicitMeasure):
     """The negative regression report that the bounds of ``tail`` and
     ``counterexample`` rest on, or None above the checker's cap."""
-    return check_neg_regression(m) if m.n <= cap("neg_regression") else None
+    return check_neg_regression(m) if m.n <= cap("nr") else None
 
 
 def cmd_tail(args) -> int:

@@ -35,11 +35,11 @@ from typing import Optional
 import numpy as np
 
 from .bitops import (
-    SubsetExtractor, _exact_dtype, _limb_width, bits_from_mask, cap, covering_steps,
-    indices_of, subsets_lex,
+    SubsetExtractor, _exact_dtype, _limb_width, bits_from_mask, covering_steps,
+    indices_of, refuse_over_cap, subsets_lex,
 )
 from .coupling import covering_cut, down_set_certificate, transport
-from .errors import DimensionMismatch, TooLarge
+from .errors import DimensionMismatch
 from .measure import Assignment, ExplicitMeasure, format_rational
 from .upsets import (
     ENUMERABLE_DIM,
@@ -280,10 +280,10 @@ def _na_violation(m: ExplicitMeasure, held: set):
     A bipartition's answer depends only on its joint weight matrix: `held`
     collects the keys (ds, dl, joint) of those that held, and a bipartition
     whose key is in it is skipped.  The scan returns on the first failure.
+    The callers' cap keeps n <= 2 ENUMERABLE_DIM + 1, so the smaller side
+    of every bipartition is enumerable.
     """
     n = m.n
-    if n > 2 * ENUMERABLE_DIM + 1:  # then some bipartition has no enumerable side
-        raise TooLarge(f"association check needs n <= {2 * ENUMERABLE_DIM + 1}, got n={n}")
     full = (1 << n) - 1
     work = {"bipartitions": 0, "upsets_tested": 0, "closures": 0,
             "repeated_joints_skipped": 0}
@@ -761,7 +761,7 @@ def rayleigh_falsify(m: ExplicitMeasure, grid=None) -> NotionReport:
 
 
 # ---------------------------------------------------------------------------
-# Hierarchy, registry and caps
+# Hierarchy and registry
 # ---------------------------------------------------------------------------
 
 
@@ -786,18 +786,6 @@ NOTION_RUNNERS = {
     "sc": check_stochastic_covering,
     "rayleigh": rayleigh_falsify,
 }
-
-# The enumeration cap of each capped checker, by its `--notions` key.
-CHECKER_CAPS = {"cyl": "cylinder", "na": "neg_association", "cna": "cna",
-                "nr": "neg_regression", "sc": "stochastic_covering",
-                "rayleigh": "rayleigh"}
-
-
-def refuse_over_cap(key: str, n: int) -> None:
-    """Raise TooLarge when n exceeds the cap of the checker `key` names."""
-    name = CHECKER_CAPS.get(key)
-    if name is not None and n > cap(name):
-        raise TooLarge(f"n={n} exceeds the {name} cap {cap(name)}")
 
 
 __all__ = [

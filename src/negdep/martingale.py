@@ -21,13 +21,12 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Optional
 
-from .bitops import bits_from_mask, cap, indices_of
+from .bitops import bits_from_mask, indices_of, refuse_over_cap
 from .errors import (
     DimensionMismatch,
     IntervalViolation,
     LemmaViolated,
     NoEligibleIndex,
-    TooLarge,
     ZeroProbabilityEvent,
 )
 from .measure import Assignment, ExplicitMeasure, TestFunction, format_rational
@@ -248,8 +247,7 @@ def build_skeleton(m: ExplicitMeasure, order=None) -> Skeleton:
     otherwise order must be a permutation of the ints 1..n, checked once
     here.  The revealed and one masks are carried down."""
     n = m.n
-    if n > cap("tree"):
-        raise TooLarge(f"n={n} exceeds the tree cap {cap('tree')}")
+    refuse_over_cap("tree", n)
     if order is not None:
         order = tuple(order)
         if any(type(i) is not int for i in order) or sorted(order) != list(range(1, n + 1)):

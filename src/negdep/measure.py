@@ -34,9 +34,9 @@ from .bitops import (
     SubsetExtractor,
     _exact_dtype,
     bits_from_mask,
-    cap,
     mask_from_bits,
     mask_of_indices,
+    refuse_over_cap,
 )
 from .errors import (
     BadWidth,
@@ -120,8 +120,7 @@ def sum_over_lcm(ratios) -> tuple[int, dict]:
 def _check_width(n: int) -> None:
     if n < 1:
         raise BadWidth("n must be a positive integer")
-    if n > cap("measure"):
-        raise TooLarge(f"n={n} exceeds the measure cap {cap('measure')}")
+    refuse_over_cap("measure", n)
 
 
 @dataclass(frozen=True)

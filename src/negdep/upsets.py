@@ -19,10 +19,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from .bitops import ENUMERABLE_DIM
 from .coupling import transport, up_closure
 from .errors import TooLarge
-
-ENUMERABLE_DIM = 5
 
 
 @lru_cache(maxsize=None)

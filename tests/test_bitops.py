@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from negdep.bitops import (
+    ENUMERABLE_DIM,
     SubsetExtractor,
     bits_from_mask,
     cap,
@@ -13,6 +14,7 @@ from negdep.bitops import (
     is_submask,
     mask_from_bits,
     mask_of_indices,
+    refuse_over_cap,
     subsets_lex,
 )
 
@@ -220,7 +222,7 @@ def test_cap_env_override(monkeypatch):
     base = cap("measure")
     monkeypatch.setenv("NEGDEP_MAX_N", str(base + 3))
     assert cap("measure") == base + 3
-    assert cap("neg_regression") == base + 3
+    assert cap("nr") == base + 3
     monkeypatch.delenv("NEGDEP_MAX_N")
     assert cap("measure") == base
 
@@ -228,3 +230,15 @@ def test_cap_env_override(monkeypatch):
 def test_cap_unknown_name():
     with pytest.raises(KeyError):
         cap("nonexistent")
+
+
+def test_override_leaves_association_caps_where_every_bipartition_is_enumerable(monkeypatch):
+    monkeypatch.setenv("NEGDEP_MAX_N", "12")
+    assert (cap("na"), cap("cna"), cap("nr")) == (2 * ENUMERABLE_DIM + 1,) * 2 + (12,)
+    monkeypatch.setenv("NEGDEP_MAX_N", "3")
+    assert (cap("na"), cap("cna")) == (3, 3)
+
+
+def test_a_name_without_a_cap_is_never_refused(monkeypatch):
+    monkeypatch.setenv("NEGDEP_MAX_N", "0")
+    assert refuse_over_cap("nc", 1 << 20) is None

@@ -21,7 +21,6 @@ from negdep.cli import (
 )
 from negdep.bitops import cap
 from negdep.dependence import (
-    CHECKER_CAPS,
     Notion,
     NotionReport,
     Verdict,
@@ -310,13 +309,12 @@ def test_check_refuses_an_over_cap_notion_before_any_checker_runs(capsys, monkey
     code, out, err = run(capsys, "check", "--family", "nand:14", "--notions", "all")
     assert (code, out) == (2, "")
     assert err == f"error: {refusal.value}\n"
-    assert "association cap" in err
+    assert "na cap" in err
 
 
 @pytest.mark.parametrize("key", ["na", "cna", "nr", "sc", "rayleigh"])
 def test_check_refuses_one_over_cap_notion_with_its_cap(capsys, monkeypatch, key):
-    name = CHECKER_CAPS[key]
-    n = cap(name) + 1
+    n = cap(key) + 1
 
     def never(m):
         raise AssertionError("a checker ran")
@@ -325,15 +323,23 @@ def test_check_refuses_one_over_cap_notion_with_its_cap(capsys, monkeypatch, key
         monkeypatch.setitem(cli.NOTION_RUNNERS, runner, never)
     code, out, err = run(capsys, "check", "--family", f"nand:{n}", "--notions", f"nc,{key}")
     assert (code, out) == (2, "")
-    assert err == f"error: n={n} exceeds the {name} cap {n - 1}\n"
+    assert err == f"error: n={n} exceeds the {key} cap {n - 1}\n"
 
 
 @pytest.mark.parametrize("key", ["na", "cna"])
 def test_check_refuses_association_past_n_11_naming_n(capsys, monkeypatch, key):
+    # NEGDEP_MAX_N raises every cap, but leaves NA's and CNA's at 11: at
+    # n = 12 the 6 | 6 bipartitions have no side of dimension <= 5
     monkeypatch.setenv("NEGDEP_MAX_N", "12")
-    code, out, err = run(capsys, "check", "--family", "nand:12", "--notions", key)
+
+    def never(m):
+        raise AssertionError("a checker ran")
+
+    for runner in cli.NOTION_RUNNERS:
+        monkeypatch.setitem(cli.NOTION_RUNNERS, runner, never)
+    code, out, err = run(capsys, "check", "--family", "nand:12", "--notions", f"nc,{key}")
     assert (code, out) == (2, "")
-    assert err == "error: association check needs n <= 11, got n=12\n"
+    assert err == f"error: n=12 exceeds the {key} cap 11\n"
 
 
 @pytest.mark.parametrize("value", ["abc", "-1", "1.5", "²"])

@@ -124,9 +124,9 @@ def test_exact_tail_binomial():
 
 
 def test_exact_tail_dimension_check():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="^function on 4 vars, measure on 3$"):
         exact_tail(family_nand(3), sum_function(4), Fraction(1), TailSide.Upper)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="^function on 4 vars, measure on 3$"):
         verify_theorem(family_nand(3), sum_function(4))
 
 

@@ -168,6 +168,12 @@ def test_empty_pair_map_is_written_as_json_dumps_writes_it():
     assert_writes_json(c, frozen_coupling_doc)
 
 
+def test_empty_pair_map_fails_validation():
+    m = parse_family("independent:1/2,1/2")
+    with pytest.raises(ValueError, match="^first marginal does not match the lower measure$"):
+        Coupling(m, m, {}, 1).validate()
+
+
 def test_zero_mass_pair_off_both_supports_is_written():
     # from_json keeps a pair of mass 0 whose points carry no mass
     c, outside = next((c, k) for c in COUPLINGS for k in range(1 << c.n)

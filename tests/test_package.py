@@ -53,7 +53,8 @@ PUBLIC = sorted([
 INTERNAL = {
     "coupling": ["transport", "Dinic", "TransportResult", "up_steps", "up_closure",
                  "is_down_closed"],
-    "dependence": ["CHECKER_CAPS", "refuse_over_cap", "NOTION_RUNNERS"],
+    "bitops": ["_DEFAULT_CAPS", "refuse_over_cap"],
+    "dependence": ["NOTION_RUNNERS"],
     "martingale": ["SkeletonNode", "PickLemmaEntry"],
     "measure": ["parse_family", "FAMILIES", "FAMILY_HELP", "CATALOG"],
     "upsets": ["upset_bitmasks", "upset_matrix", "max_weight_upset"],

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import negdep.dependence as dependence
-from negdep.bitops import _INT64_MAX, _limb_width
+from negdep.bitops import _INT64_MAX, _limb_width, refuse_over_cap
 from negdep.dependence import (
     Notion,
     NotionReport,
@@ -76,7 +76,7 @@ def frozen_take(points, size: int):
 def frozen_rayleigh_falsify(m, grid=None) -> NotionReport:
     n = m.n
     if grid is None:
-        dependence.refuse_over_cap("rayleigh", n)
+        refuse_over_cap("rayleigh", n)
         points, source = frozen_default_points(n)
     else:
         points, source = len(grid), frozen_integer_points(grid, n)
